@@ -254,7 +254,6 @@ def certify_extremal(s, candidate, direction: str,
             raise CertificationError(
                 f"candidate shape {candidate.shape} does not match set {s.shape}"
             )
-        row_indices = []
         for i, rs in enumerate(s.row_sets):
             tol_i = dedup_tolerance(rs.rows)
             dists = np.abs(rs.rows - candidate[i][None, :]).max(axis=1)
@@ -263,7 +262,6 @@ def certify_extremal(s, candidate, direction: str,
                 raise CertificationError(
                     f"candidate row {i} is not an admissible row", violator=i
                 )
-            row_indices.append(j)
         perron = perron_vector(candidate, tol=min(_PERRON_TOL, cert_tol))
         v = perron.eigenvector
         margins = np.concatenate([

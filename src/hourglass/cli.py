@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -222,12 +223,13 @@ def _summary_results(summary) -> dict:
     }
 
 
-def _cmd_bounds(args, command: str) -> int:
+def cmd_bounds(args) -> int:
     started = time.perf_counter()
     expr, digest = _load(args)
     expanded = _expand_any(expr, args.guard)
     summary = jsr_lsr_bounds(expanded, args.n_max, args.guard)
-    rep = _report(command, digest, {"n_max": args.n_max, "guard": args.guard},
+    rep = _report(args.command, digest,
+                  {"n_max": args.n_max, "guard": args.guard},
                   _summary_results(summary), started)
     rows = [
         (n + 1, summary.rho_hat[n], summary.rho_check[n],
@@ -238,14 +240,6 @@ def _cmd_bounds(args, command: str) -> int:
           csv_header=("n", "rho_hat_n", "rho_check_n",
                       "norm_upper_n", "norm_lower_n"))
     return EXIT_OK
-
-
-def cmd_jsr(args) -> int:
-    return _cmd_bounds(args, "jsr")
-
-
-def cmd_lsr(args) -> int:
-    return _cmd_bounds(args, "lsr")
 
 
 def cmd_finiteness(args) -> int:
@@ -392,15 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lift a boundary family into positivity first")
     p.set_defaults(func=cmd_simplex)
 
-    p = commands.add_parser("jsr", help="joint spectral radius bound sequences")
+    p = commands.add_parser("jsr", aliases=["lsr"],
+                            help="joint / lower spectral radius bound sequences")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=4)
-    p.set_defaults(func=cmd_jsr)
-
-    p = commands.add_parser("lsr", help="lower spectral radius bound sequences")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, default=4)
-    p.set_defaults(func=cmd_lsr)
+    p.set_defaults(func=cmd_bounds)
 
     p = commands.add_parser("finiteness",
                             help="verify product radii collapse to length 1")
@@ -446,10 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building one costs milliseconds, parsing does not.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

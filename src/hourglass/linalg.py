@@ -30,11 +30,13 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap reached; ``estimate`` carries the best value so far."""
+    """Iteration cap reached; ``estimate`` carries the best value so far and
+    ``trace`` the steps an iterative search visited before giving up."""
 
-    def __init__(self, message: str, estimate: float):
+    def __init__(self, message: str, estimate: float, trace: tuple = ()):
         super().__init__(f"{message} (best estimate {estimate!r})")
         self.estimate = estimate
+        self.trace = trace
 
 
 def as_matrix(a) -> np.ndarray:

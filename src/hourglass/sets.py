@@ -75,10 +75,6 @@ def _dedup_rows(flat: np.ndarray, tol: float) -> np.ndarray:
     return flat[order]
 
 
-def _chebyshev(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
-
-
 class RowSet:
     """A finite nonempty set of admissible rows of a common length."""
 

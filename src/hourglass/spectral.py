@@ -29,17 +29,14 @@ from .linalg import (
     spectral_radius_power,
 )
 from .sets import (
-    ColumnSet,
     DEFAULT_SIZE_GUARD,
     ExplicitSet,
     GuardExceededError,
     IruSet,
-    OrderedChain,
     SetExpr,
-    chain_enumerate,
     convex_combination,
     expr_expand,
-    iru_enumerate,
+    materialize_leaf,
 )
 
 _CHUNK = 1 << 16
@@ -60,16 +57,13 @@ def thread_count() -> int:
     return val
 
 
-def _map_chunks(fn, chunks):
+def _map_chunks(fn, chunks, workers: int) -> list:
     """Apply ``fn`` over chunks, in order; chunk boundaries do not depend on
     the worker count, so results are identical at any parallelism level."""
-    workers = thread_count()
     if workers == 1:
-        for c in chunks:
-            yield fn(c)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(fn, chunks)
+        return [fn(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, chunks))
 
 
 def _totient(d: int) -> int:
@@ -92,82 +86,138 @@ def necklace_count(m: int, n: int) -> int:
     ) // n
 
 
-def _iter_words(m: int, n: int, representatives: bool):
-    """Yield word chunks, each a (count, n) index array, in lexicographic order.
-
-    With ``representatives`` set, only the lexicographically least rotation
-    of each cyclic class is kept: the spectral radius of a product is
-    invariant under cyclic rotation of the word, so one member per class
-    suffices for extremal product radii.
-    """
-    total = m ** n
-    weights = (m ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    rotations = [
-        np.concatenate([np.arange(r, n), np.arange(r)]) for r in range(1, n)
-    ]
-    for start in range(0, total, _CHUNK):
-        ranks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        words = np.stack(np.unravel_index(ranks, (m,) * n), axis=1)
-        if representatives and n > 1:
-            keep = np.ones(len(words), dtype=bool)
-            for rot in rotations:
-                keep &= ranks <= words[:, rot] @ weights
-            words = words[keep]
-        if len(words):
-            yield words
-
-
-def _word_logs(mats: np.ndarray, words: np.ndarray,
-               want_rho: bool, want_norm: bool):
-    """Log spectral radius / log operator norm of each word product.
-
-    The word (i1, ..., in) denotes the product A_{in} ... A_{i1} (first
-    index applied first).  Every multiplication rescales the running
-    products by their l1 operator norms, accumulating the log of the scale,
-    so arbitrarily long words cannot overflow; exactly vanishing products
-    propagate -inf cleanly.
-    """
-    prod = mats[words[:, 0]].astype(float, copy=True)
-    logs = np.zeros(len(words))
-    for j in range(1, words.shape[1] + 1):
-        norms = np.abs(prod).sum(axis=1).max(axis=1)
-        alive = norms > 0
-        with np.errstate(divide="ignore"):
-            logs += np.where(alive, np.log(np.where(alive, norms, 1.0)), -np.inf)
-        prod /= np.where(alive, norms, 1.0)[:, None, None]
-        if j == words.shape[1]:
-            break
-        prod = mats[words[:, j]] @ prod
-    out = {}
+def _log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        if want_rho:
-            rho_scaled = np.abs(np.linalg.eigvals(prod)).max(axis=1)
-            out["rho"] = np.where(
-                rho_scaled > 0, np.log(np.where(rho_scaled > 0, rho_scaled, 1.0)),
-                -np.inf,
-            ) + logs
-        if want_norm:
-            nrm = np.abs(prod).sum(axis=1).max(axis=1)
-            out["norm"] = np.where(
-                nrm > 0, np.log(np.where(nrm > 0, nrm, 1.0)), -np.inf
-            ) + logs
+        return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
+
+
+def _reduce(op, a: np.ndarray, axis: int) -> np.ndarray:
+    """``op.reduce`` along a short axis, left to right, in elementwise calls
+    (numpy's reduction costs far more with a few elements per output)."""
+    parts = np.moveaxis(a, axis, 0)
+    acc = parts[0].copy()
+    for part in parts[1:]:
+        op(acc, part, out=acc)
+    return acc
+
+
+def _l1_norms(prods: np.ndarray) -> np.ndarray:
+    """l1 operator norm (largest absolute column sum) of each matrix."""
+    rows = np.moveaxis(prods, 1, 0)  # by rows: no temporary of prods' size
+    sums = np.abs(rows[0])
+    for row in rows[1:]:
+        sums += np.abs(row)
+    return _reduce(np.maximum, sums, 1)
+
+
+def _normalise(prods: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Rescale products in place by their l1 operator norms; return the logs
+    with the log scales added (exactly vanishing products get -inf)."""
+    norms = _l1_norms(prods)
+    prods /= np.where(norms > 0, norms, 1.0)[:, None, None]
+    return logs + _log(norms)
+
+
+def _radius_bracket(q: np.ndarray):
+    """Collatz-Wielandt bounds ``lo <= rho <= hi`` for nonnegative matrices
+    from x = P 1: lo = min (Px)_i / x_i over x_i > 0; hi = max (Px)_i / x_i
+    if x > 0, else the largest row sum."""
+    x = _reduce(np.add, q, 2)
+    pos = x > 0
+    ratio = _reduce(np.add, q * x[:, None, :], 2) / np.where(pos, x, 1.0)
+    lo = _reduce(np.minimum, np.where(pos, ratio, np.inf), 1)
+    hi = np.where(pos.all(axis=1), _reduce(np.maximum, ratio, 1),
+                  _reduce(np.maximum, x, 1))
+    return np.where(pos.any(axis=1), lo, 0.0), hi
+
+
+# Log-space slack on the radius brackets for rounding in them and in eigvals
+# (near-defective products lose up to about the root of machine epsilon).
+_PRUNE_MARGIN = 1e-6
+# Extrema are kept as (sign * log value, -rank): the larger pair has the
+# better value, then the earlier word.  Radius max, min; norm max, min.
+_SIGNS = (1.0, -1.0, 1.0, -1.0)
+_MISSING = (-math.inf, -math.inf)
+
+
+def _best(vals: np.ndarray, ranks: np.ndarray, sign: float):
+    i = int(np.argmax(sign * vals))
+    return sign * float(vals[i]), -int(ranks[i])
+
+
+def _scan(prods, logs, start, n, m, cyclic, norms, prune):
+    """Extremes over one block of normalised length-n products.
+
+    Radii run over the least rotation of each word (the radius is rotation
+    invariant).  For nonnegative sets eigvals skips every word whose radius
+    bracket lies strictly beyond a radius already attained in the block.
+    """
+    ranks = np.arange(start, start + len(prods), dtype=np.int64)
+    out = [_MISSING] * 4
+    if norms:
+        nrm = _log(_l1_norms(prods)) + logs
+        out[2:] = _best(nrm, ranks, 1.0), _best(nrm, ranks, -1.0)
+    keep = np.ones(len(ranks), dtype=bool)
+    for r in range(1, n if cyclic else 1):
+        tail = m ** (n - r)
+        keep &= ranks <= (ranks % tail) * m ** r + ranks // tail
+    idx = np.flatnonzero(keep)
+    if len(idx) == 0:
+        return out
+    q, ql = prods[idx], logs[idx]
+    if prune:
+        lo, hi = (_log(b) + ql for b in _radius_bracket(q))
+        cand = np.flatnonzero((hi >= lo.max() - _PRUNE_MARGIN)
+                              | (lo <= hi.min() + _PRUNE_MARGIN))
+        q, ql, idx = q[cand], ql[cand], idx[cand]
+    rho = _log(_reduce(np.maximum, np.abs(np.linalg.eigvals(q)), 1)) + ql
+    out[:2] = _best(rho, ranks[idx], 1.0), _best(rho, ranks[idx], -1.0)
     return out
 
 
-def _extremal_word(mats, words_iter, key, direction):
-    """Scan word chunks for the extremal log value; first word wins ties."""
-    sign = 1.0 if direction == "max" else -1.0
+def _sweep(mats: np.ndarray, n_max: int, first: int = 1,
+           cyclic: bool = True, norms: bool = True):
+    """Extremal log radii and log norms of the words of lengths first..n_max.
 
-    def process(words):
-        vals = _word_logs(mats, words, key == "rho", key == "norm")[key]
-        i = int(np.argmax(sign * vals))
-        return vals[i], tuple(int(x) for x in words[i])
+    Word (i1, ..., in) is the product A_{in} ... A_{i1} and has rank
+    i1 m^(n-1) + ... + in.  Level n comes from level n-1 in one batched
+    matmul, word (w, a) getting A_a P_w; products are rescaled by their l1
+    operator norms with the log scales accumulated, so long words cannot
+    overflow.  Levels wider than ``_CHUNK / 2`` run in prefix blocks (about
+    ``_CHUNK`` products alive), the first split mapped over the worker
+    threads.  Returns per length the ``(log value, first word)`` pairs of
+    radius max, radius min, norm max and norm min (norms None if off).
+    """
+    m = len(mats)
+    prune = bool(np.all(mats >= 0))
 
-    best_val, best_word = None, None
-    for val, word in _map_chunks(process, words_iter):
-        if best_val is None or sign * val > sign * best_val:
-            best_val, best_word = val, word
-    return best_val, best_word
+    def descend(prods, logs, start, n, workers):
+        found = [_scan(prods, logs, start, n, m, cyclic, norms, prune)
+                 if n >= first else None]
+        if n >= n_max:
+            return found
+        step = max(1, _CHUNK // 2 // m ** (n_max - n))
+
+        def extend(i):
+            child = np.matmul(mats[None], prods[i:i + step, None])
+            child = child.reshape(-1, *mats.shape[1:])
+            child_logs = _normalise(child, np.repeat(logs[i:i + step], m))
+            return descend(child, child_logs, (start + i) * m, n + 1, 1)
+
+        slices = range(0, len(prods), step)
+        parts = _map_chunks(extend, slices, workers if len(slices) > 1 else 1)
+        return found + [None if lv[0] is None else [max(e) for e in zip(*lv)]
+                        for lv in zip(*parts)]
+
+    prods = mats.astype(float, copy=True)
+    levels = descend(prods, _normalise(prods, np.zeros(m)), 0, 1,
+                     thread_count())
+    return [
+        tuple(None if e == _MISSING else (s * e[0], tuple(
+            int(i) for i in np.unravel_index(-e[1], (m,) * n)))
+              for e, s in zip(found, _SIGNS))
+        for n, found in enumerate(levels[first - 1:n_max], first)
+    ]
 
 
 def _require_square_set(s: ExplicitSet):
@@ -284,18 +334,12 @@ def spectral_simplex(s: IruSet, direction: str, tol: float = DEFAULT_TOL,
             return SimplexTrace(direction, tuple(steps), cert)
         selection = tuple(nxt)
         if selection in seen:
-            err = ConvergenceError(
-                "row-exchange iteration revisited a selection", rho
-            )
-            err.trace = tuple(steps)
-            raise err
+            raise ConvergenceError("row-exchange iteration revisited a "
+                                   "selection", rho, trace=tuple(steps))
         seen.add(selection)
-    err = ConvergenceError(
+    raise ConvergenceError(
         f"row-exchange iteration did not settle in {max_iter} steps",
-        steps[-1].rho if steps else float("nan"),
-    )
-    err.trace = tuple(steps)
-    raise err
+        steps[-1].rho if steps else float("nan"), trace=tuple(steps))
 
 
 def rho_n_bruteforce(s: ExplicitSet, n: int, direction: str,
@@ -316,9 +360,8 @@ def rho_n_bruteforce(s: ExplicitSet, n: int, direction: str,
     count = necklace_count(s.size, n) if use_cyclic else s.size ** n
     if count > size_guard:
         raise GuardExceededError(count, size_guard)
-    val, word = _extremal_word(
-        s.matrices, _iter_words(s.size, n, use_cyclic), "rho", direction
-    )
+    val, word = _sweep(s.matrices, n, first=n, cyclic=use_cyclic,
+                       norms=False)[0][0 if direction == "max" else 1]
     return float(np.exp(val / n)), word
 
 
@@ -365,36 +408,12 @@ def jsr_lsr_bounds(s: ExplicitSet, n_max: int,
     _require_square_set(s)
     if s.size ** n_max > size_guard:
         raise GuardExceededError(s.size ** n_max, size_guard)
-    rho_hat, rho_check, w_max, w_min = [], [], [], []
-    norm_up, norm_lo = [], []
-    for n in range(1, n_max + 1):
-        hv, hw = _extremal_word(
-            s.matrices, _iter_words(s.size, n, True), "rho", "max"
-        )
-        cv, cw = _extremal_word(
-            s.matrices, _iter_words(s.size, n, True), "rho", "min"
-        )
-        nu, _ = _extremal_word(
-            s.matrices, _iter_words(s.size, n, False), "norm", "max"
-        )
-        nl, _ = _extremal_word(
-            s.matrices, _iter_words(s.size, n, False), "norm", "min"
-        )
-        rho_hat.append(float(np.exp(hv / n)))
-        rho_check.append(float(np.exp(cv / n)))
-        w_max.append(hw)
-        w_min.append(cw)
-        norm_up.append(float(np.exp(nu / n)))
-        norm_lo.append(float(np.exp(nl / n)))
-    return SpectralSummary(
-        n_max=n_max,
-        rho_hat=tuple(rho_hat),
-        rho_check=tuple(rho_check),
-        argmax_words=tuple(w_max),
-        argmin_words=tuple(w_min),
-        norm_upper=tuple(norm_up),
-        norm_lower=tuple(norm_lo),
-    )
+    return SpectralSummary(n_max, *zip(*(  # one tuple per length, in field order
+        (float(np.exp(hv / n)), float(np.exp(cv / n)), hw, cw,
+         float(np.exp(nu / n)), float(np.exp(nl / n)))
+        for n, ((hv, hw), (cv, cw), (nu, _), (nl, _))
+        in enumerate(_sweep(s.matrices, n_max), 1)
+    )))
 
 
 def n_adjusted_tol(n: int, rho_max: float, tol: float) -> float:
@@ -443,15 +462,7 @@ class FinitenessReport:
 def _expand_any(s, size_guard: int) -> ExplicitSet:
     if isinstance(s, SetExpr):
         return expr_expand(s, size_guard)
-    if isinstance(s, IruSet):
-        return iru_enumerate(s, size_guard)
-    if isinstance(s, ColumnSet):
-        return s.enumerate(size_guard)
-    if isinstance(s, OrderedChain):
-        return chain_enumerate(s)
-    if isinstance(s, ExplicitSet):
-        return s
-    raise TypeError(f"cannot expand {type(s).__name__}")
+    return materialize_leaf(s, size_guard)
 
 
 def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
@@ -474,22 +485,22 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     rho_min, argmin = rho_extremal_exhaustive(expanded, "min")
     rho_max, argmax = rho_extremal_exhaustive(expanded, "max")
 
-    def run(target: ExplicitSet, n: int, sandwich: bool) -> FinitenessCheck:
-        cv, cw = rho_n_bruteforce(target, n, "min", size_guard)
-        hv, hw = rho_n_bruteforce(target, n, "max", size_guard)
-        return FinitenessCheck(
-            n=n,
-            sandwich=sandwich,
-            rho_check_n=cv,
-            rho_hat_n=hv,
-            dev_min=abs(cv - rho_min),
-            dev_max=abs(hv - rho_max),
-            tol_n=n_adjusted_tol(n, rho_max, tol),
-            word_min=cw,
-            word_max=hw,
-        )
+    def run(target: ExplicitSet, n_top: int, sandwich: bool):
+        for n in range(1, n_top + 1):
+            if (count := necklace_count(target.size, n)) > size_guard:
+                raise GuardExceededError(count, size_guard)
+        checks = []
+        for n, ((hv, hw), (cv, cw), _, _) in enumerate(
+                _sweep(target.matrices, n_top, norms=False), 1):
+            lo, hi = float(np.exp(cv / n)), float(np.exp(hv / n))
+            checks.append(FinitenessCheck(
+                n=n, sandwich=sandwich, rho_check_n=lo, rho_hat_n=hi,
+                dev_min=abs(lo - rho_min), dev_max=abs(hi - rho_max),
+                tol_n=n_adjusted_tol(n, rho_max, tol), word_min=cw, word_max=hw,
+            ))
+        return checks
 
-    checks = [run(expanded, n, False) for n in range(1, n_max + 1)]
+    checks = run(expanded, n_max, False)
     if sandwich_samples > 0:
         rng = np.random.default_rng(seed)
         extra = np.stack([
@@ -499,7 +510,7 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
         enlarged = ExplicitSet(
             np.concatenate([expanded.matrices, extra], axis=0)
         )
-        checks += [run(enlarged, n, True) for n in range(1, min(3, n_max) + 1)]
+        checks += run(enlarged, min(3, n_max), True)
     failures = tuple(c for c in checks if not c.ok)
     return FinitenessReport(
         passed=not failures,

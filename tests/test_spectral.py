@@ -1,8 +1,11 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hourglass import spectral
+from hourglass.descriptors import parse_descriptor
 from hourglass.linalg import DomainError, spectral_radius_power
 from hourglass.sets import (
     ExplicitSet,
@@ -13,6 +16,7 @@ from hourglass.sets import (
     Scale,
     Sum,
     epsilon_lift,
+    expr_expand,
     iru_enumerate,
     scale_set,
     transpose_set,
@@ -27,6 +31,8 @@ from hourglass.spectral import (
     spectral_simplex,
     thread_count,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 NILP_A = np.array([[0.0, 2.0], [0.0, 0.0]])
 NILP_B = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -353,4 +359,147 @@ class TestThreading:
         sequential = rho_n_bruteforce(s, 5, "max")
         monkeypatch.setenv("HOURGLASS_THREADS", "4")
         parallel = rho_n_bruteforce(s, 5, "max")
+        assert sequential == parallel
+
+
+def _fixture_set(name):
+    return expr_expand(parse_descriptor(FIXTURES / f"{name}.json"))
+
+
+def _first_within(values, words, sign):
+    """First word whose value is the extremum (up to rounding)."""
+    best = max(sign * v for v in values)
+    for v, w in zip(values, words):
+        if sign * v >= best - 1e-12 * max(1.0, abs(best)):
+            return w
+    raise AssertionError("no extremal word")
+
+
+def _oracle(mats, n, cyclic=True):
+    """Every length-n product multiplied out plainly, in lexicographic order:
+    radius extrema over the cyclic representatives, norm extrema over all
+    words, each with the first word attaining it."""
+    words = list(itertools.product(range(len(mats)), repeat=n))
+    reps, radii, norms = [], [], []
+    for w in words:
+        prod = np.eye(mats.shape[1])
+        for i in w:
+            prod = mats[i] @ prod
+        norms.append(np.abs(prod).sum(axis=0).max())
+        if not cyclic or all(w <= w[r:] + w[:r] for r in range(1, n)):
+            reps.append(w)
+            radii.append(np.abs(np.linalg.eigvals(prod)).max())
+    return {
+        "rho_max": (max(radii), _first_within(radii, reps, 1.0)),
+        "rho_min": (min(radii), _first_within(radii, reps, -1.0)),
+        "norm_max": max(norms),
+        "norm_min": min(norms),
+    }
+
+
+def _assert_matches_oracle(s, n_max):
+    summary = jsr_lsr_bounds(s, n_max)
+    for n in range(1, n_max + 1):
+        want = _oracle(s.matrices, n)
+        got = {
+            "rho_max": (summary.rho_hat[n - 1], summary.argmax_words[n - 1]),
+            "rho_min": (summary.rho_check[n - 1], summary.argmin_words[n - 1]),
+            "norm_max": summary.norm_upper[n - 1],
+            "norm_min": summary.norm_lower[n - 1],
+        }
+        for key in ("rho_max", "rho_min"):
+            assert got[key][0] == pytest.approx(
+                want[key][0] ** (1 / n), rel=1e-9, abs=1e-12), (n, key)
+            assert got[key][1] == want[key][1], (n, key)
+        for key in ("norm_max", "norm_min"):
+            assert got[key] == pytest.approx(
+                want[key] ** (1 / n), rel=1e-9, abs=1e-12), (n, key)
+
+
+class TestWordSweep:
+    """The one-pass word sweep against plainly multiplied-out products."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_nonnegative_matches_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        count = int(rng.integers(2, 5))
+        dim = int(rng.integers(1, 5))
+        mats = rng.uniform(0.0, 2.0, size=(count, dim, dim))
+        if seed % 2:  # sparse members: reducible products, zero rows
+            mats *= rng.uniform(size=mats.shape) > 0.5
+        n_max = 5 if count <= 3 else 4
+        _assert_matches_oracle(ExplicitSet(mats, dedup=False), n_max)
+
+    def test_diagonal_pair_ties_pick_first_word(self):
+        s = _fixture_set("diagonal_pair")
+        _assert_matches_oracle(s, 5)
+        summary = jsr_lsr_bounds(s, 5)
+        # Every pure word ties at radius 2; mixed words vanish.
+        assert summary.argmax_words == tuple((0,) * n for n in range(1, 6))
+        assert summary.rho_check[1:] == (0.0,) * 4
+
+    def test_nilpotent_pair_vanishing_products(self):
+        s = _fixture_set("nilpotent_pair")
+        _assert_matches_oracle(s, 5)
+        summary = jsr_lsr_bounds(s, 5)
+        assert summary.rho_check == (0.0,) * 5
+        assert summary.norm_lower[1:] == (0.0,) * 4
+
+    def test_sign_pair_without_pruning(self):
+        s = _fixture_set("sign_pair")
+        _assert_matches_oracle(s, 5)
+        summary = jsr_lsr_bounds(s, 5)
+        assert summary.rho_hat == pytest.approx((1.0,) * 5, abs=1e-12)
+        assert summary.argmin_words == tuple((0,) * n for n in range(1, 6))
+
+    def test_random_signed_matches_oracle(self):
+        rng = np.random.default_rng(110)
+        _assert_matches_oracle(ExplicitSet(rng.normal(size=(3, 3, 3))), 4)
+
+    def test_all_words_without_cyclic_reduction(self):
+        # Rotations of one word tie up to rounding, so without the cyclic
+        # reduction the extremal word is some rotation of the oracle's.
+        rng = np.random.default_rng(111)
+        s = ExplicitSet(rng.uniform(0.0, 1.5, size=(3, 3, 3)))
+        for n in (1, 2, 4):
+            want = _oracle(s.matrices, n, cyclic=False)
+            for direction in ("max", "min"):
+                value, word = rho_n_bruteforce(s, n, direction,
+                                               use_cyclic=False)
+                want_value, want_word = want[f"rho_{direction}"]
+                assert value == pytest.approx(want_value ** (1 / n), rel=1e-9)
+                assert word in {want_word[r:] + want_word[:r]
+                                for r in range(n)}
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 1e6, 1e12])
+    def test_scale_equivariance(self, t):
+        rng = np.random.default_rng(112)
+        mats = rng.uniform(0.1, 2.0, size=(3, 3, 3))
+        base = jsr_lsr_bounds(ExplicitSet(mats, dedup=False), 5)
+        scaled = jsr_lsr_bounds(ExplicitSet(t * mats, dedup=False), 5)
+        for key in ("rho_hat", "rho_check", "norm_upper", "norm_lower"):
+            assert getattr(scaled, key) == pytest.approx(
+                tuple(t * v for v in getattr(base, key)), rel=1e-12)
+        assert scaled.argmax_words == base.argmax_words
+        assert scaled.argmin_words == base.argmin_words
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        # Tiny blocks force every level through the prefix-block recursion.
+        rng = np.random.default_rng(113)
+        s = ExplicitSet(rng.uniform(0.0, 1.5, size=(3, 2, 2)))
+        whole = jsr_lsr_bounds(s, 6)
+        monkeypatch.setattr(spectral, "_CHUNK", 4)
+        assert jsr_lsr_bounds(s, 6) == whole
+        monkeypatch.setenv("HOURGLASS_THREADS", "2")
+        assert jsr_lsr_bounds(s, 6) == whole
+
+    def test_threads_identical_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(114)
+        s = ExplicitSet(rng.uniform(0.0, 1.5, size=(2, 2, 2)))
+        n_max = 18
+        assert s.size ** n_max > 2 * spectral._CHUNK
+        monkeypatch.setenv("HOURGLASS_THREADS", "1")
+        sequential = jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max)
+        monkeypatch.setenv("HOURGLASS_THREADS", "2")
+        parallel = jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max)
         assert sequential == parallel
