@@ -16,9 +16,9 @@ from .linalg import (
     PerronCertificate,
     classify_bound,
     l1_operator_norm,
-    mat_mul,
     perron_vector,
     spectral_radius_gelfand,
+    spectral_radii,
     spectral_radius_power,
     strict_tolerance,
 )

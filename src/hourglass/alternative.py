@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    BATCH_ENTRIES,
     DimensionMismatchError,
     DomainError,
     PerronCertificate,
+    _reduce,
     as_matrix,
     as_vector,
     perron_vector,
@@ -177,25 +179,26 @@ def hourglass_probe_explicit(s: ExplicitSet, trials: int, seed: int,
     if trials < 1:
         raise DomainError("trials must be at least 1")
     rng = np.random.default_rng(seed)
+    draws = [(rng.integers(0, s.size),
+              np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=s.shape[1])))
+             for _ in range(trials)]
+    centers, us = map(np.array, zip(*draws))
     mats = s.matrices
+    step = max(1, BATCH_ENTRIES // mats[..., 0].size)  # trials per batch
     violations = []
-    for t in range(trials):
-        center = int(rng.integers(0, s.size))
-        u = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=s.shape[1]))
-        v = mats[center] @ u
-        stol = strict_tolerance(v) if strict_tol is None else strict_tol
-        images = mats @ u  # (size, n_rows)
-        for sign, direction in ((+1, "H1"), (-1, "H2")):
-            gaps = sign * (v[None, :] - images)
-            if bool((gaps <= stol).all()):
-                continue  # every image on the required side
-            beyond = (gaps >= -stol).all(axis=1) & (gaps.max(axis=1) > stol)
-            if bool(beyond.any()):
-                continue  # witness exists
-            violations.append(
-                ProbeViolation(trial=t, direction=direction,
-                               center_index=center, u=u)
-            )
+    for start in range(0, trials, step):
+        at = slice(start, start + step)
+        images = np.matmul(mats, us[at, None, :, None])[..., 0]  # trial, member, row
+        v = images[np.arange(len(images)), centers[at]]
+        stol = np.array([strict_tolerance(x) if strict_tol is None
+                         else strict_tol for x in v])[:, None, None]
+        diff = v[:, None, :] - images
+        gaps = np.stack([diff, -diff])  # H1/H2, trial, member, row
+        on_side = (gaps <= stol).all(axis=(2, 3))
+        beyond = (_reduce(np.logical_and, gaps >= -stol, 3)
+                  & (_reduce(np.maximum, gaps, 3) > stol[..., 0])).any(axis=2)
+        violations += [ProbeViolation(int(t), ("H1", "H2")[d], int(centers[t]), us[t])
+                       for t, d in np.argwhere((~on_side & ~beyond).T) + (start, 0)]
     return ProbeReport(
         passed=not violations, trials=trials, violations=tuple(violations)
     )

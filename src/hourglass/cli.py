@@ -34,7 +34,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     DomainError,
-    spectral_radius_power,
+    spectral_radii,
 )
 from .sets import (
     DEFAULT_SIZE_GUARD,
@@ -136,7 +136,7 @@ def cmd_radius(args) -> int:
     started = time.perf_counter()
     expr, digest = _load(args)
     expanded = _expand_any(expr, args.guard)
-    radii = [spectral_radius_power(m, args.tol) for m in expanded.matrices]
+    radii = spectral_radii(expanded.matrices, args.tol).tolist()
     results = {
         "count": expanded.size,
         "radii": radii,

@@ -19,6 +19,7 @@ from scipy.sparse import csr_matrix
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 GELFAND_MAX_SQUARINGS = 60
+BATCH_ENTRIES = 1 << 14  # array entries per batch of the stacked set-layer passes
 
 
 class DimensionMismatchError(ValueError):
@@ -89,15 +90,14 @@ def strict_tolerance(reference) -> float:
     return 1e-9 * max(1.0, scale)
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ"
-        )
-    return a @ b
+def _reduce(op, a: np.ndarray, axis: int) -> np.ndarray:
+    """``op.reduce`` along a short axis, left to right, in elementwise calls
+    (numpy's reduction costs far more with a few elements per output)."""
+    parts = np.moveaxis(a, axis, 0)
+    acc = parts[0].copy()
+    for part in parts[1:]:
+        op(acc, part, out=acc)
+    return acc
 
 
 def l1_operator_norm(a) -> float:
@@ -106,35 +106,54 @@ def l1_operator_norm(a) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def _power_shift(a: np.ndarray) -> float:
-    # Positive diagonal shift; adds exactly its value to the radius of a
-    # nonnegative matrix and makes every irreducible block primitive.
-    return max(1e-3, 1e-3 * float(a.max()))
+def _power_shift(a: np.ndarray):
+    # Diagonal shift per matrix; adds exactly its value to a nonnegative radius.
+    return np.maximum(1e-3, 1e-3 * a.max(axis=(-2, -1)))
 
 
-def _bracketed_power(b: np.ndarray, tol: float, max_iter: int) -> float:
-    """Power iteration on a nonnegative matrix with positive diagonal.
+def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
+    """Radii of a stack of irreducible nonnegative matrices by power iteration.
 
-    For any positive vector x the ratios (Bx)_i / x_i bracket rho(B) from
-    both sides, so the bracket width is a computable error bound.  The
-    bracket contracts geometrically when B is primitive, which the caller
-    guarantees by shifting an irreducible block.
+    Member i is shifted by eps_i * I, which adds exactly eps_i to its radius
+    and makes it primitive; the Collatz-Wielandt ratios (Bx)_j / x_j then
+    bracket rho(B) and contract, and a member stops once its bracket is at
+    most ``tol`` wide.  Returns the radii and the widths left above ``tol`` (else 0).
     """
-    n = b.shape[0]
-    x = np.full(n, 1.0 / n)
-    lo, hi = 0.0, np.inf
+    k, n, _ = a.shape
+    b = a + np.reshape(eps, (-1, 1, 1)) * np.eye(n)
+    lo, hi, live = np.zeros(k), np.full(k, np.inf), np.arange(k)
+    x = np.full((k, n), 1.0 / n)
     for _ in range(max_iter):
-        y = b @ x
+        if live.size == 0:
+            break
+        y = np.matmul(b, x[..., None])[..., 0]
         ratios = y / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        x = y / y.sum()
-    raise ConvergenceError(
-        f"power iteration bracket still {hi - lo:.3e} wide after {max_iter} steps",
-        0.5 * (lo + hi),
+        lo[live] = step_lo = ratios.min(axis=1)
+        hi[live] = step_hi = ratios.max(axis=1)
+        going = ~(step_hi - step_lo <= tol)
+        if not going.all():
+            live, b, y = live[going], b[going], y[going]
+        x = y / y.sum(axis=1, keepdims=True)
+    return (np.maximum(0.0, 0.5 * (lo + hi) - eps),
+            np.where(hi - lo <= tol, 0.0, hi - lo))
+
+
+def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """Radius over the irreducible blocks, and an unconverged bracket's width."""
+    eps = _power_shift(a)
+    n_comp, labels = csgraph.connected_components(
+        csr_matrix(a > 0), directed=True, connection="strong"
     )
+    best, width = 0.0, 0.0
+    for comp in range(n_comp):
+        idx = np.flatnonzero(labels == comp)
+        if idx.size == 1:
+            best = max(best, float(a[idx[0], idx[0]]))
+        else:
+            (rho_c,), (w,) = _bracketed_power(a[np.ix_(idx, idx)][None], eps,
+                                              tol, max_iter)
+            best, width = max(best, float(rho_c)), w or width
+    return best, width
 
 
 def spectral_radius_power(a, tol: float = DEFAULT_TOL,
@@ -151,32 +170,40 @@ def spectral_radius_power(a, tol: float = DEFAULT_TOL,
     Raises ConvergenceError (carrying the best estimate) if some block fails
     to reach the requested bracket width within ``max_iter`` iterations.
     """
-    a = as_square(a)
-    if np.any(a < 0):
-        raise DomainError("spectral_radius_power requires nonnegative entries")
+    return float(spectral_radii(as_square(a)[None], tol, max_iter)[0])
+
+
+def spectral_radii(stack, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    """``spectral_radius_power`` of every member of a (k, n, n) stack.
+
+    Strictly positive members (one irreducible block each) iterate together,
+    ``BATCH_ENTRIES`` entries at a time; members with a zero entry are split
+    one by one.  ConvergenceError names the lowest-index member that fails.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatchError(f"expected a nonempty (k, n, n) stack, "
+                                     f"got shape {stack.shape}")
+    if not np.all(np.isfinite(stack) & (stack >= 0)):
+        raise DomainError("spectral radii require finite nonnegative entries")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    eps = _power_shift(a)
-    n_comp, labels = csgraph.connected_components(
-        csr_matrix(a > 0), directed=True, connection="strong"
-    )
-    best = 0.0
-    failure = None
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
-        if idx.size == 1:
-            rho_c = float(a[idx[0], idx[0]])
-        else:
-            block = a[np.ix_(idx, idx)] + eps * np.eye(idx.size)
-            try:
-                rho_c = _bracketed_power(block, tol, max_iter) - eps
-            except ConvergenceError as err:
-                rho_c = err.estimate - eps
-                failure = err
-        best = max(best, rho_c)
-    if failure is not None:
-        raise ConvergenceError(str(failure), best) from failure
-    return best
+    k, n, _ = stack.shape
+    radii, widths = np.empty(k), np.empty(k)
+    step = max(1, BATCH_ENTRIES // (n * n))
+    for start in range(0, k, step):
+        block, at = stack[start:start + step], slice(start, start + step)
+        pos = (block > 0).all(axis=(1, 2)) & (n > 1)  # order 1: read off
+        radii[at][pos], widths[at][pos] = _bracketed_power(
+            block[pos], _power_shift(block[pos]), tol, max_iter)
+        for i in np.flatnonzero(~pos) + start:
+            radii[i], widths[i] = _blockwise_radius(stack[i], tol, max_iter)
+        if (failed := np.flatnonzero(widths[at]) + start).size:
+            i = failed[0]
+            raise ConvergenceError(f"power iteration bracket still {widths[i]:.3e} "
+                                   f"wide after {max_iter} steps", float(radii[i]))
+    return radii
 
 
 def spectral_radius_gelfand(a, tol: float = DEFAULT_TOL,

@@ -32,8 +32,6 @@ from .linalg import (
 
 DEFAULT_SIZE_GUARD = 100_000
 
-_REFINE_LIMIT = 1024  # above this, dedup relies on grid quantization alone
-
 
 class GuardExceededError(RuntimeError):
     """Materialization would exceed the size guard."""
@@ -56,23 +54,33 @@ def dedup_tolerance(data) -> float:
 def _dedup_rows(flat: np.ndarray, tol: float) -> np.ndarray:
     """Drop near-duplicate rows of a 2-D array and sort lexicographically.
 
-    Quantizing to a grid of pitch ``tol`` merges exact and near-exact
-    duplicates in O(k log k); for small inputs a pairwise refinement pass
-    also merges duplicates that straddle a grid line.
+    A grid of pitch ``tol`` keeps the first row of each cell; a greedy scan in
+    index order then keeps a row iff no kept earlier row is within ``tol`` in
+    the max metric.  Near pairs come from a window on a weighted row sum.
     """
     if flat.shape[0] > 1:
         keys = np.round(flat / tol)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        flat = flat[np.sort(first)]
-        if flat.shape[0] <= _REFINE_LIMIT:
-            kept: list[int] = []
-            for i in range(flat.shape[0]):
-                row = flat[i]
-                if all(np.abs(row - flat[j]).max() > tol for j in kept):
-                    kept.append(i)
-            flat = flat[kept]
-    order = np.lexsort(flat.T[::-1])
-    return flat[order]
+        o = np.lexsort(keys.T[::-1])  # stable: the first row of a cell leads
+        fresh = np.concatenate(([True], (keys[o[1:]] != keys[o[:-1]]).any(axis=1)))
+        flat = flat[np.sort(o[fresh])]
+        # Irrational weights keep permuted rows apart; reach covers rounding.
+        w = np.sqrt(np.arange(2.0, flat.shape[1] + 2))
+        reach = w.sum() * (tol + 4 * (flat.shape[1] + 1)
+                           * np.finfo(float).eps * np.abs(flat).max())
+        order = np.argsort(proj := flat @ w)
+        span = np.searchsorted(proj[order], proj[order] + reach, side="right")
+        span -= np.arange(1, order.size + 1)
+        pairs = set()  # (later, earlier) row pairs within tol
+        for offset in range(1, int(span.max()) + 1):
+            at = np.flatnonzero(span >= offset)
+            i, j = np.sort([order[at], order[at + offset]], axis=0)
+            near = np.abs(flat[j] - flat[i]).max(axis=1) <= tol
+            pairs.update(zip(j[near].tolist(), i[near].tolist()))
+        keep = np.ones(flat.shape[0], dtype=bool)
+        for later, earlier in sorted(pairs):
+            keep[later] &= not keep[earlier]
+        flat = flat[keep]
+    return flat[np.lexsort(flat.T[::-1])]
 
 
 class RowSet:

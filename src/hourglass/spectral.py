@@ -24,9 +24,10 @@ from .linalg import (
     ConvergenceError,
     DEFAULT_TOL,
     DomainError,
+    _reduce,
     l1_operator_norm,
     perron_vector,
-    spectral_radius_power,
+    spectral_radii,
 )
 from .sets import (
     DEFAULT_SIZE_GUARD,
@@ -89,16 +90,6 @@ def necklace_count(m: int, n: int) -> int:
 def _log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-
-
-def _reduce(op, a: np.ndarray, axis: int) -> np.ndarray:
-    """``op.reduce`` along a short axis, left to right, in elementwise calls
-    (numpy's reduction costs far more with a few elements per output)."""
-    parts = np.moveaxis(a, axis, 0)
-    acc = parts[0].copy()
-    for part in parts[1:]:
-        op(acc, part, out=acc)
-    return acc
 
 
 def _l1_norms(prods: np.ndarray) -> np.ndarray:
@@ -239,7 +230,7 @@ def rho_extremal_exhaustive(s: ExplicitSet, direction: str,
     _require_square_set(s)
     if not s.is_nonnegative:
         raise DomainError("exhaustive extremal radius requires nonnegative members")
-    radii = np.array([spectral_radius_power(m, tol) for m in s.matrices])
+    radii = spectral_radii(s.matrices, tol)
     idx = int(radii.argmin() if direction == "min" else radii.argmax())
     return float(radii[idx]), idx
 
@@ -482,8 +473,9 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     _require_square_set(expanded)
     if not expanded.is_nonnegative:
         raise DomainError("finiteness check requires nonnegative matrices")
-    rho_min, argmin = rho_extremal_exhaustive(expanded, "min")
-    rho_max, argmax = rho_extremal_exhaustive(expanded, "max")
+    radii = spectral_radii(expanded.matrices)
+    argmin, argmax = int(radii.argmin()), int(radii.argmax())
+    rho_min, rho_max = float(radii[argmin]), float(radii[argmax])
 
     def run(target: ExplicitSet, n_top: int, sandwich: bool):
         for n in range(1, n_top + 1):
@@ -563,28 +555,23 @@ def conv_lsr_check(s: ExplicitSet, n: int, samples: int, seed: int,
     threshold_power = rho_check_n ** n / dim
     threshold_literal = rho_check_n / dim
     rng = np.random.default_rng(seed)
-    ones = np.ones(dim)
-    min_norm = math.inf
-    norm_failures = 0
-    srbound_failures = 0
+    prods = []
     for _ in range(samples):
         prod = convex_combination(rng, s, s.size)
         for _ in range(n - 1):
             prod = convex_combination(rng, s, s.size) @ prod
-        nrm = l1_operator_norm(prod)
-        min_norm = min(min_norm, nrm)
-        if nrm < threshold_power - tol:
-            norm_failures += 1
-        image_mass = float(np.abs(prod @ ones).sum())
-        if image_mass < spectral_radius_power(prod) - tol:
-            srbound_failures += 1
+        prods.append(prod)
+    norms = np.array([l1_operator_norm(p) for p in prods])
+    image_mass = np.array([np.abs(p @ np.ones(dim)).sum() for p in prods])
+    norm_failures = int(np.sum(norms < threshold_power - tol))
+    srbound_failures = int(np.sum(image_mass < spectral_radii(prods) - tol))
     return ConvexHullReport(
         n=n,
         samples=samples,
         rho_check_n=rho_check_n,
         threshold_power=threshold_power,
         threshold_literal=threshold_literal,
-        min_norm_seen=float(min_norm),
+        min_norm_seen=float(norms.min()),
         norm_failures=norm_failures,
         srbound_failures=srbound_failures,
     )

@@ -36,6 +36,21 @@ def _scan_side(mats, u, v, stol, sign):
     return "witness" if witness.any() else "violation"
 
 
+def _probe_per_trial(s, trials, seed, strict_tol=None):
+    """One trial at a time, each scanning the whole set (test oracle)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(trials):
+        center = int(rng.integers(0, s.size))
+        u = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=s.shape[1]))
+        v = s.matrices[center] @ u
+        stol = strict_tolerance(v) if strict_tol is None else strict_tol
+        for sign, direction in ((+1, "H1"), (-1, "H2")):
+            if _scan_side(s.matrices, u, v, stol, sign) == "violation":
+                out.append((t, direction, center, u))
+    return out
+
+
 class TestHourglassH1:
     def test_singleton_all_on_side(self):
         s = IruSet([[[1.0, 2.0]], [[3.0, 1.0]]])
@@ -167,6 +182,34 @@ class TestProbe:
         b = iru_enumerate(_random_iru(rng, 2, (2, 1)))
         for combo in (minkowski_sum(a, b), minkowski_product(a, b)):
             assert hourglass_probe_explicit(combo, trials=150, seed=8).passed
+
+    @staticmethod
+    def _assert_matches_oracle(s, trials, seed, strict_tol=None):
+        report = hourglass_probe_explicit(s, trials, seed, strict_tol)
+        want = _probe_per_trial(s, trials, seed, strict_tol)
+        got = [(v.trial, v.direction, v.center_index, v.u)
+               for v in report.violations]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[:3] == w[:3]
+            np.testing.assert_array_equal(g[3], w[3])
+        assert report.passed == (not want)
+        return len(want)
+
+    def test_matches_per_trial_oracle(self, monkeypatch):
+        import hourglass.alternative as alternative
+
+        rng = np.random.default_rng(31)
+        found = 0
+        for i in range(30):
+            k, n, m = (int(x) for x in rng.integers(1, 6, size=3))
+            s = ExplicitSet(rng.uniform(0.05, 2.0, size=(k, n, m)))
+            found += self._assert_matches_oracle(s, 60, seed=i)
+            found += self._assert_matches_oracle(s, 20, seed=i, strict_tol=0.05)
+        monkeypatch.setattr(alternative, "BATCH_ENTRIES", 7)  # one trial a block
+        s = ExplicitSet(rng.uniform(0.05, 2.0, size=(3, 2, 2)))
+        found += self._assert_matches_oracle(s, 100, seed=99)
+        assert found > 100  # the sets do violate
 
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from hourglass.linalg import (
     BoundVerdict,
+    ConvergenceError,
     DimensionMismatchError,
     DomainError,
     classify_bound,
     l1_operator_norm,
-    mat_mul,
     perron_vector,
+    spectral_radii,
     spectral_radius_gelfand,
     spectral_radius_power,
 )
@@ -34,30 +35,28 @@ def _random_nonneg(rng, n, density=1.0):
 
 
 class TestMatMul:
+    """The plain ``@`` products the kernels and word sweeps build on."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(mat_mul(np.eye(2), NILP_A), NILP_A)
+        np.testing.assert_array_equal(np.eye(2) @ NILP_A, NILP_A)
 
     def test_hand_product(self):
         # [[0,2],[0,0]] @ [[0,0],[2,0]] worked out by hand
-        np.testing.assert_array_equal(
-            mat_mul(NILP_A, NILP_B), [[4.0, 0.0], [0.0, 0.0]]
-        )
-        np.testing.assert_array_equal(
-            mat_mul(NILP_B, NILP_A), [[0.0, 0.0], [0.0, 4.0]]
-        )
+        np.testing.assert_array_equal(NILP_A @ NILP_B, [[4.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(NILP_B @ NILP_A, [[0.0, 0.0], [0.0, 4.0]])
 
     def test_zero_annihilates(self):
         z = np.zeros((2, 2))
-        np.testing.assert_array_equal(mat_mul(z, NILP_A), z)
+        np.testing.assert_array_equal(z @ NILP_A, z)
 
     def test_nonnegative_closure(self):
         rng = np.random.default_rng(0)
         a, b = _random_nonneg(rng, 4), _random_nonneg(rng, 4)
-        assert np.all(mat_mul(a, b) >= 0)
+        assert np.all(a @ b >= 0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            mat_mul(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            np.ones((2, 3)) @ np.ones((2, 3))
 
 
 class TestL1OperatorNorm:
@@ -105,6 +104,83 @@ class TestSpectralRadiusPower:
             a = _random_nonneg(rng, n, density=float(rng.uniform(0.3, 1.0)))
             want = np.abs(np.linalg.eigvals(a)).max()
             assert spectral_radius_power(a, TOL) == pytest.approx(want, abs=5e-10)
+
+
+class TestSpectralRadii:
+    """The stacked kernel is bitwise the per-member power iteration."""
+
+    @staticmethod
+    def _assert_per_member(stack, **kw):
+        want = np.array([spectral_radius_power(a, **kw) for a in stack])
+        got = spectral_radii(stack, **kw)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_random_positive_stacks(self):
+        rng = np.random.default_rng(11)
+        for d in range(1, 9):
+            for scale in (0.01, 1.0, 30.0):
+                k = int(rng.integers(1, 40))
+                stack = rng.uniform(0.01, 2.0, size=(k, d, d)) * scale
+                self._assert_per_member(stack)
+                self._assert_per_member(stack, tol=1e-8)
+
+    def test_fixtures(self):
+        self._assert_per_member(np.stack([NILP_A, NILP_B, 0.5 * (NILP_A + NILP_B)]))
+        self._assert_per_member(np.stack([DIAG_A, DIAG_B, 0.5 * (DIAG_A + DIAG_B)]))
+
+    def test_mixed_zero_and_positive_stacks(self):
+        rng = np.random.default_rng(12)
+        for d in range(1, 9):
+            stack = rng.uniform(0.0, 2.0, size=(30, d, d))
+            stack *= (rng.uniform(size=stack.shape) < 0.8) | (
+                np.arange(30)[:, None, None] % 2 == 0)
+            stack[3] = 0.0
+            self._assert_per_member(np.round(stack, 1))
+            self._assert_per_member(stack)
+
+    def test_blocks_of_the_stack(self, monkeypatch):
+        import hourglass.linalg as linalg
+
+        rng = np.random.default_rng(13)
+        stack = rng.uniform(0.0, 1.0, size=(50, 3, 3))
+        stack[::4, 0, 1] = 0.0
+        want = spectral_radii(stack)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", 20)  # two members a block
+        np.testing.assert_array_equal(spectral_radii(stack), want)
+
+    def test_first_failing_member_raises(self):
+        rng = np.random.default_rng(14)
+        positive = rng.uniform(0.1, 1.0, size=(4, 3, 3))
+        sparse = np.array([[0.0, 1.0, 0.3], [0.2, 0.0, 1.0], [1.0, 0.4, 0.0]])
+        kw = {"tol": 1e-14, "max_iter": 5}
+        for stack, first in (
+            (np.stack([np.ones((3, 3)), *positive]), 1),
+            (np.stack([np.ones((3, 3)), sparse, *positive]), 1),
+            (np.stack([positive[0], sparse]), 0),
+        ):
+            with pytest.raises(ConvergenceError) as want:
+                spectral_radius_power(stack[first], **kw)
+            with pytest.raises(ConvergenceError) as got:
+                spectral_radii(stack, **kw)
+            assert got.value.estimate == want.value.estimate
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("stack, error", [
+        (np.zeros((0, 2, 2)), DimensionMismatchError),
+        (np.ones((2, 2, 3)), DimensionMismatchError),
+        (np.ones((2, 2)), DimensionMismatchError),
+        (-np.ones((2, 2, 2)), DomainError),
+        (np.full((2, 2, 2), np.nan), DomainError),
+        (np.full((2, 2, 2), np.inf), DomainError),
+    ])
+    def test_rejects_bad_stacks(self, stack, error):
+        with pytest.raises(error):
+            spectral_radii(stack)
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(DomainError):
+            spectral_radii(np.ones((2, 2, 2)), tol=0.0)
 
 
 class TestSpectralRadiusGelfand:

@@ -4,6 +4,7 @@ import pytest
 from hourglass.linalg import DimensionMismatchError, DomainError
 from hourglass.sets import (
     ColumnSet,
+    dedup_tolerance,
     ExplicitSet,
     GuardExceededError,
     IdentityElem,
@@ -27,6 +28,7 @@ from hourglass.sets import (
     set_equal,
     transpose_set,
 )
+from hourglass.sets import _dedup_rows
 from hourglass.spectral import rho_extremal_exhaustive
 
 NILP_A = np.array([[0.0, 2.0], [0.0, 0.0]])
@@ -54,6 +56,63 @@ class TestRowSet:
     def test_rejects_ragged(self):
         with pytest.raises((DimensionMismatchError, ValueError)):
             RowSet([[1.0], [1.0, 2.0]])
+
+
+def _dedup_rows_pairwise(flat, tol):
+    """The grid pass plus a pairwise greedy refinement, one row at a time
+    (test oracle): row i survives iff no kept earlier row is within tol."""
+    if flat.shape[0] > 1:
+        _, first = np.unique(np.round(flat / tol), axis=0, return_index=True)
+        flat = flat[np.sort(first)]
+        kept = []
+        for i in range(flat.shape[0]):
+            if all(np.abs(flat[i] - flat[j]).max() > tol for j in kept):
+                kept.append(i)
+        flat = flat[kept]
+    return flat[np.lexsort(flat.T[::-1])]
+
+
+class TestDedupRows:
+    def _check(self, flat, tol):
+        np.testing.assert_array_equal(_dedup_rows(flat, tol),
+                                      _dedup_rows_pairwise(flat, tol))
+
+    def test_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            k, width = int(rng.integers(1, 120)), int(rng.integers(1, 10))
+            tol = 10.0 ** rng.uniform(-12, -1)
+            base = rng.uniform(-1.0, 1.0, size=(k, width))
+            # Clusters of rows within a few tol of each other, straddling
+            # grid lines, so the sequential resolution has chains to follow.
+            near = base[rng.integers(0, k, size=k)]
+            near += rng.uniform(-1.5, 1.5, size=near.shape) * tol
+            flat = np.concatenate([base, near])[rng.permutation(2 * k)]
+            self._check(flat, tol)
+
+    def test_matches_pairwise_oracle_on_structured_rows(self):
+        # Permuted and integer rows share coordinate sums.
+        rng = np.random.default_rng(22)
+        rows = np.array([rng.permutation([0.0, 1.0, 2.0, 3.0]) for _ in range(60)])
+        self._check(rows, 0.5)
+        self._check(rows + 0.4 * rng.uniform(size=rows.shape), 0.5)
+        self._check(np.round(rng.uniform(0, 3, size=(200, 3))), 1.0)
+
+    def test_large_set_merges_pair_across_grid_line(self):
+        rng = np.random.default_rng(23)
+        flat = rng.uniform(0.0, 1.0, size=(1500, 4))
+        tol = dedup_tolerance(flat)
+        # Entry 0 of rows 10 and 1200 sits on either side of a grid line,
+        # 0.2 tol apart: different grid cells, within tol.
+        flat[10, 0] = 3001.49 * tol
+        flat[1200] = flat[10]
+        flat[1200, 0] = 3001.51 * tol
+        out = _dedup_rows(flat, tol)
+        assert out.shape[0] == 1499
+        assert any(np.array_equal(flat[10], r) for r in out)
+        assert not any(np.array_equal(flat[1200], r) for r in out)
+        members = ExplicitSet(flat.reshape(1500, 2, 2))
+        assert members.size == 1499
 
 
 class TestIruEnumerate:
