@@ -27,6 +27,7 @@ from .linalg import (
     DimensionMismatchError,
     DomainError,
     PerronCertificate,
+    _PERRON_TOL,
     _reduce,
     as_matrix,
     as_vector,
@@ -228,9 +229,6 @@ class ExtremalCertificate:
         return self.perron.rho
 
 
-_PERRON_TOL = 1e-12
-
-
 def certify_extremal(s, candidate, direction: str,
                      cert_tol: float) -> ExtremalCertificate:
     """Certify that ``candidate`` attains the extremal spectral radius of ``s``.
@@ -250,23 +248,32 @@ def certify_extremal(s, candidate, direction: str,
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
     candidate = as_matrix(candidate)
-    sign = 1.0 if direction == "min" else -1.0
-
     if isinstance(s, IruSet):
         if candidate.shape != s.shape:
             raise CertificationError(
                 f"candidate shape {candidate.shape} does not match set {s.shape}"
             )
         for i, rs in enumerate(s.row_sets):
-            tol_i = dedup_tolerance(rs.rows)
-            dists = np.abs(rs.rows - candidate[i][None, :]).max(axis=1)
-            j = int(dists.argmin())
-            if dists[j] > tol_i:
+            dists = np.abs(rs.rows - candidate[i]).max(axis=1)
+            if dists.min() > dedup_tolerance(rs.rows):
                 raise CertificationError(
                     f"candidate row {i} is not an admissible row", violator=i
                 )
-        perron = perron_vector(candidate, tol=min(_PERRON_TOL, cert_tol))
-        v = perron.eigenvector
+    elif isinstance(s, ExplicitSet):
+        if contains_matrix(s, candidate) is None:
+            raise CertificationError("candidate is not a member of the set")
+    else:
+        raise TypeError(f"cannot certify over {type(s).__name__}")
+    perron = perron_vector(candidate, tol=min(_PERRON_TOL, cert_tol))
+    return _certify_margins(s, candidate, perron, direction, cert_tol)
+
+
+def _certify_margins(s, candidate: np.ndarray, perron: PerronCertificate,
+                     direction: str, cert_tol: float) -> ExtremalCertificate:
+    """Scan ``s`` against a member's Perron pair (see ``certify_extremal``)."""
+    sign = 1.0 if direction == "min" else -1.0
+    v = perron.eigenvector
+    if isinstance(s, IruSet):
         margins = np.concatenate([
             sign * (rs.rows @ v - perron.rho * v[i])
             for i, rs in enumerate(s.row_sets)
@@ -282,14 +289,8 @@ def certify_extremal(s, candidate, direction: str,
                         violator=(i, flat),
                     )
                 flat -= rs.size
-    elif isinstance(s, ExplicitSet):
-        member = contains_matrix(s, candidate)
-        if member is None:
-            raise CertificationError("candidate is not a member of the set")
-        perron = perron_vector(candidate, tol=min(_PERRON_TOL, cert_tol))
-        v = perron.eigenvector
-        diffs = sign * (s.matrices @ v - perron.rho * v[None, :])
-        margins = diffs.min(axis=1)
+    else:
+        margins = (sign * (s.matrices @ v - perron.rho * v[None, :])).min(axis=1)
         if margins.min() < -cert_tol:
             k = int(margins.argmin())
             raise CertificationError(
@@ -297,9 +298,6 @@ def certify_extremal(s, candidate, direction: str,
                 f"by {-margins.min():.3e}",
                 violator=k,
             )
-    else:
-        raise TypeError(f"cannot certify over {type(s).__name__}")
-
     return ExtremalCertificate(
         direction=direction,
         extremal_matrix=candidate,

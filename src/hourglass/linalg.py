@@ -5,7 +5,9 @@ is no wrapper type.  The module provides two independent spectral-radius
 algorithms (an irreducible-blockwise power iteration and a norm-of-squared-
 powers scheme) so that each can serve as a cross-check for the other, plus
 Perron eigenvector certificates and eigenvalue bound classification for
-nonnegative matrices.
+nonnegative matrices.  One stacked Collatz-Wielandt power loop,
+``_bracketed_power``, serves both the radii and the Perron certificates;
+``perron_vector`` is its one-member case.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from scipy.sparse import csr_matrix
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+_PERRON_TOL = 1e-13  # bracket width of the Perron pairs behind extremal certificates
 GELFAND_MAX_SQUARINGS = 60
 BATCH_ENTRIES = 1 << 14  # array entries per batch of the stacked set-layer passes
 
@@ -107,35 +110,41 @@ def l1_operator_norm(a) -> float:
 
 
 def _power_shift(a: np.ndarray):
-    # Diagonal shift per matrix; adds exactly its value to a nonnegative radius.
-    return np.maximum(1e-3, 1e-3 * a.max(axis=(-2, -1)))
+    # Diagonal shift per matrix, relative to its largest entry; adds exactly
+    # its value to a nonnegative radius.
+    return 1e-3 * a.max(axis=(-2, -1))
 
 
 def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
-    """Radii of a stack of irreducible nonnegative matrices by power iteration.
+    """Radii and Perron vectors of a stack of irreducible nonnegative matrices.
 
     Member i is shifted by eps_i * I, which adds exactly eps_i to its radius
     and makes it primitive; the Collatz-Wielandt ratios (Bx)_j / x_j then
     bracket rho(B) and contract, and a member stops once its bracket is at
-    most ``tol`` wide.  Returns the radii and the widths left above ``tol`` (else 0).
+    most ``tol`` wide.  Returns the radii, the widths left above ``tol``
+    (else 0), and each member's coordinate-sum-1 iterate at its stopping
+    step, where |A x - rho x| <= width / 2 componentwise.
     """
     k, n, _ = a.shape
     b = a + np.reshape(eps, (-1, 1, 1)) * np.eye(n)
     lo, hi, live = np.zeros(k), np.full(k, np.inf), np.arange(k)
-    x = np.full((k, n), 1.0 / n)
+    x, vecs = np.full((k, n), 1.0 / n), np.empty((k, n))
     for _ in range(max_iter):
         if live.size == 0:
             break
+        # ufunc reductions: the array methods add call overhead that
+        # dominates a stack of one
         y = np.matmul(b, x[..., None])[..., 0]
         ratios = y / x
-        lo[live] = step_lo = ratios.min(axis=1)
-        hi[live] = step_hi = ratios.max(axis=1)
-        going = ~(step_hi - step_lo <= tol)
-        if not going.all():
-            live, b, y = live[going], b[going], y[going]
-        x = y / y.sum(axis=1, keepdims=True)
+        lo[live] = step_lo = np.minimum.reduce(ratios, 1)
+        hi[live] = step_hi = np.maximum.reduce(ratios, 1)
+        done = step_hi - step_lo <= tol
+        if np.count_nonzero(done):
+            vecs[live[done]] = x[done]
+            live, b, y = live[~done], b[~done], y[~done]
+        x = y / np.add.reduce(y, 1, keepdims=True)
     return (np.maximum(0.0, 0.5 * (lo + hi) - eps),
-            np.where(hi - lo <= tol, 0.0, hi - lo))
+            np.where(hi - lo <= tol, 0.0, hi - lo), vecs)
 
 
 def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> tuple:
@@ -150,8 +159,8 @@ def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> tuple:
         if idx.size == 1:
             best = max(best, float(a[idx[0], idx[0]]))
         else:
-            (rho_c,), (w,) = _bracketed_power(a[np.ix_(idx, idx)][None], eps,
-                                              tol, max_iter)
+            (rho_c,), (w,), _ = _bracketed_power(a[np.ix_(idx, idx)][None], eps,
+                                                 tol, max_iter)
             best, width = max(best, float(rho_c)), w or width
     return best, width
 
@@ -163,9 +172,9 @@ def spectral_radius_power(a, tol: float = DEFAULT_TOL,
     The matrix is split into its strongly connected (irreducible) diagonal
     blocks; the spectrum is the union of the block spectra, so the radius is
     the maximum block radius.  Blocks of size one are read off directly.
-    Larger blocks are shifted by eps*I, which increases their radius by
-    exactly eps and makes them primitive, and then iterated until the
-    Collatz-Wielandt ratio bracket is narrower than ``tol``.
+    Larger blocks are shifted by eps*I with eps = 1e-3 * max entry, which
+    increases their radius by exactly eps and makes them primitive, and then
+    iterated until the Collatz-Wielandt ratio bracket is narrower than ``tol``.
 
     Raises ConvergenceError (carrying the best estimate) if some block fails
     to reach the requested bracket width within ``max_iter`` iterations.
@@ -195,7 +204,7 @@ def spectral_radii(stack, tol: float = DEFAULT_TOL,
     for start in range(0, k, step):
         block, at = stack[start:start + step], slice(start, start + step)
         pos = (block > 0).all(axis=(1, 2)) & (n > 1)  # order 1: read off
-        radii[at][pos], widths[at][pos] = _bracketed_power(
+        radii[at][pos], widths[at][pos], _ = _bracketed_power(
             block[pos], _power_shift(block[pos]), tol, max_iter)
         for i in np.flatnonzero(~pos) + start:
             radii[i], widths[i] = _blockwise_radius(stack[i], tol, max_iter)
@@ -282,13 +291,16 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> PerronCertificate:
     """Perron eigenpair of a strictly positive square matrix.
 
-    Iterates x -> A x / sum(A x), keeping the eigenvector candidate on the
-    coordinate-sum-1 simplex, until the Collatz-Wielandt bracket around the
-    eigenvalue and the eigen-residual both meet ``tol``.  Positivity makes
-    the dominant eigenvalue simple, so convergence is geometric.
+    The one-member case of the stacked power loop behind ``spectral_radii``:
+    the shifted iteration runs until the Collatz-Wielandt bracket is at most
+    ``tol`` wide, so ``rho`` equals ``spectral_radius_power(a, tol)`` (bit
+    for bit from order 2 on) and the returned iterate's eigen-residual is at
+    most ``tol / 2``.  Positivity makes the dominant eigenvalue simple, so
+    convergence is geometric.
 
-    Raises DomainError for non-square or non-positive input (nonnegative
-    sets must be lifted into the interior first).
+    Raises DomainError for non-positive input (nonnegative sets must be
+    lifted into the interior first), and ConvergenceError with the estimate
+    if the bracket is still wider than ``tol`` after ``max_iter`` steps.
     """
     a = as_square(a)
     if not np.all(a > 0):
@@ -297,25 +309,14 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
         )
     if tol <= 0:
         raise DomainError("tol must be positive")
-    n = a.shape[0]
-    x = np.full(n, 1.0 / n)
-    lo, hi = 0.0, np.inf
-    for _ in range(max_iter):
-        y = a @ x
-        ratios = y / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        x = y / y.sum()
-        if hi - lo <= tol:
-            rho = 0.5 * (lo + hi)
-            residual = float(np.abs(a @ x - rho * x).max())
-            if residual <= tol * max(rho, 1.0):
-                return PerronCertificate(
-                    rho=rho, eigenvector=x, residual=residual, tol=tol
-                )
-    raise ConvergenceError(
-        f"Perron iteration did not converge in {max_iter} steps", 0.5 * (lo + hi)
-    )
+    (rho,), (width,), (x,) = _bracketed_power(a[None], _power_shift(a[None]),
+                                              tol, max_iter)
+    if width:
+        raise ConvergenceError(f"Perron bracket still {width:.3e} wide after "
+                               f"{max_iter} steps", float(rho))
+    residual = float(np.abs(a @ x - rho * x).max())
+    return PerronCertificate(rho=float(rho), eigenvector=x, residual=residual,
+                             tol=tol)
 
 
 @dataclass(frozen=True)

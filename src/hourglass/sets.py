@@ -289,8 +289,7 @@ def set_equal(a: ExplicitSet, b: ExplicitSet, tol: float | None = None) -> bool:
         return False
     if tol is None:
         tol = max(dedup_tolerance(a.matrices), dedup_tolerance(b.matrices))
-    diff = np.abs(a.matrices[:, None] - b.matrices[None, :]).max(axis=(2, 3))
-    return bool(diff.min(axis=1).max() <= tol and diff.min(axis=0).max() <= tol)
+    return hausdorff_distance(a, b).distance <= tol
 
 
 def contains_matrix(s: ExplicitSet, m, tol: float | None = None) -> int | None:

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alternative import ExtremalCertificate, certify_extremal
+from .alternative import ExtremalCertificate, _certify_margins
 from .linalg import (
     ConvergenceError,
     DEFAULT_TOL,
     DomainError,
+    _PERRON_TOL,
     _reduce,
     l1_operator_norm,
     perron_vector,
@@ -41,7 +42,6 @@ from .sets import (
 )
 
 _CHUNK = 1 << 16
-_PERRON_TOL = 1e-13
 
 
 def thread_count() -> int:
@@ -251,7 +251,8 @@ class SimplexTrace:
     radii; the radii are strictly monotone (increasing for direction "max",
     decreasing for "min") and each non-terminal step's ``improvement`` is
     the row-score gain that justified continuing.  ``certificate`` is the
-    terminal extremality certificate.
+    terminal extremality certificate, built on the terminal step's Perron
+    pair.
     """
 
     direction: str
@@ -321,7 +322,7 @@ def spectral_simplex(s: IruSet, direction: str, tol: float = DEFAULT_TOL,
             effective_cert_tol = (
                 max(tol, 1e-10 * (1.0 + rho)) if cert_tol is None else cert_tol
             )
-            cert = certify_extremal(s, a, direction, effective_cert_tol)
+            cert = _certify_margins(s, a, perron, direction, effective_cert_tol)
             return SimplexTrace(direction, tuple(steps), cert)
         selection = tuple(nxt)
         if selection in seen:
@@ -523,15 +524,12 @@ class ConvexHullReport:
     Checks, for sampled words of convex combinations C_i of the family,
     that ||C_n ... C_1|| >= (rho_check_n ** n) / N - tol in the l1 operator
     norm, and that every sampled product A satisfies ||A e||_1 >= rho(A).
-    ``threshold_literal`` records the weaker per-root reading
-    rho_check_n / N alongside the power form actually enforced.
     """
 
     n: int
     samples: int
     rho_check_n: float
     threshold_power: float
-    threshold_literal: float
     min_norm_seen: float
     norm_failures: int
     srbound_failures: int
@@ -553,7 +551,6 @@ def conv_lsr_check(s: ExplicitSet, n: int, samples: int, seed: int,
     dim = s.shape[0]
     rho_check_n, _ = rho_n_bruteforce(s, n, "min", size_guard)
     threshold_power = rho_check_n ** n / dim
-    threshold_literal = rho_check_n / dim
     rng = np.random.default_rng(seed)
     prods = []
     for _ in range(samples):
@@ -570,7 +567,6 @@ def conv_lsr_check(s: ExplicitSet, n: int, samples: int, seed: int,
         samples=samples,
         rho_check_n=rho_check_n,
         threshold_power=threshold_power,
-        threshold_literal=threshold_literal,
         min_norm_seen=float(norms.min()),
         norm_failures=norm_failures,
         srbound_failures=srbound_failures,

@@ -116,6 +116,12 @@ class TestSpectralRadii:
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def _assert_perron_shares(stack, **kw):
+        # perron_vector is the same loop on a stack of one
+        got = [perron_vector(a, **kw).rho for a in stack]
+        np.testing.assert_array_equal(got, spectral_radii(stack, **kw))
+
     def test_random_positive_stacks(self):
         rng = np.random.default_rng(11)
         for d in range(1, 9):
@@ -124,6 +130,20 @@ class TestSpectralRadii:
                 stack = rng.uniform(0.01, 2.0, size=(k, d, d)) * scale
                 self._assert_per_member(stack)
                 self._assert_per_member(stack, tol=1e-8)
+                if d > 1:
+                    self._assert_perron_shares(stack, tol=TOL)
+                    self._assert_perron_shares(stack, tol=1e-8)
+
+    def test_small_magnitude_converges(self):
+        # The diagonal shift is relative, so a scaled-down stack contracts
+        # as fast as the original instead of crawling under a fixed shift.
+        rng = np.random.default_rng(16)
+        for d in range(2, 9):
+            stack = rng.uniform(0.01, 2.0, size=(10, d, d))
+            small = spectral_radii(1e-6 * stack, max_iter=200)
+            np.testing.assert_allclose(small, 1e-6 * spectral_radii(stack),
+                                       rtol=0, atol=TOL)
+            self._assert_perron_shares(1e-6 * stack, tol=TOL)
 
     def test_fixtures(self):
         self._assert_per_member(np.stack([NILP_A, NILP_B, 0.5 * (NILP_A + NILP_B)]))

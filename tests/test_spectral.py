@@ -6,7 +6,7 @@ import pytest
 
 from hourglass import spectral
 from hourglass.descriptors import parse_descriptor
-from hourglass.linalg import DomainError, spectral_radius_power
+from hourglass.linalg import DomainError, perron_vector, spectral_radius_power
 from hourglass.sets import (
     ExplicitSet,
     GuardExceededError,
@@ -97,6 +97,27 @@ class TestSpectralSimplex:
             selections = [st.selection for st in trace.iterations]
             assert len(set(selections)) == len(selections)
             assert len(selections) <= s.cardinality
+
+    def test_certificate_is_the_terminal_perron_pair(self, monkeypatch):
+        from hourglass import alternative
+
+        calls = []
+
+        def counted(a, *args, **kw):
+            calls.append(a)
+            return perron_vector(a, *args, **kw)
+
+        monkeypatch.setattr(spectral, "perron_vector", counted)
+        monkeypatch.setattr(alternative, "perron_vector", counted)
+        rng = np.random.default_rng(5)
+        s = _random_iru(rng, 4, (3, 2, 4, 3))
+        for direction in ("min", "max"):
+            calls.clear()
+            trace = spectral_simplex(s, direction)
+            assert len(calls) == len(trace.iterations) > 1
+            assert trace.certificate.rho == trace.iterations[-1].rho
+            np.testing.assert_array_equal(trace.certificate.extremal_matrix,
+                                          s.assemble(trace.selection))
 
     def test_lifted_boundary_selection_stabilizes(self):
         # Lift sizes an order of magnitude apart leave the selected rows
@@ -330,17 +351,15 @@ class TestConvLsrCheck:
         report = conv_lsr_check(s, 1, 100, seed=2)
         assert report.rho_check_n == pytest.approx(2.0, abs=1e-9)
         assert report.threshold_power == pytest.approx(1.0, abs=1e-9)
-        assert report.threshold_literal == pytest.approx(1.0, abs=1e-9)
         assert report.passed
 
-    def test_records_both_threshold_readings(self):
+    def test_records_power_threshold(self):
         rng = np.random.default_rng(16)
         s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
         report = conv_lsr_check(s, 3, 20, seed=3)
         assert report.threshold_power == pytest.approx(
             report.rho_check_n ** 3 / 2
         )
-        assert report.threshold_literal == pytest.approx(report.rho_check_n / 2)
 
 
 class TestThreading:
