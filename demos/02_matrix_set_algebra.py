@@ -95,6 +95,6 @@ print("Hausdorff distance to original:", report.distance,
 
 print()
 print("column-uncertainty families are transposed row families:")
-tagged = transpose_set(family)
-print("  transpose tag:", type(tagged).__name__,
-      " round-trips:", transpose_set(tagged) is family)
+columns = transpose_set(family)
+print("  transposed:", columns, " transposing back gives the family:",
+      set_equal(transpose_set(columns), members))

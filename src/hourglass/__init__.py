@@ -23,7 +23,6 @@ from .linalg import (
     strict_tolerance,
 )
 from .sets import (
-    ColumnSet,
     DEFAULT_SIZE_GUARD,
     ExplicitSet,
     GuardExceededError,

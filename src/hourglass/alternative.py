@@ -27,7 +27,7 @@ from .linalg import (
     DimensionMismatchError,
     DomainError,
     PerronCertificate,
-    _PERRON_TOL,
+    _perron_tol,
     _reduce,
     as_matrix,
     as_vector,
@@ -264,7 +264,7 @@ def certify_extremal(s, candidate, direction: str,
             raise CertificationError("candidate is not a member of the set")
     else:
         raise TypeError(f"cannot certify over {type(s).__name__}")
-    perron = perron_vector(candidate, tol=min(_PERRON_TOL, cert_tol))
+    perron = perron_vector(candidate, tol=min(_perron_tol(candidate), cert_tol))
     return _certify_margins(s, candidate, perron, direction, cert_tol)
 
 

@@ -20,7 +20,6 @@ from scipy.sparse import csr_matrix
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-_PERRON_TOL = 1e-13  # bracket width of the Perron pairs behind extremal certificates
 GELFAND_MAX_SQUARINGS = 60
 BATCH_ENTRIES = 1 << 14  # array entries per batch of the stacked set-layer passes
 
@@ -285,6 +284,16 @@ class PerronCertificate:
         """Recompute the residual against ``a`` and return it."""
         a = as_square(a)
         return float(np.abs(a @ self.eigenvector - self.rho * self.eigenvector).max())
+
+
+def _perron_tol(a: np.ndarray) -> float:
+    """Bracket width for the Perron pair behind an extremal certificate.
+
+    1e-13, relative to the largest row sum (a bound on the radius of a
+    nonnegative matrix) once that exceeds 1: an absolute width falls below
+    float resolution at large magnitudes and never converges.
+    """
+    return 1e-13 * max(1.0, float(a.sum(axis=1).max()))
 
 
 def perron_vector(a, tol: float = DEFAULT_TOL,

@@ -259,30 +259,6 @@ class ExplicitSet:
         return f"ExplicitSet({self.size} matrices, {n}x{m})"
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnSet:
-    """Transpose of an IRU family: column j drawn independently per column.
-
-    Tagged wrapper so the structure is not lost; transposing again returns
-    the underlying row-structured family.
-    """
-
-    row_structured: IruSet
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n, m = self.row_structured.shape
-        return (m, n)
-
-    @property
-    def cardinality(self) -> int:
-        return self.row_structured.cardinality
-
-    def enumerate(self, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSet:
-        base = iru_enumerate(self.row_structured, size_guard)
-        return ExplicitSet(base.matrices.transpose(0, 2, 1), dedup=False)
-
-
 def set_equal(a: ExplicitSet, b: ExplicitSet, tol: float | None = None) -> bool:
     """Set equality up to ``tol`` under the entrywise max metric."""
     if a.shape != b.shape:
@@ -471,15 +447,16 @@ def convex_sample(s: ExplicitSet, k: int, seed: int) -> np.ndarray:
     return convex_combination(np.random.default_rng(seed), s, k)
 
 
-def transpose_set(s):
-    """Elementwise transposition; keeps row/column structure tagged."""
-    if isinstance(s, IruSet):
-        return ColumnSet(s)
-    if isinstance(s, ColumnSet):
-        return s.row_structured
-    if isinstance(s, ExplicitSet):
-        return ExplicitSet(s.matrices.transpose(0, 2, 1), dedup=False)
-    raise TypeError(f"cannot transpose {type(s).__name__}")
+def transpose_set(s) -> ExplicitSet:
+    """Every member of a set or expression transposed, as an explicit set.
+
+    ``s`` is expanded under the default size guard.  Column-uncertainty
+    families are the transposes of row-independent ones; the radius is
+    transposition invariant, so their extremal problems are solved on the
+    row family.
+    """
+    members = expr_expand(s).matrices
+    return ExplicitSet(members.transpose(0, 2, 1), dedup=False)
 
 
 class SetExpr:
@@ -608,26 +585,18 @@ class IdentityElem(SetExpr):
         return 1
 
 
-def materialize_leaf(base, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSet:
-    if isinstance(base, IruSet):
-        return iru_enumerate(base, size_guard)
-    if isinstance(base, OrderedChain):
-        return chain_enumerate(base)
-    if isinstance(base, ExplicitSet):
-        return base
-    if isinstance(base, ColumnSet):
-        return base.enumerate(size_guard)
-    raise TypeError(f"cannot materialize {type(base).__name__}")
-
-
-def expr_expand(e: SetExpr, size_guard: int = DEFAULT_SIZE_GUARD,
+def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD,
                 dedup_tol: float | None = None) -> ExplicitSet:
     """Materialize an expression tree into an explicit matrix set.
 
-    The projected cardinality is estimated bottom-up first; if it exceeds
-    ``size_guard`` nothing is materialized and the error reports the
-    required size so the caller can restructure the expression.
+    A bare ``IruSet``, ``OrderedChain`` or ``ExplicitSet`` counts as a
+    one-leaf expression.  The projected cardinality is estimated bottom-up
+    first; if it exceeds ``size_guard`` nothing is materialized and the
+    error reports the required size so the caller can restructure the
+    expression.
     """
+    if not isinstance(e, SetExpr):
+        e = Leaf(e)
     bound = e.cardinality_bound()
     if bound > size_guard:
         raise GuardExceededError(bound, size_guard)
@@ -636,7 +605,11 @@ def expr_expand(e: SetExpr, size_guard: int = DEFAULT_SIZE_GUARD,
 
 def _materialize(e: SetExpr, guard: int, tol: float | None) -> ExplicitSet:
     if isinstance(e, Leaf):
-        return materialize_leaf(e.base, guard)
+        if isinstance(e.base, IruSet):
+            return iru_enumerate(e.base, guard)
+        if isinstance(e.base, OrderedChain):
+            return chain_enumerate(e.base)
+        return e.base
     if isinstance(e, Sum):
         parts = [_materialize(c, guard, tol) for c in e.children]
         return reduce(lambda x, y: minkowski_sum(x, y, tol), parts)

@@ -24,7 +24,7 @@ from .linalg import (
     ConvergenceError,
     DEFAULT_TOL,
     DomainError,
-    _PERRON_TOL,
+    _perron_tol,
     _reduce,
     l1_operator_norm,
     perron_vector,
@@ -35,10 +35,8 @@ from .sets import (
     ExplicitSet,
     GuardExceededError,
     IruSet,
-    SetExpr,
     convex_combination,
     expr_expand,
-    materialize_leaf,
 )
 
 _CHUNK = 1 << 16
@@ -299,7 +297,7 @@ def spectral_simplex(s: IruSet, direction: str, tol: float = DEFAULT_TOL,
     steps: list[SimplexStep] = []
     for _ in range(max_iter):
         a = s.assemble(selection)
-        perron = perron_vector(a, tol=_PERRON_TOL)
+        perron = perron_vector(a, tol=_perron_tol(a))
         v = perron.eigenvector
         rho = perron.rho
         step_tol = 1e-11 * max(1.0, rho)
@@ -451,12 +449,6 @@ class FinitenessReport:
     sandwich_samples: int
 
 
-def _expand_any(s, size_guard: int) -> ExplicitSet:
-    if isinstance(s, SetExpr):
-        return expr_expand(s, size_guard)
-    return materialize_leaf(s, size_guard)
-
-
 def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
                       tol: float = 1e-7, seed: int = 0,
                       size_guard: int = DEFAULT_SIZE_GUARD) -> FinitenessReport:
@@ -470,7 +462,7 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     random convex combinations of members, exercising stability over
     intermediate sets between the family and its convex hull.
     """
-    expanded = _expand_any(s, size_guard)
+    expanded = expr_expand(s, size_guard)
     _require_square_set(expanded)
     if not expanded.is_nonnegative:
         raise DomainError("finiteness check requires nonnegative matrices")

@@ -10,6 +10,7 @@ from hourglass.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from hourglass.descriptors import parse_descriptor, write_descriptor
@@ -213,6 +214,61 @@ class TestCommands:
         assert code == EXIT_OK
         assert data["results"]["passed"] is True
         assert data["parameters"]["tol"] == 1e-9
+
+
+# The flags each command reads besides --input and --format, and the argv
+# that satisfies its required ones ({s}: descriptor, {out}: output path).
+DECLARED = {
+    "radius": ({"tol", "guard"}, []),
+    "extremal": ({"direction", "tol", "guard"}, ["--direction", "min"]),
+    "simplex": ({"direction", "tol", "epsilon"}, ["--direction", "max"]),
+    "jsr": ({"n_max", "guard"}, []),
+    "lsr": ({"n_max", "guard"}, []),
+    "finiteness": ({"n_max", "sandwich_samples", "tol", "seed", "guard"}, []),
+    "hset-probe": ({"trials", "seed", "guard"}, []),
+    "hausdorff": ({"other", "norm", "guard"}, ["--other", "{s}"]),
+    "conv-check": ({"n_max", "samples", "tol", "seed", "guard"}, []),
+    "gen": ({"kind", "out", "seed", "lo", "hi", "rows", "cols",
+             "row_set_size", "length", "depth", "max_matrices",
+             "allow_boundary"}, ["--kind", "expr", "--out", "{out}"]),
+}
+
+# Flags a command does not read are refused.
+UNREAD = [
+    ("radius", "--seed", "1"), ("extremal", "--seed", "1"),
+    ("simplex", "--seed", "1"), ("jsr", "--seed", "1"),
+    ("hausdorff", "--seed", "1"), ("jsr", "--tol", "1e-9"),
+    ("hset-probe", "--tol", "1e-9"), ("hausdorff", "--tol", "1e-9"),
+    ("gen", "--tol", "1"), ("simplex", "--guard", "5"),
+    ("gen", "--guard", "5"),
+]
+
+
+def _argv(command, iru_file, tmp_path):
+    extra = [a.format(s=iru_file, out=tmp_path / "g.json")
+             for a in DECLARED[command][1]]
+    inputs = [] if command == "gen" else ["--input", iru_file]
+    return [command, *inputs, *extra]
+
+
+class TestDeclaredFlags:
+    @pytest.mark.parametrize("command", sorted(DECLARED))
+    def test_parameters_are_the_declared_flags(self, capsys, iru_file,
+                                               tmp_path, command):
+        argv = _argv(command, iru_file, tmp_path)
+        declared = set(vars(build_parser().parse_args(argv)))
+        declared -= {"command", "func", "input", "format"}
+        assert declared == DECLARED[command][0]
+        code, data = _run_json(capsys, argv + ["--format", "json"])
+        assert code == EXIT_OK
+        assert set(data["parameters"]) == DECLARED[command][0]
+
+    @pytest.mark.parametrize("command,flag,value", UNREAD)
+    def test_unread_flag_is_a_usage_error(self, capsys, iru_file, tmp_path,
+                                          command, flag, value):
+        argv = _argv(command, iru_file, tmp_path)
+        assert main(argv + [flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestReproducibility:

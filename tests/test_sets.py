@@ -3,7 +3,6 @@ import pytest
 
 from hourglass.linalg import DimensionMismatchError, DomainError
 from hourglass.sets import (
-    ColumnSet,
     dedup_tolerance,
     ExplicitSet,
     GuardExceededError,
@@ -284,6 +283,21 @@ class TestExprExpand:
         assert out.size <= 8
         assert set_equal(out, ExplicitSet(np.array(want)), tol=1e-10)
 
+    def test_bare_sets_are_one_leaf_expressions(self):
+        rng = np.random.default_rng(17)
+        s = _random_iru(rng, 2, (2, 3))
+        chain = OrderedChain([np.eye(2), 2 * np.eye(2)])
+        explicit = ExplicitSet([NILP_A, NILP_B])
+        for base in (s, chain, explicit):
+            np.testing.assert_array_equal(
+                expr_expand(base).matrices, expr_expand(Leaf(base)).matrices
+            )
+        assert expr_expand(explicit) is explicit
+        with pytest.raises(GuardExceededError):
+            expr_expand(s, size_guard=5)
+        with pytest.raises(TypeError):
+            expr_expand([[1.0]])
+
     def test_zero_and_identity_absorb(self):
         rng = np.random.default_rng(16)
         s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
@@ -418,14 +432,14 @@ class TestTransposeSet:
     def test_involution_iru(self):
         rng = np.random.default_rng(27)
         s = _random_iru(rng, 2, (2, 2))
-        tagged = transpose_set(s)
-        assert isinstance(tagged, ColumnSet)
-        assert transpose_set(tagged) is s
+        np.testing.assert_array_equal(
+            transpose_set(transpose_set(s)).matrices, iru_enumerate(s).matrices
+        )
 
     def test_column_enumeration_matches(self):
         rng = np.random.default_rng(28)
         s = _random_iru(rng, 2, (2, 3))
-        cols = transpose_set(s).enumerate()
+        cols = transpose_set(s)
         rows = iru_enumerate(s)
         np.testing.assert_array_equal(
             cols.matrices, rows.matrices.transpose(0, 2, 1)
@@ -437,6 +451,17 @@ class TestTransposeSet:
         base, _ = rho_extremal_exhaustive(s, "max")
         flipped, _ = rho_extremal_exhaustive(transpose_set(s), "max")
         assert flipped == pytest.approx(base, abs=1e-9)
+
+    def test_expression_under_guard(self):
+        rng = np.random.default_rng(30)
+        expr = Sum((Leaf(_random_iru(rng, 2, (2, 2))),
+                    Leaf(OrderedChain([np.eye(2), 2 * np.eye(2)]))))
+        np.testing.assert_array_equal(
+            transpose_set(expr).matrices,
+            expr_expand(expr).matrices.transpose(0, 2, 1),
+        )
+        with pytest.raises(GuardExceededError):
+            transpose_set(_random_iru(rng, 17, (2,) * 17))
 
     def test_singleton(self):
         out = transpose_set(ExplicitSet([NILP_A]))

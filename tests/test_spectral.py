@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hourglass import spectral
+from hourglass.alternative import certify_extremal
 from hourglass.descriptors import parse_descriptor
 from hourglass.linalg import DomainError, perron_vector, spectral_radius_power
 from hourglass.sets import (
@@ -118,6 +119,23 @@ class TestSpectralSimplex:
             assert trace.certificate.rho == trace.iterations[-1].rho
             np.testing.assert_array_equal(trace.certificate.extremal_matrix,
                                           s.assemble(trace.selection))
+
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+    def test_certifies_at_large_magnitude(self, t):
+        rng = np.random.default_rng(6)
+        s = _random_iru(rng, 8, (3,) * 8)
+        scaled = scale_set(t, s)
+        for direction in ("min", "max"):
+            base = spectral_simplex(s, direction)
+            trace = spectral_simplex(scaled, direction)
+            cert = trace.certificate
+            assert cert.worst_margin >= -cert.cert_tol
+            assert trace.selection == base.selection
+            assert trace.rho == pytest.approx(t * base.rho, rel=1e-10)
+            again = certify_extremal(scaled, cert.extremal_matrix, direction,
+                                     cert.cert_tol)
+            assert again.worst_margin >= -again.cert_tol
+            assert again.rho == pytest.approx(t * base.rho, rel=1e-10)
 
     def test_lifted_boundary_selection_stabilizes(self):
         # Lift sizes an order of magnitude apart leave the selected rows
@@ -307,7 +325,7 @@ class TestFinitenessVerify:
         b = finiteness_verify(
             transpose_set(s), n_max=3, sandwich_samples=2, seed=3
         )
-        c = finiteness_verify(  # column-structured tag expands directly
+        c = finiteness_verify(  # an IRU family transposes directly
             transpose_set(family), n_max=3, sandwich_samples=2, seed=3
         )
         assert a.passed == b.passed == c.passed
