@@ -20,7 +20,6 @@ from hourglass import (
     expr_expand,
     hausdorff_distance,
     iru_enumerate,
-    iru_minkowski_sum,
     minkowski_product,
     minkowski_sum,
     set_equal,
@@ -50,13 +49,15 @@ print("\n|a| =", a.size, " |b| =", b.size)
 print("|a + b| =", minkowski_sum(a, b).size, " (pairwise sums, deduplicated)")
 print("|a b|   =", minkowski_product(a, b).size)
 
-# Row independence commutes with addition: summing per-row sets gives the
-# same family as summing the enumerations, at a fraction of the cost.
+# A Sum tree over two row-independent families stands for their Minkowski
+# sum without forming it; expanding the tree gives the pairwise sums of the
+# enumerations.
 f1 = IruSet([rng.uniform(0.1, 1.0, size=(2, 2)) for _ in range(2)])
 f2 = IruSet([rng.uniform(0.1, 1.0, size=(2, 2)) for _ in range(2)])
-structured = iru_enumerate(iru_minkowski_sum(f1, f2))
+tree = Sum((Leaf(f1), Leaf(f2)))
 explicit = minkowski_sum(iru_enumerate(f1), iru_enumerate(f2))
-print("\nstructured sum equals explicit sum:", set_equal(structured, explicit))
+print("\nSum tree expands to the explicit sum:",
+      set_equal(expr_expand(tree), explicit))
 
 print()
 print("=" * 70)

@@ -43,7 +43,6 @@ from .sets import (
     expr_expand,
     hausdorff_distance,
     iru_enumerate,
-    iru_minkowski_sum,
     minkowski_product,
     minkowski_sum,
     scale_set,

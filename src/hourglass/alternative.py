@@ -1,23 +1,29 @@
-"""Order dichotomy decisions for structured matrix sets, plus extremal
-certificates.
+"""Extremal images, order dichotomy decisions, and extremal certificates.
+
+For every positive vector ``w``, each family in the class (IRU families,
+ordered chains, their Minkowski sums, products and scalings, {0} and {I})
+has a member with the componentwise largest image ``A w`` and one with the
+smallest; ``extremal_pick`` builds it from the structure, without expanding
+the family.
 
 For a family ``S`` of positive matrices, a matrix ``A~`` in ``S`` and a
 positive vector ``u`` with ``v = A~ u``, the family passes the dichotomy
 when the images ``A u`` either all lie componentwise above ``v``, or some
 member lies weakly below ``v`` with a genuine gap somewhere (and the mirror
-statement with the directions swapped).  Row-independent families satisfy
-both statements exactly, and the decision reduces to one scan per row set;
-for arbitrary explicit sets only a sampled refutation is possible.
+statement with the directions swapped).  The member with the extremal image
+at ``u`` decides this exactly; for arbitrary explicit sets only a sampled
+refutation is possible.
 
-The same machinery yields checkable certificates of spectral extremality:
-if the Perron vector of a candidate member dominates (or is dominated by)
+The same images yield checkable certificates of spectral extremality: if
+the Perron vector of a candidate member dominates (or is dominated by)
 the whole family in the appropriate direction, the candidate's spectral
 radius is the family minimum (maximum), and the inequality margins are the
-certificate.
+certificate.  Families with a negative entry are refused.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +42,14 @@ from .linalg import (
 )
 from .sets import (
     ExplicitSet,
+    IdentityElem,
     IruSet,
+    Leaf,
+    OrderedChain,
+    Product,
+    Scale,
+    Sum,
+    ZeroElem,
     contains_matrix,
     dedup_tolerance,
 )
@@ -48,6 +61,68 @@ class CertificationError(RuntimeError):
     def __init__(self, message: str, violator=None):
         super().__init__(message)
         self.violator = violator
+
+
+def _choose(images: np.ndarray, incumbent, tol: float):
+    """(index, extremum, ties) among sign-adjusted candidates: the scores of
+    one IRU row position's rows, or a chain's or explicit leaf's images."""
+    best = images.max(axis=0)
+    gaps = best - images
+    if gaps.ndim == 2:
+        gaps = gaps.max(axis=1)  # a member's worst component
+    near = gaps <= tol
+    if incumbent is None or not near[incumbent]:
+        incumbent = int(gaps.argmin())
+        if not near[incumbent]:
+            raise DomainError("no explicit-leaf member has an extremal image")
+    return incumbent, best, bool(np.count_nonzero(near) > 1)
+
+
+def extremal_pick(e, w: np.ndarray, sign: float, keep, tol: float) -> tuple:
+    """``(matrix, image, choices, ties)``: the member of a set or tree with
+    the componentwise largest (``sign`` +1) or smallest (-1) image at
+    ``w >= 0``, built without expansion.  IRU leaves pick row by row, chains
+    and explicit leaves the member within ``tol`` of the extremum everywhere
+    (else DomainError), sums add picks, products pick right to left at the
+    image of the factors to their right, scalings scale.  ``image`` is the
+    componentwise extremum over all members.  ``choices`` (one row index per
+    IRU row position, one member index per other leaf) follow the visiting
+    order: sums left to right, products right to left.  ``keep`` iterates
+    the incumbent choices in that order (None for no incumbent); one moves
+    only when its gain exceeds ``tol``, ties to the smallest index.
+    ``ties`` flags, per choice, two candidates within ``tol`` of the
+    extremum.  Negative leaves raise DomainError.
+    """
+    e = e.base if isinstance(e, Leaf) else e
+    if isinstance(e, (IruSet, OrderedChain, ExplicitSet)):
+        if not isinstance(e, OrderedChain) and not e.is_nonnegative:
+            raise DomainError("extremal images require nonnegative leaves")
+        if isinstance(e, IruSet):
+            js, bests, ties = zip(*(
+                _choose(sign * (rs.rows @ w), next(keep), tol)
+                for rs in e.row_sets))
+            return e.assemble(js), sign * np.array(bests), js, ties
+        j, best, tied = _choose(sign * (e.matrices @ w), next(keep), tol)
+        return e.matrices[j], sign * best, (j,), (tied,)
+    if isinstance(e, Sum):
+        matrices, images, choices, ties = zip(*(
+            extremal_pick(c, w, sign, keep, tol) for c in e.children))
+        return sum(matrices), sum(images), sum(choices, ()), sum(ties, ())
+    if isinstance(e, Product):
+        matrix, choices, ties = np.eye(w.size), (), ()
+        for child in reversed(e.children):
+            factor, w, picked, tied = extremal_pick(child, w, sign, keep, tol)
+            matrix, choices, ties = factor @ matrix, choices + picked, ties + tied
+        return matrix, w, choices, ties
+    if isinstance(e, Scale):
+        matrix, image, choices, ties = extremal_pick(e.child, e.factor * w,
+                                                     sign, keep, tol)
+        return e.factor * matrix, image, choices, ties
+    if isinstance(e, ZeroElem):
+        return np.zeros(e.shape), np.zeros(e.n_rows), (), ()
+    if isinstance(e, IdentityElem):
+        return np.eye(e.n), w, (), ()
+    raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +151,7 @@ class HourglassOutcome:
 
 
 def _hourglass_iru(s: IruSet, a_tilde, u, strict_tol, sign: int) -> HourglassOutcome:
-    """Shared H1/H2 scan; sign=+1 looks for a row below, -1 for one above."""
+    """Shared H1/H2 decision; sign=+1 looks for a row below, -1 for one above."""
     if not s.is_positive:
         raise DomainError("hourglass decisions require a positive IRU set")
     u = as_vector(u)
@@ -92,31 +167,28 @@ def _hourglass_iru(s: IruSet, a_tilde, u, strict_tol, sign: int) -> HourglassOut
     stol = strict_tolerance(v) if strict_tol is None else strict_tol
 
     direction = "H1" if sign > 0 else "H2"
-    ties = False
-    margins = np.empty(s.n_rows)
-    for i, rs in enumerate(s.row_sets):
-        scores = rs.rows @ u
-        gaps = sign * (v[i] - scores)  # positive where the row falls beyond v
-        near = np.abs(gaps) <= stol
-        near[choice[i]] = False  # the chosen row matches v by construction
-        ties = ties or bool(near.any())
-        offenders = gaps > stol
-        if offenders.any():
-            j = int(np.argmax(offenders))  # first offending row index
-            bar = tilde.copy()
-            bar[i] = rs.rows[j]
-            slack = sign * (v - bar @ u)
-            return HourglassOutcome(
-                direction=direction,
-                verdict="witness",
-                slack=slack,
-                witness_matrix=bar,
-                witness_position=(i, j),
-                ties=ties,
-            )
-        margins[i] = -float(gaps.max())
+    # Every image lies on the required side iff the extremal one does.
+    _, image, _, ties = extremal_pick(s, u, -sign, itertools.repeat(None), stol)
+    margins = sign * (image - v)
+    offenders = margins < -stol
+    if not offenders.any():
+        return HourglassOutcome(direction=direction, verdict="all_on_side",
+                                slack=margins, ties=any(ties))
+    i = int(np.argmax(offenders))  # first offending row position
+    rows = s.row_sets[i].rows
+    gaps = sign * (v[i] - rows @ u)  # positive where a row falls beyond v
+    j = int(np.argmax(gaps > stol))  # its first offending row
+    near = np.abs(gaps) <= stol
+    near[choice[i]] = False  # the chosen row matches v by construction
+    bar = tilde.copy()
+    bar[i] = rows[j]
     return HourglassOutcome(
-        direction=direction, verdict="all_on_side", slack=margins, ties=ties
+        direction=direction,
+        verdict="witness",
+        slack=sign * (v - bar @ u),
+        witness_matrix=bar,
+        witness_position=(i, j),
+        ties=any(ties[:i]) or bool(near.any()),  # rows scanned up to the witness
     )
 
 
@@ -209,10 +281,11 @@ def hourglass_probe_explicit(s: ExplicitSet, trials: int, seed: int,
 class ExtremalCertificate:
     """Checkable witness that a member extremizes the spectral radius.
 
-    ``margins`` holds, for every admissible row (IRU input) or member
-    matrix (explicit input), the worst-case slack in the defining
-    inequality A v >= rho v (direction "min") or A v <= rho v ("max")
-    evaluated at the candidate's Perron vector v.  All margins >= -cert_tol
+    ``margins`` holds, for every admissible row (IRU input), member matrix
+    (explicit input) or component of the extremal image (chains and
+    expression trees), the worst-case slack in the defining inequality
+    A v >= rho v (direction "min") or A v <= rho v ("max") evaluated at the
+    candidate's Perron vector v.  All margins >= -cert_tol
     certifies that every length-n product over the family's convex hull has
     spectral radius >= rho**n (min) or <= rho**n (max).
     """
@@ -243,7 +316,8 @@ def certify_extremal(s, candidate, direction: str,
     Direction "max" mirrors the inequalities.
 
     Raises CertificationError naming the violating row or matrix if the
-    margins fail, or if the candidate is not a member of the family.
+    margins fail, or if the candidate is not a member of the family, and
+    DomainError if the family has a negative entry.
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -270,34 +344,38 @@ def certify_extremal(s, candidate, direction: str,
 
 def _certify_margins(s, candidate: np.ndarray, perron: PerronCertificate,
                      direction: str, cert_tol: float) -> ExtremalCertificate:
-    """Scan ``s`` against a member's Perron pair (see ``certify_extremal``)."""
+    """Scan ``s`` against a member's Perron pair (see ``certify_extremal``);
+    chains and trees get one margin per component of their extremal image."""
     sign = 1.0 if direction == "min" else -1.0
     v = perron.eigenvector
+    if isinstance(s, (IruSet, ExplicitSet)) and not s.is_nonnegative:
+        # A v <= rho v bounds the radius of no member with a negative entry.
+        raise DomainError("certificates require a nonnegative family")
     if isinstance(s, IruSet):
         margins = np.concatenate([
             sign * (rs.rows @ v - perron.rho * v[i])
             for i, rs in enumerate(s.row_sets)
         ])
-        if margins.min() < -cert_tol:
-            flat = int(margins.argmin())
-            # Recover (row position, row index) from the flat offset.
-            for i, rs in enumerate(s.row_sets):
-                if flat < rs.size:
-                    raise CertificationError(
-                        f"row {flat} of row set {i} violates the "
-                        f"{direction} inequality by {-margins.min():.3e}",
-                        violator=(i, flat),
-                    )
-                flat -= rs.size
-    else:
+    elif isinstance(s, ExplicitSet):
         margins = (sign * (s.matrices @ v - perron.rho * v[None, :])).min(axis=1)
-        if margins.min() < -cert_tol:
-            k = int(margins.argmin())
-            raise CertificationError(
-                f"member {k} violates the {direction} inequality "
-                f"by {-margins.min():.3e}",
-                violator=k,
-            )
+    else:
+        image = extremal_pick(s, v, -sign, itertools.repeat(None), cert_tol)[1]
+        margins = sign * (image - perron.rho * v)
+    k = int(margins.argmin())
+    if margins[k] < -cert_tol:
+        if isinstance(s, IruSet):
+            ends = list(itertools.accumulate(rs.size for rs in s.row_sets))
+            i = next(i for i, end in enumerate(ends) if k < end)
+            violator = (i, k - ends[i] + s.row_sets[i].size)
+            where = f"row {violator[1]} of row set {i}"
+        elif isinstance(s, ExplicitSet):
+            violator, where = k, f"member {k}"
+        else:
+            violator, where = k, f"component {k} of the extremal image"
+        raise CertificationError(
+            f"{where} violates the {direction} inequality by {-margins[k]:.3e}",
+            violator=violator,
+        )
     return ExtremalCertificate(
         direction=direction,
         extremal_matrix=candidate,

@@ -40,6 +40,7 @@ from .sets import (
     GuardExceededError,
     IruSet,
     Leaf,
+    OrderedChain,
     epsilon_lift,
     expr_expand,
     hausdorff_distance,
@@ -139,11 +140,12 @@ def cmd_extremal(args, expr) -> dict:
 
 
 def cmd_simplex(args, expr) -> dict:
-    if not (isinstance(expr, Leaf) and isinstance(expr.base, IruSet)):
-        raise DomainError("simplex requires a top-level 'iru' descriptor")
-    family = expr.base
+    family = expr
     if args.epsilon is not None:
-        family = epsilon_lift(family, args.epsilon)
+        if not (isinstance(expr, Leaf)
+                and isinstance(expr.base, (IruSet, OrderedChain))):
+            raise DomainError("--epsilon lifts only a bare iru or chain")
+        family = epsilon_lift(expr.base, args.epsilon)
     trace = spectral_simplex(family, args.direction, tol=args.tol)
     return {
         "direction": args.direction,

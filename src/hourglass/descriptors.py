@@ -258,28 +258,4 @@ def jsonable(obj):
 
 def expr_equal(a: SetExpr, b: SetExpr) -> bool:
     """Structural equality of two expression trees (exact entries)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Leaf):
-        if type(a.base) is not type(b.base):
-            return False
-        if isinstance(a.base, IruSet):
-            return len(a.base.row_sets) == len(b.base.row_sets) and all(
-                ra.rows.shape == rb.rows.shape and np.array_equal(ra.rows, rb.rows)
-                for ra, rb in zip(a.base.row_sets, b.base.row_sets)
-            )
-        return (
-            a.base.matrices.shape == b.base.matrices.shape
-            and np.array_equal(a.base.matrices, b.base.matrices)
-        )
-    if isinstance(a, (Sum, Product)):
-        return len(a.children) == len(b.children) and all(
-            expr_equal(ca, cb) for ca, cb in zip(a.children, b.children)
-        )
-    if isinstance(a, Scale):
-        return a.factor == b.factor and expr_equal(a.child, b.child)
-    if isinstance(a, ZeroElem):
-        return (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
-    if isinstance(a, IdentityElem):
-        return a.n == b.n
-    return False
+    return serialize_expr(a) == serialize_expr(b)

@@ -20,11 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .linalg import (
+    BATCH_ENTRIES,
     DimensionMismatchError,
     DomainError,
     as_matrix,
@@ -106,11 +107,11 @@ class RowSet:
     def size(self) -> int:
         return self.rows.shape[0]
 
-    @property
+    @cached_property  # rows are read-only
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.rows >= 0))
 
-    @property
+    @cached_property
     def is_positive(self) -> bool:
         return bool(np.all(self.rows > 0))
 
@@ -243,11 +244,11 @@ class ExplicitSet:
     def shape(self) -> tuple[int, int]:
         return self.matrices.shape[1:]
 
-    @property
+    @cached_property  # members are read-only
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.matrices >= 0))
 
-    @property
+    @cached_property
     def is_positive(self) -> bool:
         return bool(np.all(self.matrices > 0))
 
@@ -339,24 +340,6 @@ def scale_set(t: float, s):
     raise TypeError(f"cannot scale {type(s).__name__}")
 
 
-def iru_minkowski_sum(a: IruSet, b: IruSet) -> IruSet:
-    """Structure-preserving Minkowski sum of two IRU families.
-
-    Row independence commutes with addition: the i-th row set of the sum is
-    the pairwise sum of the operands' i-th row sets, and enumerating the
-    result equals the explicit Minkowski sum of the enumerations.
-    """
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"cannot add IRU sets of shapes {a.shape} and {b.shape}"
-        )
-    out = []
-    for ra, rb in zip(a.row_sets, b.row_sets):
-        rows = (ra.rows[:, None, :] + rb.rows[None, :, :]).reshape(-1, ra.dim)
-        out.append(RowSet(rows))
-    return IruSet(out)
-
-
 def epsilon_lift(s, eps: float):
     """Push a nonnegative structured set into the strictly positive interior.
 
@@ -406,13 +389,19 @@ def hausdorff_distance(a: ExplicitSet, b: ExplicitSet,
         )
     if norm not in _NORMS:
         raise DomainError(f"unknown norm {norm!r}; choose from {_NORMS}")
-    diff = np.abs(a.matrices[:, None] - b.matrices[None, :])
-    if norm == "max":
-        dists = diff.max(axis=(2, 3))
-    else:
-        dists = diff.sum(axis=2).max(axis=2)
-    nearest_ab = dists.min(axis=1)
-    nearest_ba = dists.min(axis=0)
+    # Rows of A in blocks of about BATCH_ENTRIES difference entries, so
+    # memory stays bounded; the B -> A side keeps a running minimum.
+    step = max(1, BATCH_ENTRIES // b.matrices.size)
+    nearest_ab = np.empty(a.size)
+    nearest_ba = np.full(b.size, np.inf)
+    for start in range(0, a.size, step):
+        diff = np.abs(a.matrices[start:start + step, None] - b.matrices[None, :])
+        if norm == "max":
+            dists = diff.max(axis=(2, 3))
+        else:
+            dists = diff.sum(axis=2).max(axis=2)
+        nearest_ab[start:start + step] = dists.min(axis=1)
+        np.minimum(nearest_ba, dists.min(axis=0), out=nearest_ba)
     ia = int(nearest_ab.argmax())
     ib = int(nearest_ba.argmax())
     d_ab = float(nearest_ab[ia])

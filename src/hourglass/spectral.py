@@ -2,7 +2,7 @@
 
 Two complementary routes are provided for the extremal (min/max) spectral
 radius of a structured family: exhaustive scan over an explicit set, and a
-greedy row-exchange iteration on row-independent families that follows the
+greedy exchange iteration on any set or expression tree that follows the
 current Perron eigenvector and terminates at a certified extremal member.
 On top of these sit brute-force enumerations of the length-n product
 characteristics (the spectral-radius roots and operator-norm roots of all
@@ -12,6 +12,7 @@ extremum, and a convex-hull inequality check for the lower growth rate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alternative import ExtremalCertificate, _certify_margins
+from .alternative import ExtremalCertificate, _certify_margins, extremal_pick
 from .linalg import (
     ConvergenceError,
     DEFAULT_TOL,
@@ -34,7 +35,8 @@ from .sets import (
     DEFAULT_SIZE_GUARD,
     ExplicitSet,
     GuardExceededError,
-    IruSet,
+    Leaf,
+    SetExpr,
     convex_combination,
     expr_expand,
 )
@@ -243,12 +245,12 @@ class SimplexStep:
 
 @dataclass(frozen=True)
 class SimplexTrace:
-    """Trace of the greedy row-exchange iteration.
+    """Trace of the greedy exchange iteration.
 
-    ``iterations`` records the visited row selections with their spectral
+    ``iterations`` records the visited selections with their spectral
     radii; the radii are strictly monotone (increasing for direction "max",
     decreasing for "min") and each non-terminal step's ``improvement`` is
-    the row-score gain that justified continuing.  ``certificate`` is the
+    the image gain that justified continuing.  ``certificate`` is the
     terminal extremality certificate, built on the terminal step's Perron
     pair.
     """
@@ -266,17 +268,17 @@ class SimplexTrace:
         return self.iterations[-1].selection
 
 
-def spectral_simplex(s: IruSet, direction: str, tol: float = DEFAULT_TOL,
+def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
                      max_iter: int = 10_000,
                      cert_tol: float | None = None) -> SimplexTrace:
-    """Greedy extremal-radius search on a positive row-independent family.
+    """Greedy extremal-radius search on a positive set or expression tree.
 
-    From the current member's Perron vector v, each row position switches to
-    the admissible row extremizing its score (row . v), ties broken toward
-    the smallest row index; any strict score improvement strictly improves
-    the spectral radius, and since selections are finite the iteration
-    terminates.  When no row improves beyond the step threshold, the local
-    optimality condition is global: the terminal member is certified
+    From the member of first choices, each step moves to the member with
+    the extremal image at the current Perron vector v (``extremal_pick``,
+    whose visiting order the selections follow); a choice moves only when
+    its gain exceeds the step threshold, which strictly improves the
+    spectral radius, so the iteration terminates.  When nothing moves, the
+    local optimality condition is global: the terminal member is certified
     extremal over the whole family.
 
     Boundary (merely nonnegative) families are refused; lift them first and
@@ -284,49 +286,40 @@ def spectral_simplex(s: IruSet, direction: str, tol: float = DEFAULT_TOL,
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
-    if s.n_rows != s.n_cols:
-        raise DomainError(f"need a square family, got {s.n_rows}x{s.n_cols}")
-    if not s.is_positive:
+    n, m = s.shape
+    if n != m:
+        raise DomainError(f"need a square family, got {n}x{m}")
+    base = s.base if isinstance(s, Leaf) else s
+    if not isinstance(base, SetExpr) and not base.is_positive:
         raise DomainError(
             "spectral_simplex requires a strictly positive family; "
             "apply an epsilon lift to boundary sets first"
         )
     sign = 1.0 if direction == "max" else -1.0
-    selection = tuple(0 for _ in range(s.n_rows))
+    a, _, selection, _ = extremal_pick(s, np.ones(n), sign, itertools.repeat(0),
+                                       math.inf)
     seen = {selection}
     steps: list[SimplexStep] = []
     for _ in range(max_iter):
-        a = s.assemble(selection)
         perron = perron_vector(a, tol=_perron_tol(a))
         v = perron.eigenvector
         rho = perron.rho
         step_tol = 1e-11 * max(1.0, rho)
 
-        best_gain = 0.0
-        ties = False
-        nxt = list(selection)
-        for i, rs in enumerate(s.row_sets):
-            scores = sign * (rs.rows @ v)
-            j = int(scores.argmax())
-            gain = float(scores[j] - scores[selection[i]])
-            ties = ties or bool(
-                (np.abs(scores - scores[j]) <= step_tol).sum() > 1
-            )
-            if gain > step_tol:
-                nxt[i] = j
-                best_gain = max(best_gain, gain)
-        steps.append(SimplexStep(selection, rho, best_gain, ties))
-        if best_gain <= step_tol:
-            effective_cert_tol = (
-                max(tol, 1e-10 * (1.0 + rho)) if cert_tol is None else cert_tol
-            )
-            cert = _certify_margins(s, a, perron, direction, effective_cert_tol)
+        nxt, image, choices, ties = extremal_pick(s, v, sign, iter(selection),
+                                                  step_tol)
+        gain = float((sign * (image - a @ v)).max()) if choices != selection else 0.0
+        steps.append(SimplexStep(selection, rho, gain, any(ties)))
+        if choices == selection:
+            if cert_tol is None:
+                cert_tol = max(tol, 1e-10 * (1.0 + rho))
+            cert = _certify_margins(base, a, perron, direction, cert_tol)
             return SimplexTrace(direction, tuple(steps), cert)
-        selection = tuple(nxt)
-        if selection in seen:
+        if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "
                                    "selection", rho, trace=tuple(steps))
-        seen.add(selection)
+        seen.add(choices)
+        a, selection = nxt, choices
     raise ConvergenceError(
         f"row-exchange iteration did not settle in {max_iter} steps",
         steps[-1].rho if steps else float("nan"), trace=tuple(steps))

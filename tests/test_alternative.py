@@ -128,13 +128,23 @@ class TestHourglassH1:
             mats = iru_enumerate(s).matrices
             choice = tuple(int(rng.integers(rs.size)) for rs in s.row_sets)
             u = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
-            v = s.assemble(choice) @ u
+            tilde = s.assemble(choice)
+            v = tilde @ u
             stol = strict_tolerance(v)
             for fn, sign in ((hourglass_h1_iru, +1), (hourglass_h2_iru, -1)):
-                got = fn(s, choice, u).verdict
+                out = fn(s, choice, u)
                 want = _scan_side(mats, u, v, stol, sign)
                 assert want != "violation"
-                assert got == want
+                assert out.verdict == want
+                # The witness swaps in the lexicographically first offender.
+                offenders = []
+                for i, rs in enumerate(s.row_sets):
+                    for j, row in enumerate(rs.rows):
+                        bar = tilde.copy()
+                        bar[i] = row
+                        if (sign * (v - bar @ u)).max() > stol:
+                            offenders.append((i, j))
+                assert out.witness_position == (offenders[0] if offenders else None)
 
 
 class TestProbe:
@@ -318,6 +328,17 @@ class TestCertifyExtremal:
         sandwich = np.concatenate([s.matrices, extra])
         margins = (sandwich @ v - cert.rho * v[None, :]).min(axis=1)
         assert margins.min() >= -1e-9
+
+    def test_refuses_signed_families(self):
+        # A v <= rho v bounds no signed member's radius: the second member
+        # has radius 5 while the candidate's Perron pair gives 3.
+        signed = ExplicitSet([[[2.0, 1.0], [1.0, 2.0]], [[5.0, -5.0], [0.0, 0.0]]])
+        signed_iru = IruSet([[[2.0, 1.0]], [[1.0, 2.0], [-1.0, 3.0]]])
+        for s in (signed, signed_iru):
+            for direction in ("min", "max"):
+                with pytest.raises(DomainError):
+                    certify_extremal(s, [[2.0, 1.0], [1.0, 2.0]], direction,
+                                     cert_tol=1e-9)
 
     def test_explicit_set_route(self):
         # An enumerated row-independent family certifies through the

@@ -108,6 +108,27 @@ class TestCommands:
         cert = data["results"]["certificate"]
         assert cert["worst_margin"] >= -cert["cert_tol"]
 
+    def test_simplex_on_expression_tree(self, capsys, tmp_path):
+        path = tmp_path / "expr.json"
+        write_descriptor(gen_instance("expr", seed=3, lo=0.1, hi=2.0,
+                                      n_rows=3, depth=3), path)
+        for direction in ("min", "max"):
+            code, data = _run_json(
+                capsys, ["simplex", "--input", str(path), "--direction",
+                         direction, "--format", "json"])
+            assert code == EXIT_OK
+            _, want = _run_json(
+                capsys, ["extremal", "--input", str(path), "--direction",
+                         direction, "--format", "json"])
+            assert data["results"]["rho"] == pytest.approx(
+                want["results"]["rho"], abs=1e-9)
+
+        code = main(["simplex", "--input", str(path), "--direction", "max",
+                     "--epsilon", "1e-3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "error:" in err and "Traceback" not in err
+
     def test_simplex_rejects_explicit_input(self, capsys, diag_pair):
         code = main(["simplex", "--input", diag_pair, "--direction", "max"])
         assert code == EXIT_USAGE

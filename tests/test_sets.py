@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from hourglass.sets import (
     expr_expand,
     hausdorff_distance,
     iru_enumerate,
-    iru_minkowski_sum,
     minkowski_product,
     minkowski_sum,
     scale_set,
@@ -234,31 +235,6 @@ class TestScaleSet:
             scale_set(0.0, ExplicitSet([NILP_A]))
 
 
-class TestIruMinkowskiSum:
-    def test_zero_rows_identity(self):
-        rng = np.random.default_rng(11)
-        a = _random_iru(rng, 2, (2, 2))
-        zeros = IruSet([np.zeros((1, 2)), np.zeros((1, 2))])
-        out = iru_minkowski_sum(a, zeros)
-        assert set_equal(iru_enumerate(out), iru_enumerate(a))
-
-    def test_matches_explicit_sum(self):
-        rng = np.random.default_rng(12)
-        a = _random_iru(rng, 2, (2, 1))
-        b = _random_iru(rng, 2, (2, 2))
-        structured = iru_enumerate(iru_minkowski_sum(a, b))
-        explicit = minkowski_sum(iru_enumerate(a), iru_enumerate(b))
-        assert set_equal(structured, explicit, tol=1e-10)
-
-    def test_row_set_sizes_multiply(self):
-        rng = np.random.default_rng(13)
-        a = _random_iru(rng, 2, (2, 3))
-        b = _random_iru(rng, 2, (3, 2))
-        out = iru_minkowski_sum(a, b)
-        for ra, rb, ro in zip(a.row_sets, b.row_sets, out.row_sets):
-            assert ro.size <= ra.size * rb.size
-
-
 class TestExprExpand:
     def test_leaf(self):
         rng = np.random.default_rng(14)
@@ -389,6 +365,43 @@ class TestHausdorff:
         nearest = np.abs(b.matrices - a.matrices[i]).max(axis=(1, 2)).min()
         assert nearest == pytest.approx(d)
         assert rep.distance == max(rep.witness_a_to_b[1], rep.witness_b_to_a[1])
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_matches_unchunked_formula(self, monkeypatch, batch):
+        # Small integer entries tie many nearest distances: the blocked scan
+        # gives the same distance and the same first witnesses.
+        import hourglass.sets as sets
+
+        if batch is not None:
+            monkeypatch.setattr(sets, "BATCH_ENTRIES", batch)  # one row a block
+        rng = np.random.default_rng(25)
+        for trial in range(30):
+            n, m = (int(x) for x in rng.integers(1, 4, size=2))
+            ka, kb = (int(x) for x in rng.integers(1, 300, size=2))
+            draw = ((lambda k: rng.integers(0, 3, size=(k, n, m))) if trial % 2
+                    else (lambda k: rng.uniform(0.0, 2.0, size=(k, n, m))))
+            a, b = ExplicitSet(draw(ka)), ExplicitSet(draw(kb))
+            diff = np.abs(a.matrices[:, None] - b.matrices[None, :])
+            for norm, dists in (("max", diff.max(axis=(2, 3))),
+                                ("l1op", diff.sum(axis=2).max(axis=2))):
+                near_a, near_b = dists.min(axis=1), dists.min(axis=0)
+                ia, ib = int(near_a.argmax()), int(near_b.argmax())
+                rep = hausdorff_distance(a, b, norm)
+                assert rep.witness_a_to_b == (ia, near_a[ia])
+                assert rep.witness_b_to_a == (ib, near_b[ib])
+                assert rep.distance == max(near_a[ia], near_b[ib])
+
+    def test_memory_bounded(self):
+        rng = np.random.default_rng(26)
+        a, b = (ExplicitSet(rng.uniform(0.0, 1.0, size=(1500, 3, 3)))
+                for _ in range(2))
+        tracemalloc.start()
+        try:
+            hausdorff_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # the full difference array is 1500*1500*9 floats
 
 
 class TestConvexSample:

@@ -7,15 +7,19 @@ import pytest
 from hourglass import spectral
 from hourglass.alternative import certify_extremal
 from hourglass.descriptors import parse_descriptor
+from hourglass.generate import random_expr
 from hourglass.linalg import DomainError, perron_vector, spectral_radius_power
 from hourglass.sets import (
     ExplicitSet,
     GuardExceededError,
+    IdentityElem,
     IruSet,
     Leaf,
+    OrderedChain,
     Product,
     Scale,
     Sum,
+    ZeroElem,
     epsilon_lift,
     expr_expand,
     iru_enumerate,
@@ -159,6 +163,67 @@ class TestSpectralSimplex:
         s = IruSet([[[0.0, 1.0]], [[1.0, 1.0]]])
         with pytest.raises(DomainError):
             spectral_simplex(s, "max")
+
+    @staticmethod
+    def _assert_solves(e, direction):
+        # rho is the eigvals extremum over the expansion, and the terminal
+        # certificate holds on every expanded member.
+        mats = expr_expand(e).matrices
+        radii = np.abs(np.linalg.eigvals(mats)).max(axis=1)
+        want = radii.min() if direction == "min" else radii.max()
+        trace = spectral_simplex(e, direction)
+        assert trace.rho == pytest.approx(want, rel=1e-12)
+        cert = trace.certificate
+        v = cert.perron.eigenvector
+        sign = 1.0 if direction == "min" else -1.0
+        assert (sign * (mats @ v - cert.rho * v)).min() >= -cert.cert_tol
+        assert cert.worst_margin >= -cert.cert_tol
+        return trace
+
+    def test_expression_trees_match_eigvals(self):
+        rng = np.random.default_rng(21)
+        for _ in range(120):
+            e = random_expr(rng, 3, int(rng.integers(2, 5)), 0.1, 2.0)
+            for direction in ("min", "max"):
+                self._assert_solves(e, direction)
+
+    def test_units_and_dominated_explicit_leaf(self):
+        # An explicit leaf holding an enumerated IRU family has a member of
+        # extremal image at every positive vector.
+        rng = np.random.default_rng(22)
+        iru = _random_iru(rng, 3, (2, 3, 2))
+        chain = OrderedChain(np.cumsum(rng.uniform(0.1, 1.0, size=(3, 3, 3)),
+                                       axis=0))
+        e = Product((Sum((Leaf(iru), IdentityElem(3))),
+                     Sum((Leaf(chain), ZeroElem(3, 3))),
+                     Scale(0.5, Leaf(iru_enumerate(_random_iru(rng, 3, (2, 2, 1)))))))
+        for direction in ("min", "max"):
+            trace = self._assert_solves(e, direction)
+            # product factors right to left: explicit, chain, then 3 IRU rows
+            assert len(trace.selection) == 5
+
+    def test_bare_chain(self):
+        rng = np.random.default_rng(23)
+        chain = OrderedChain(np.cumsum(rng.uniform(0.1, 1.0, size=(4, 3, 3)),
+                                       axis=0))
+        for direction, member in (("min", 0), ("max", 3)):
+            assert self._assert_solves(chain, direction).selection == (member,)
+
+    def test_explicit_leaf_without_extremal_member(self):
+        # The two images are incomparable at every positive vector.
+        pair = ExplicitSet([[[3.0, 0.1], [0.1, 0.1]], [[0.1, 0.1], [0.1, 3.0]]])
+        for e in (pair, Sum((Leaf(pair), Leaf(pair)))):
+            with pytest.raises(DomainError):
+                spectral_simplex(e, "max")
+
+    def test_refuses_signed_families(self):
+        signed = ExplicitSet([[[2.0, 1.0], [1.0, 2.0]], [[5.0, -5.0], [0.0, 0.0]]])
+        tree = Sum((Leaf(signed), Leaf(ExplicitSet([np.full((2, 2), 10.0)]))))
+        signed_iru = IruSet([[[2.0, 1.0]], [[1.0, 2.0], [-1.0, 3.0]]])
+        for e in (signed, tree, signed_iru):
+            for direction in ("min", "max"):
+                with pytest.raises(DomainError):
+                    spectral_simplex(e, direction)
 
 
 class TestRhoNBruteforce:
