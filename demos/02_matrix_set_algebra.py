@@ -11,7 +11,6 @@ import numpy as np
 from hourglass import (
     ExplicitSet,
     IruSet,
-    Leaf,
     OrderedChain,
     Product,
     Scale,
@@ -54,7 +53,7 @@ print("|a b|   =", minkowski_product(a, b).size)
 # enumerations.
 f1 = IruSet([rng.uniform(0.1, 1.0, size=(2, 2)) for _ in range(2)])
 f2 = IruSet([rng.uniform(0.1, 1.0, size=(2, 2)) for _ in range(2)])
-tree = Sum((Leaf(f1), Leaf(f2)))
+tree = Sum((f1, f2))
 explicit = minkowski_sum(iru_enumerate(f1), iru_enumerate(f2))
 print("\nSum tree expands to the explicit sum:",
       set_equal(expr_expand(tree), explicit))
@@ -65,7 +64,7 @@ print("Expression trees")
 print("=" * 70)
 
 # (F1 F2 + 0.5 F1) expanded under a cardinality guard.
-expr = Sum((Product((Leaf(f1), Leaf(f2))), Scale(0.5, Leaf(f1))))
+expr = Sum((Product((f1, f2)), Scale(0.5, f1)))
 print("\nprojected size bound:", expr.cardinality_bound())
 expanded = expr_expand(expr, size_guard=10_000)
 print("expanded:", expanded)

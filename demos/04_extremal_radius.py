@@ -17,7 +17,6 @@ import numpy as np
 
 from hourglass import (
     IruSet,
-    Leaf,
     OrderedChain,
     Product,
     Scale,
@@ -78,7 +77,7 @@ print("=" * 70)
 # (F + C) (0.5 F): the search picks a member of each leaf from the image of
 # the current Perron vector; the exhaustive scan needs every product.
 chain = OrderedChain(np.cumsum(rng.uniform(0.1, 1.0, size=(3, 3, 3)), axis=0))
-tree = Product((Sum((Leaf(family), Leaf(chain))), Scale(0.5, Leaf(family))))
+tree = Product((Sum((family, chain)), Scale(0.5, family)))
 expanded = expr_expand(tree)
 for direction in ("max", "min"):
     oracle, _ = rho_extremal_exhaustive(expanded, direction)

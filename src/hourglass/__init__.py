@@ -29,7 +29,6 @@ from .sets import (
     HausdorffReport,
     IdentityElem,
     IruSet,
-    Leaf,
     OrderedChain,
     Product,
     RowSet,

@@ -44,7 +44,6 @@ from .sets import (
     ExplicitSet,
     IdentityElem,
     IruSet,
-    Leaf,
     OrderedChain,
     Product,
     Scale,
@@ -93,7 +92,6 @@ def extremal_pick(e, w: np.ndarray, sign: float, keep, tol: float) -> tuple:
     ``ties`` flags, per choice, two candidates within ``tol`` of the
     extremum.  Negative leaves raise DomainError.
     """
-    e = e.base if isinstance(e, Leaf) else e
     if isinstance(e, (IruSet, OrderedChain, ExplicitSet)):
         if not isinstance(e, OrderedChain) and not e.is_nonnegative:
             raise DomainError("extremal images require nonnegative leaves")
@@ -152,6 +150,8 @@ class HourglassOutcome:
 
 def _hourglass_iru(s: IruSet, a_tilde, u, strict_tol, sign: int) -> HourglassOutcome:
     """Shared H1/H2 decision; sign=+1 looks for a row below, -1 for one above."""
+    if not isinstance(s, IruSet):
+        raise TypeError(f"hourglass decisions need an IruSet, got {type(s).__name__}")
     if not s.is_positive:
         raise DomainError("hourglass decisions require a positive IRU set")
     u = as_vector(u)

@@ -39,7 +39,6 @@ from .sets import (
     DEFAULT_SIZE_GUARD,
     GuardExceededError,
     IruSet,
-    Leaf,
     OrderedChain,
     epsilon_lift,
     expr_expand,
@@ -142,10 +141,9 @@ def cmd_extremal(args, expr) -> dict:
 def cmd_simplex(args, expr) -> dict:
     family = expr
     if args.epsilon is not None:
-        if not (isinstance(expr, Leaf)
-                and isinstance(expr.base, (IruSet, OrderedChain))):
+        if not isinstance(expr, (IruSet, OrderedChain)):
             raise DomainError("--epsilon lifts only a bare iru or chain")
-        family = epsilon_lift(expr.base, args.epsilon)
+        family = epsilon_lift(expr, args.epsilon)
     trace = spectral_simplex(family, args.direction, tol=args.tol)
     return {
         "direction": args.direction,

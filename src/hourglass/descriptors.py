@@ -32,7 +32,6 @@ from .sets import (
     ExplicitSet,
     IdentityElem,
     IruSet,
-    Leaf,
     OrderedChain,
     Product,
     RowSet,
@@ -116,10 +115,10 @@ def _parse_node(obj, path: str) -> SetExpr:
     try:
         if kind == "matrix":
             entries = _numeric_array(_get(obj, "entries", path), f"{path}.entries", 2)
-            return Leaf(ExplicitSet(entries[None], dedup=False))
+            return ExplicitSet(entries[None], dedup=False)
         if kind == "explicit":
             mats = _numeric_array(_get(obj, "matrices", path), f"{path}.matrices", 3)
-            return Leaf(ExplicitSet(mats))
+            return ExplicitSet(mats)
         if kind == "iru":
             raw = _get(obj, "row_sets", path)
             if not isinstance(raw, list) or not raw:
@@ -128,10 +127,10 @@ def _parse_node(obj, path: str) -> SetExpr:
                 RowSet(_numeric_array(rs, f"{path}.row_sets[{i}]", 2))
                 for i, rs in enumerate(raw)
             ]
-            return Leaf(IruSet(row_sets))
+            return IruSet(row_sets)
         if kind == "chain":
             mats = _numeric_array(_get(obj, "matrices", path), f"{path}.matrices", 3)
-            return Leaf(OrderedChain(mats))
+            return OrderedChain(mats)
         if kind in ("sum", "product"):
             raw = _get(obj, "children", path)
             if not isinstance(raw, list) or len(raw) < 2:
@@ -180,16 +179,15 @@ def parse_descriptor(path) -> SetExpr:
 
 
 def _serialize_node(e: SetExpr) -> dict:
-    if isinstance(e, Leaf):
-        base = e.base
-        if isinstance(base, IruSet):
-            return {
-                "type": "iru",
-                "row_sets": [rs.rows.tolist() for rs in base.row_sets],
-            }
-        if isinstance(base, OrderedChain):
-            return {"type": "chain", "matrices": base.matrices.tolist()}
-        return {"type": "explicit", "matrices": base.matrices.tolist()}
+    if isinstance(e, IruSet):
+        return {
+            "type": "iru",
+            "row_sets": [rs.rows.tolist() for rs in e.row_sets],
+        }
+    if isinstance(e, OrderedChain):
+        return {"type": "chain", "matrices": e.matrices.tolist()}
+    if isinstance(e, ExplicitSet):
+        return {"type": "explicit", "matrices": e.matrices.tolist()}
     if isinstance(e, Sum):
         return {"type": "sum", "children": [_serialize_node(c) for c in e.children]}
     if isinstance(e, Product):
@@ -254,8 +252,3 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
-
-
-def expr_equal(a: SetExpr, b: SetExpr) -> bool:
-    """Structural equality of two expression trees (exact entries)."""
-    return serialize_expr(a) == serialize_expr(b)

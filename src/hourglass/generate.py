@@ -13,7 +13,6 @@ from .descriptors import serialize_expr
 from .linalg import DomainError
 from .sets import (
     IruSet,
-    Leaf,
     OrderedChain,
     Product,
     RowSet,
@@ -68,9 +67,9 @@ def random_expr(rng: np.random.Generator, depth: int, dim: int,
     def leaf() -> SetExpr:
         if rng.integers(2) == 0:
             size = int(rng.integers(1, 3))
-            return Leaf(random_iru(rng, dim, dim, size, lo, hi))
+            return random_iru(rng, dim, dim, size, lo, hi)
         length = int(rng.integers(2, 4))
-        return Leaf(random_chain(rng, length, dim, dim, lo, hi))
+        return random_chain(rng, length, dim, dim, lo, hi)
 
     def node(d: int) -> SetExpr:
         if d == 0:
@@ -104,10 +103,10 @@ def gen_instance(kind: str, seed: int, lo: float, hi: float,
     rng = np.random.default_rng(seed)
     if kind == "iru":
         _check_range(lo, hi, allow_boundary)
-        expr = Leaf(random_iru(rng, n_rows, n_cols, row_set_size, lo, hi))
+        expr = random_iru(rng, n_rows, n_cols, row_set_size, lo, hi)
     elif kind == "chain":
         _check_range(lo, hi, allow_boundary)
-        expr = Leaf(random_chain(rng, length, n_rows, n_cols, lo, hi))
+        expr = random_chain(rng, length, n_rows, n_cols, lo, hi)
     elif kind == "expr":
         _check_range(lo, hi, allow_boundary=False)
         if n_rows != n_cols:

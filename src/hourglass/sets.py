@@ -8,8 +8,8 @@ Three concrete set representations are provided:
   entrywise;
 * ``ExplicitSet``: a plain deduplicated list of matrices.
 
-On top of these sit expression trees (``Sum``, ``Product``, ``Scale``,
-``ZeroElem``, ``IdentityElem`` over ``Leaf`` nodes) with Minkowski
+All three are ``SetExpr`` nodes: the leaves of expression trees (``Sum``,
+``Product``, ``Scale``, ``ZeroElem``, ``IdentityElem``) with Minkowski
 semantics: the sum of two sets is the set of all pairwise sums, the
 product the set of all pairwise products.  ``expr_expand`` materializes an
 expression into an ``ExplicitSet`` under a cardinality guard.
@@ -119,7 +119,20 @@ class RowSet:
         return f"RowSet({self.size} rows of length {self.dim})"
 
 
-class IruSet:
+class SetExpr:
+    """Expression tree node with Minkowski semantics; the three set classes
+    are its leaves."""
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def cardinality_bound(self) -> int:
+        """Upper bound on the materialized set size, before deduplication."""
+        raise NotImplementedError
+
+
+class IruSet(SetExpr):
     """Independent-row-uncertainty family: row i drawn from ``row_sets[i]``.
 
     The represented set contains every matrix assembled by one choice per
@@ -155,6 +168,9 @@ class IruSet:
     def cardinality(self) -> int:
         return math.prod(rs.size for rs in self.row_sets)
 
+    def cardinality_bound(self) -> int:
+        return self.cardinality
+
     @property
     def is_nonnegative(self) -> bool:
         return all(rs.is_nonnegative for rs in self.row_sets)
@@ -176,7 +192,7 @@ class IruSet:
         return f"IruSet({self.n_rows}x{self.n_cols}, row set sizes {sizes})"
 
 
-class OrderedChain:
+class OrderedChain(SetExpr):
     """Entrywise-ordered finite list of nonnegative matrices."""
 
     def __init__(self, matrices):
@@ -200,6 +216,9 @@ class OrderedChain:
     def size(self) -> int:
         return self.matrices.shape[0]
 
+    def cardinality_bound(self) -> int:
+        return self.size
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrices.shape[1:]
@@ -217,7 +236,7 @@ class OrderedChain:
         return f"OrderedChain({self.size} matrices, {n}x{m})"
 
 
-class ExplicitSet:
+class ExplicitSet(SetExpr):
     """A finite set of equal-size matrices, deduplicated within a tolerance."""
 
     def __init__(self, matrices, dedup_tol: float | None = None,
@@ -239,6 +258,9 @@ class ExplicitSet:
     @property
     def size(self) -> int:
         return self.matrices.shape[0]
+
+    def cardinality_bound(self) -> int:
+        return self.size
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -448,34 +470,11 @@ def transpose_set(s) -> ExplicitSet:
     return ExplicitSet(members.transpose(0, 2, 1), dedup=False)
 
 
-class SetExpr:
-    """Expression tree node over matrix-set leaves with Minkowski semantics."""
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def cardinality_bound(self) -> int:
-        """Upper bound on the materialized set size, before deduplication."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True, eq=False)
-class Leaf(SetExpr):
-    base: IruSet | OrderedChain | ExplicitSet
-
-    def __post_init__(self):
-        if not isinstance(self.base, (IruSet, OrderedChain, ExplicitSet)):
-            raise TypeError(f"unsupported leaf payload {type(self.base).__name__}")
-
-    @property
-    def shape(self):
-        return tuple(self.base.shape)
-
-    def cardinality_bound(self):
-        if isinstance(self.base, IruSet):
-            return self.base.cardinality
-        return self.base.size
+def Leaf(s):
+    """``s`` itself, checked to be a set: a set is its own one-leaf tree."""
+    if not isinstance(s, (IruSet, OrderedChain, ExplicitSet)):
+        raise TypeError(f"unsupported leaf payload {type(s).__name__}")
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,14 +577,12 @@ def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD,
                 dedup_tol: float | None = None) -> ExplicitSet:
     """Materialize an expression tree into an explicit matrix set.
 
-    A bare ``IruSet``, ``OrderedChain`` or ``ExplicitSet`` counts as a
-    one-leaf expression.  The projected cardinality is estimated bottom-up
-    first; if it exceeds ``size_guard`` nothing is materialized and the
-    error reports the required size so the caller can restructure the
-    expression.
+    The projected cardinality is estimated bottom-up first; if it exceeds
+    ``size_guard`` nothing is materialized and the error reports the
+    required size so the caller can restructure the expression.
     """
     if not isinstance(e, SetExpr):
-        e = Leaf(e)
+        raise TypeError(f"unknown expression node {type(e).__name__}")
     bound = e.cardinality_bound()
     if bound > size_guard:
         raise GuardExceededError(bound, size_guard)
@@ -593,12 +590,12 @@ def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD,
 
 
 def _materialize(e: SetExpr, guard: int, tol: float | None) -> ExplicitSet:
-    if isinstance(e, Leaf):
-        if isinstance(e.base, IruSet):
-            return iru_enumerate(e.base, guard)
-        if isinstance(e.base, OrderedChain):
-            return chain_enumerate(e.base)
-        return e.base
+    if isinstance(e, IruSet):
+        return iru_enumerate(e, guard)
+    if isinstance(e, OrderedChain):
+        return chain_enumerate(e)
+    if isinstance(e, ExplicitSet):
+        return e
     if isinstance(e, Sum):
         parts = [_materialize(c, guard, tol) for c in e.children]
         return reduce(lambda x, y: minkowski_sum(x, y, tol), parts)

@@ -35,8 +35,8 @@ from .sets import (
     DEFAULT_SIZE_GUARD,
     ExplicitSet,
     GuardExceededError,
-    Leaf,
-    SetExpr,
+    IruSet,
+    OrderedChain,
     convex_combination,
     expr_expand,
 )
@@ -289,8 +289,7 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
     n, m = s.shape
     if n != m:
         raise DomainError(f"need a square family, got {n}x{m}")
-    base = s.base if isinstance(s, Leaf) else s
-    if not isinstance(base, SetExpr) and not base.is_positive:
+    if isinstance(s, (IruSet, OrderedChain, ExplicitSet)) and not s.is_positive:
         raise DomainError(
             "spectral_simplex requires a strictly positive family; "
             "apply an epsilon lift to boundary sets first"
@@ -313,7 +312,7 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
         if choices == selection:
             if cert_tol is None:
                 cert_tol = max(tol, 1e-10 * (1.0 + rho))
-            cert = _certify_margins(base, a, perron, direction, cert_tol)
+            cert = _certify_margins(s, a, perron, direction, cert_tol)
             return SimplexTrace(direction, tuple(steps), cert)
         if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "

@@ -19,6 +19,7 @@ from hourglass.sets import (
     minkowski_product,
     minkowski_sum,
     OrderedChain,
+    Sum,
 )
 from hourglass.spectral import rho_extremal_exhaustive
 
@@ -52,6 +53,13 @@ def _probe_per_trial(s, trials, seed, strict_tol=None):
 
 
 class TestHourglassH1:
+    def test_non_iru_families_raise_type_error(self):
+        chain = OrderedChain([np.full((2, 2), 1.0), np.full((2, 2), 2.0)])
+        for s in (ExplicitSet(chain.matrices), chain, Sum((chain, chain))):
+            for decide in (hourglass_h1_iru, hourglass_h2_iru):
+                with pytest.raises(TypeError, match="need an IruSet"):
+                    decide(s, (0, 0), [1.0, 1.0])
+
     def test_singleton_all_on_side(self):
         s = IruSet([[[1.0, 2.0]], [[3.0, 1.0]]])
         out = hourglass_h1_iru(s, (0, 0), [1.0, 1.0])

@@ -363,8 +363,7 @@ class TestGen:
         out = tmp_path / "chain.json"
         main(["gen", "--kind", "chain", "--seed", "5", "--out", str(out),
               "--rows", "3", "--length", "4"])
-        expr = parse_descriptor(out)
-        chain = expr.base
+        chain = parse_descriptor(out)
         assert isinstance(chain, OrderedChain)
         assert np.all(chain.matrices[1:] >= chain.matrices[:-1])
 

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from hourglass.alternative import certify_extremal, hourglass_h1_iru
 from hourglass.descriptors import (
     DescriptorSchemaError,
     DescriptorSyntaxError,
     descriptor_digest,
-    expr_equal,
     jsonable,
     parse_descriptor,
     parse_descriptor_obj,
@@ -20,12 +20,19 @@ from hourglass.sets import (
     ExplicitSet,
     IdentityElem,
     IruSet,
-    Leaf,
     Product,
     Scale,
     Sum,
     ZeroElem,
+    epsilon_lift,
     expr_expand,
+    iru_enumerate,
+    scale_set,
+)
+from hourglass.spectral import (
+    jsr_lsr_bounds,
+    rho_extremal_exhaustive,
+    spectral_simplex,
 )
 
 
@@ -43,15 +50,39 @@ def test_explicit_pair_file(tmp_path):
         "matrices": [[[0, 2], [0, 0]], [[0, 0], [2, 0]]],
     }))
     expr = parse_descriptor(path)
-    assert isinstance(expr, Leaf)
-    assert isinstance(expr.base, ExplicitSet)
-    assert expr.base.size == 2
+    assert isinstance(expr, ExplicitSet)
+    assert expr.size == 2
+
+
+def test_parsed_sets_feed_the_set_api(tmp_path):
+    # A parsed leaf descriptor is the set itself, not a wrapper around it.
+    iru_path, explicit_path = tmp_path / "iru.json", tmp_path / "explicit.json"
+    write_descriptor({"type": "iru",
+                      "row_sets": [[[1.0, 0.5], [0.5, 1.0]], [[0.25, 2.0]]]},
+                     iru_path)
+    write_descriptor({"type": "explicit",
+                      "matrices": [[[1.0, 0.5], [0.5, 1.0]],
+                                   [[2.0, 0.1], [0.1, 2.0]]]},
+                     explicit_path)
+    iru, explicit = parse_descriptor(iru_path), parse_descriptor(explicit_path)
+    trace = spectral_simplex(iru, "max")
+    cert = certify_extremal(iru, trace.certificate.extremal_matrix, "max", 1e-9)
+    assert cert.perron.rho == pytest.approx(trace.rho, rel=1e-12)
+    assert isinstance(scale_set(2.0, explicit), ExplicitSet)
+    assert isinstance(epsilon_lift(iru, 1e-3), IruSet)
+    assert hourglass_h1_iru(iru, (0, 0), [1.0, 1.0]).direction == "H1"
+    members = iru_enumerate(iru)
+    assert members.size == iru.cardinality_bound() == 2
+    value, _ = rho_extremal_exhaustive(members, "max")
+    assert value == pytest.approx(trace.rho, rel=1e-9)
+    assert rho_extremal_exhaustive(explicit, "min")[0] == pytest.approx(1.5)
+    assert jsr_lsr_bounds(explicit, 2).n_max == 2
 
 
 def test_nested_sum_of_products_roundtrip(tmp_path):
     expr = Sum((
         Product((
-            Leaf(IruSet([[[1.0, 0.5]], [[0.25, 2.0], [1.0, 1.0]]])),
+            IruSet([[[1.0, 0.5]], [[0.25, 2.0], [1.0, 1.0]]]),
             IdentityElem(2),
         )),
         Scale(0.75, ZeroElem(2, 2)),
@@ -59,7 +90,7 @@ def test_nested_sum_of_products_roundtrip(tmp_path):
     path = tmp_path / "expr.json"
     write_descriptor(expr, path)
     back = parse_descriptor(path)
-    assert expr_equal(expr, back)
+    assert serialize_expr(expr) == serialize_expr(back)
 
 
 def test_matrix_convenience_form():
@@ -82,11 +113,11 @@ def test_numbers_as_decimal_strings():
 def test_float_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     entries = rng.uniform(0.1, 2.0, size=(3, 3))
-    expr = Leaf(ExplicitSet(entries[None]))
+    expr = ExplicitSet(entries[None])
     path = tmp_path / "m.json"
     write_descriptor(expr, path)
     back = parse_descriptor(path)
-    np.testing.assert_array_equal(back.base.matrices, expr.base.matrices)
+    np.testing.assert_array_equal(back.matrices, expr.matrices)
 
 
 def test_generated_descriptors_roundtrip(tmp_path):

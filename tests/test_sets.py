@@ -15,6 +15,7 @@ from hourglass.sets import (
     Product,
     RowSet,
     Scale,
+    SetExpr,
     Sum,
     ZeroElem,
     convex_sample,
@@ -236,6 +237,21 @@ class TestScaleSet:
 
 
 class TestExprExpand:
+    def test_every_set_is_an_expression_leaf(self):
+        rng = np.random.default_rng(18)
+        leaves = (
+            _random_iru(rng, 2, (2, 3)),
+            OrderedChain([np.eye(2), 2 * np.eye(2), 3 * np.eye(2)]),
+            ExplicitSet([NILP_A, NILP_B]),
+        )
+        assert [s.cardinality_bound() for s in leaves] == [6, 3, 2]
+        for s in leaves:
+            assert isinstance(s, SetExpr)
+            assert s.cardinality_bound() == expr_expand(s).size
+            assert Leaf(s) is s
+        with pytest.raises(TypeError):
+            Leaf(np.eye(2))
+
     def test_leaf(self):
         rng = np.random.default_rng(14)
         s = _random_iru(rng, 2, (2, 2))

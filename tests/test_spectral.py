@@ -409,6 +409,27 @@ class TestFinitenessVerify:
         with pytest.raises(DomainError):
             finiteness_verify(ExplicitSet([-np.eye(2)]), n_max=1)
 
+    def test_bare_set_under_benchmark_tracer(self, monkeypatch):
+        # The benchmark tracer sizes each expansion by the cardinality bound
+        # of its argument, which a bare set answers like any other node.
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+        import tracing
+
+        import hourglass.cli  # noqa: F401  (install looks up every target module)
+
+        rng = np.random.default_rng(15)
+        s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            report = spectral.finiteness_verify(s, n_max=2, sandwich_samples=0)
+        finally:
+            tracer.uninstall()
+        assert report.passed
+        expands = [span[tracing.INFO] for span in tracer.spans
+                   if span[tracing.NAME] == "sets.expr_expand"]
+        assert expands and expands[0] == {"bound": 4, "size": 4}
+
 
 class TestConvLsrCheck:
     def test_identity_trivial(self):
