@@ -1,13 +1,13 @@
-"""Dense kernels for nonnegative-matrix spectral analysis.
+"""Dense kernels for nonnegative-matrix spectral analysis, on numpy alone.
 
 Matrices are plain 2-D float numpy arrays and vectors are 1-D arrays; there
 is no wrapper type.  The module provides two independent spectral-radius
-algorithms (an irreducible-blockwise power iteration and a norm-of-squared-
-powers scheme) so that each can serve as a cross-check for the other, plus
-Perron eigenvector certificates and eigenvalue bound classification for
-nonnegative matrices.  One stacked Collatz-Wielandt power loop,
-``_bracketed_power``, serves both the radii and the Perron certificates;
-``perron_vector`` is its one-member case.
+algorithms (a power iteration over the irreducible blocks found by a boolean
+reachability closure, and a norm-of-squared-powers scheme) so that each can
+serve as a cross-check for the other, plus Perron eigenvector certificates
+and eigenvalue bound classification for nonnegative matrices.  One stacked
+Collatz-Wielandt power loop, ``_bracketed_power``, serves both the radii and
+the Perron certificates; ``perron_vector`` is its one-member case.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
-from scipy.sparse import csr_matrix
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -147,20 +145,21 @@ def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
 
 
 def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> tuple:
-    """Radius over the irreducible blocks, and an unconverged bracket's width."""
+    """Radius over the irreducible blocks (distinct rows of the mutual
+    reachability closure of ``a > 0``), and the widest unconverged bracket."""
     eps = _power_shift(a)
-    n_comp, labels = csgraph.connected_components(
-        csr_matrix(a > 0), directed=True, connection="strong"
-    )
+    reach = (a > 0) | np.eye(len(a), dtype=bool)
+    for _ in range((len(a) - 1).bit_length()):
+        reach = reach @ reach
     best, width = 0.0, 0.0
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
+    for block in np.unique(reach & reach.T, axis=0):
+        idx = np.flatnonzero(block)
         if idx.size == 1:
             best = max(best, float(a[idx[0], idx[0]]))
         else:
             (rho_c,), (w,), _ = _bracketed_power(a[np.ix_(idx, idx)][None], eps,
                                                  tol, max_iter)
-            best, width = max(best, float(rho_c)), w or width
+            best, width = max(best, float(rho_c)), max(width, w)
     return best, width
 
 
@@ -169,14 +168,14 @@ def spectral_radius_power(a, tol: float = DEFAULT_TOL,
     """Spectral radius of a nonnegative square matrix, certified to ``tol``.
 
     The matrix is split into its strongly connected (irreducible) diagonal
-    blocks; the spectrum is the union of the block spectra, so the radius is
-    the maximum block radius.  Blocks of size one are read off directly.
-    Larger blocks are shifted by eps*I with eps = 1e-3 * max entry, which
-    increases their radius by exactly eps and makes them primitive, and then
+    blocks by a reachability closure; the spectrum is the union of the block
+    spectra, so the radius is the maximum block radius.  Blocks of size one
+    are read off; larger ones are shifted by eps*I (eps = 1e-3 * max entry),
+    which adds exactly eps to their radius and makes them primitive, then
     iterated until the Collatz-Wielandt ratio bracket is narrower than ``tol``.
 
-    Raises ConvergenceError (carrying the best estimate) if some block fails
-    to reach the requested bracket width within ``max_iter`` iterations.
+    Raises ConvergenceError (carrying the best estimate and the widest failing
+    bracket) if some block misses ``tol`` within ``max_iter`` iterations.
     """
     return float(spectral_radii(as_square(a)[None], tol, max_iter)[0])
 

@@ -87,7 +87,7 @@ def _dedup_rows(flat: np.ndarray, tol: float) -> np.ndarray:
 class RowSet:
     """A finite nonempty set of admissible rows of a common length."""
 
-    def __init__(self, rows, dedup_tol: float | None = None):
+    def __init__(self, rows):
         arr = np.asarray(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise DimensionMismatchError(
@@ -95,8 +95,7 @@ class RowSet:
             )
         if not np.all(np.isfinite(arr)):
             raise DomainError("RowSet entries must be finite")
-        tol = dedup_tolerance(arr) if dedup_tol is None else dedup_tol
-        self.rows = _dedup_rows(arr, tol)
+        self.rows = _dedup_rows(arr, dedup_tolerance(arr))
         self.rows.setflags(write=False)
 
     @property
@@ -239,8 +238,7 @@ class OrderedChain(SetExpr):
 class ExplicitSet(SetExpr):
     """A finite set of equal-size matrices, deduplicated within a tolerance."""
 
-    def __init__(self, matrices, dedup_tol: float | None = None,
-                 dedup: bool = True):
+    def __init__(self, matrices, dedup: bool = True):
         arr = np.asarray(matrices, dtype=float)
         if arr.ndim != 3 or arr.shape[0] == 0:
             raise DimensionMismatchError(
@@ -249,9 +247,9 @@ class ExplicitSet(SetExpr):
         if not np.all(np.isfinite(arr)):
             raise DomainError("ExplicitSet entries must be finite")
         if dedup:
-            tol = dedup_tolerance(arr) if dedup_tol is None else dedup_tol
             k, n, m = arr.shape
-            arr = _dedup_rows(arr.reshape(k, n * m), tol).reshape(-1, n, m)
+            arr = _dedup_rows(arr.reshape(k, n * m),
+                              dedup_tolerance(arr)).reshape(-1, n, m)
         self.matrices = arr
         self.matrices.setflags(write=False)
 
@@ -325,8 +323,7 @@ def chain_enumerate(c: OrderedChain) -> ExplicitSet:
     return ExplicitSet(c.matrices, dedup=False)
 
 
-def minkowski_sum(a: ExplicitSet, b: ExplicitSet,
-                  dedup_tol: float | None = None) -> ExplicitSet:
+def minkowski_sum(a: ExplicitSet, b: ExplicitSet) -> ExplicitSet:
     """All pairwise sums {A + B}, deduplicated."""
     if a.shape != b.shape:
         raise DimensionMismatchError(
@@ -334,11 +331,10 @@ def minkowski_sum(a: ExplicitSet, b: ExplicitSet,
         )
     n, m = a.shape
     sums = (a.matrices[:, None] + b.matrices[None, :]).reshape(-1, n, m)
-    return ExplicitSet(sums, dedup_tol=dedup_tol)
+    return ExplicitSet(sums)
 
 
-def minkowski_product(a: ExplicitSet, b: ExplicitSet,
-                      dedup_tol: float | None = None) -> ExplicitSet:
+def minkowski_product(a: ExplicitSet, b: ExplicitSet) -> ExplicitSet:
     """All pairwise products {A B}, deduplicated."""
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(
@@ -346,7 +342,7 @@ def minkowski_product(a: ExplicitSet, b: ExplicitSet,
         )
     prods = np.einsum("aij,bjk->abik", a.matrices, b.matrices)
     prods = prods.reshape(-1, a.shape[0], b.shape[1])
-    return ExplicitSet(prods, dedup_tol=dedup_tol)
+    return ExplicitSet(prods)
 
 
 def scale_set(t: float, s):
@@ -573,8 +569,7 @@ class IdentityElem(SetExpr):
         return 1
 
 
-def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD,
-                dedup_tol: float | None = None) -> ExplicitSet:
+def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSet:
     """Materialize an expression tree into an explicit matrix set.
 
     The projected cardinality is estimated bottom-up first; if it exceeds
@@ -586,10 +581,10 @@ def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD,
     bound = e.cardinality_bound()
     if bound > size_guard:
         raise GuardExceededError(bound, size_guard)
-    return _materialize(e, size_guard, dedup_tol)
+    return _materialize(e, size_guard)
 
 
-def _materialize(e: SetExpr, guard: int, tol: float | None) -> ExplicitSet:
+def _materialize(e: SetExpr, guard: int) -> ExplicitSet:
     if isinstance(e, IruSet):
         return iru_enumerate(e, guard)
     if isinstance(e, OrderedChain):
@@ -597,13 +592,13 @@ def _materialize(e: SetExpr, guard: int, tol: float | None) -> ExplicitSet:
     if isinstance(e, ExplicitSet):
         return e
     if isinstance(e, Sum):
-        parts = [_materialize(c, guard, tol) for c in e.children]
-        return reduce(lambda x, y: minkowski_sum(x, y, tol), parts)
+        parts = [_materialize(c, guard) for c in e.children]
+        return reduce(minkowski_sum, parts)
     if isinstance(e, Product):
-        parts = [_materialize(c, guard, tol) for c in e.children]
-        return reduce(lambda x, y: minkowski_product(x, y, tol), parts)
+        parts = [_materialize(c, guard) for c in e.children]
+        return reduce(minkowski_product, parts)
     if isinstance(e, Scale):
-        return scale_set(e.factor, _materialize(e.child, guard, tol))
+        return scale_set(e.factor, _materialize(e.child, guard))
     if isinstance(e, ZeroElem):
         return ExplicitSet(np.zeros((1, e.n_rows, e.n_cols)), dedup=False)
     if isinstance(e, IdentityElem):

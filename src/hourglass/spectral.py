@@ -324,7 +324,7 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
         steps[-1].rho if steps else float("nan"), trace=tuple(steps))
 
 
-def rho_n_bruteforce(s: ExplicitSet, n: int, direction: str,
+def rho_n_bruteforce(s, n: int, direction: str,
                      size_guard: int = DEFAULT_SIZE_GUARD,
                      use_cyclic: bool = True) -> tuple[float, tuple[int, ...]]:
     """Extremal n-th root spectral radius over all length-n products.
@@ -338,6 +338,7 @@ def rho_n_bruteforce(s: ExplicitSet, n: int, direction: str,
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
     if n < 1:
         raise DomainError(f"word length must be >= 1, got {n}")
+    s = expr_expand(s, size_guard)
     _require_square_set(s)
     count = necklace_count(s.size, n) if use_cyclic else s.size ** n
     if count > size_guard:
@@ -377,16 +378,17 @@ class SpectralSummary:
         return (0.0, min(self.rho_check))
 
 
-def jsr_lsr_bounds(s: ExplicitSet, n_max: int,
+def jsr_lsr_bounds(s, n_max: int,
                    size_guard: int = DEFAULT_SIZE_GUARD) -> SpectralSummary:
     """Fill the four bound sequences for word lengths 1..n_max.
 
-    Radius sequences run over cyclic representatives; norm sequences need
-    the full word set (norms are not rotation invariant), so the guard is
-    checked against ``|s| ** n``.
+    ``s`` is expanded first.  Radius sequences run over cyclic
+    representatives; norm sequences need the full word set (norms are not
+    rotation invariant), so the guard is checked against ``|s| ** n``.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    s = expr_expand(s, size_guard)
     _require_square_set(s)
     if s.size ** n_max > size_guard:
         raise GuardExceededError(s.size ** n_max, size_guard)
@@ -523,10 +525,11 @@ class ConvexHullReport:
         return self.norm_failures == 0 and self.srbound_failures == 0
 
 
-def conv_lsr_check(s: ExplicitSet, n: int, samples: int, seed: int,
+def conv_lsr_check(s, n: int, samples: int, seed: int,
                    tol: float = 1e-9,
                    size_guard: int = DEFAULT_SIZE_GUARD) -> ConvexHullReport:
     """Sampled verification of the convex-hull norm bound at word length n."""
+    s = expr_expand(s, size_guard)
     _require_square_set(s)
     if not s.is_nonnegative:
         raise DomainError("convex-hull check requires nonnegative matrices")

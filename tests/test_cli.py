@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,3 +392,15 @@ class TestGen:
             gen_instance("iru", seed=0, lo=2.0, hi=1.0)
         with pytest.raises(DomainError):
             gen_instance("mystery", seed=0, lo=0.1, hi=1.0)
+
+
+def test_import_loads_numpy_only():
+    # scipy is no dependency: importing the CLI must not load any of it.
+    probe = ("import sys, hourglass.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,26 @@ class TestSpectralRadii:
             assert got.value.estimate == want.value.estimate
             assert str(got.value) == str(want.value)
 
+    def test_widest_failing_block_is_reported(self):
+        # Two slow irreducible blocks with one largest entry, so one shift:
+        # in either block order the message names the wider bracket.
+        a = np.array([[1.0, 0.2], [0.7, 0.1]])
+        b = np.array([[0.3, 1.0, 0.1], [0.2, 0.1, 0.9], [0.8, 0.4, 0.2]])
+        kw = {"max_iter": 3}
+        alone = []
+        for block in (a, b):
+            with pytest.raises(ConvergenceError) as err:
+                spectral_radii(block[None], **kw)
+            width = float(re.search(r"still (\S+) wide", str(err.value))[1])
+            alone.append((width, err.value.estimate))
+        assert alone[0][0] != alone[1][0]
+        za, zb = np.zeros((2, 3)), np.zeros((3, 2))
+        for member in (np.block([[a, za], [zb, b]]), np.block([[b, zb], [za, a]])):
+            with pytest.raises(ConvergenceError) as err:
+                spectral_radii(member[None], **kw)
+            assert f"still {max(alone)[0]:.3e} wide" in str(err.value)
+            assert err.value.estimate == max(e for _, e in alone)
+
     @pytest.mark.parametrize("stack, error", [
         (np.zeros((0, 2, 2)), DimensionMismatchError),
         (np.ones((2, 2, 3)), DimensionMismatchError),
@@ -358,3 +380,23 @@ def test_l1_norm_submultiplicative(n, seed):
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     b = rng.uniform(-1.0, 1.0, size=(n, n))
     assert l1_operator_norm(a @ b) <= l1_operator_norm(a) * l1_operator_norm(b) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(min_value=1, max_value=12), seed=st.integers(0, 10_000))
+def test_reducible_members_invariant(d, seed):
+    # A block upper-triangular member with zeros inside and above its
+    # diagonal blocks, conjugated by a random permutation and transposed:
+    # the block split must find the same radius in every form.
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d),
+                              replace=False))
+    block_of = np.searchsorted(cuts, np.arange(d), side="right")
+    a = rng.uniform(0.1, 2.0, size=(d, d))
+    a *= (block_of[:, None] <= block_of[None, :]) & (rng.uniform(size=(d, d)) < 0.6)
+    a[np.diag_indices(d)] = rng.uniform(0.1, 2.0, size=d)
+    p = rng.permutation(d)
+    radii = spectral_radii(np.stack([a, a[p][:, p], a.T]), TOL)
+    assert radii.max() - radii.min() <= TOL
+    want = np.abs(np.linalg.eigvals(a)).max()
+    assert radii[0] == pytest.approx(want, abs=5e-10)
