@@ -59,15 +59,14 @@ def _fail(path: str, message: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool):
         _fail(path, "expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        out = float(value)
-    elif isinstance(value, str):
-        try:
-            out = float(value)
-        except ValueError:
-            _fail(path, f"expected a decimal number, got {value!r}")
-    else:
+    if not isinstance(value, (int, float, str)):
         _fail(path, f"expected a number, got {type(value).__name__}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = np.inf if value > 0 else -np.inf
+    except ValueError:
+        _fail(path, f"expected a decimal number, got {value!r}")
     if not np.isfinite(out):
         _fail(path, f"number must be finite, got {out}")
     return out
@@ -79,7 +78,34 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _nested_lists(node, depth: int) -> bool:
+    return isinstance(node, list) and (
+        depth == 1 or all(_nested_lists(c, depth - 1) for c in node))
+
+
 def _numeric_array(value, path: str, depth: int) -> np.ndarray:
+    """Read a ``depth``-deep nested list of numbers as a float array.
+
+    Nonempty nested lists whose leaves are all exact ``int`` or ``float``
+    with finite values convert in one numpy pass, bit-identical to the
+    walker.  Any other block (decimal strings, booleans, ``None``,
+    non-finite or overflowing numbers, ragged, empty or tuple containers)
+    goes to the per-number walker, the one reader of decimal strings and
+    the one path whose errors name the offending entry.
+    """
+    try:
+        arr = np.array(value, dtype=object)
+        if (arr.ndim == depth and arr.size and _nested_lists(value, depth)
+                and set(map(type, arr.ravel().tolist())) <= {float, int}):
+            out = arr.astype(float)
+            if np.isfinite(out).all():
+                return out
+    except (ValueError, OverflowError):
+        pass  # the walker reports the fault with its path
+    return _walked_array(value, path, depth)
+
+
+def _walked_array(value, path: str, depth: int) -> np.ndarray:
     def walk(node, p, d):
         if d == 0:
             return _number(node, p)
@@ -166,14 +192,15 @@ def parse_descriptor_obj(obj, path: str = "$") -> SetExpr:
 def parse_descriptor(path) -> SetExpr:
     """Load and parse a descriptor file.
 
-    Raises DescriptorSyntaxError for malformed JSON, DescriptorSchemaError
+    Raises DescriptorSyntaxError for malformed JSON (and for an integer
+    literal beyond Python's 4300-digit limit), DescriptorSchemaError
     for schema violations, and DimensionMismatchError (tagged with the JSON
     path) for admissibility failures.
     """
     text = Path(path).read_text()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DescriptorSyntaxError(f"{path}: {exc}") from exc
     return parse_descriptor_obj(obj)
 

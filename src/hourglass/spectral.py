@@ -217,16 +217,19 @@ def _require_square_set(s: ExplicitSet):
         raise DomainError(f"need square matrices, got {n}x{m}")
 
 
-def rho_extremal_exhaustive(s: ExplicitSet, direction: str,
+def rho_extremal_exhaustive(s, direction: str,
                             tol: float = DEFAULT_TOL) -> tuple[float, int]:
-    """Exact extremal spectral radius over all members of an explicit set.
+    """Exact extremal spectral radius over all members of a family.
 
-    Returns ``(value, index)`` where index is the first member attaining
-    the extremum.  This is the oracle the structured fast paths are tested
-    against.
+    A family other than an explicit set is expanded under the default
+    guard first.  Returns ``(value, index)`` where index is the first
+    member attaining the extremum.  This is the oracle the structured fast
+    paths are tested against.
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
+    if not isinstance(s, ExplicitSet):
+        s = expr_expand(s)
     _require_square_set(s)
     if not s.is_nonnegative:
         raise DomainError("exhaustive extremal radius requires nonnegative members")

@@ -328,6 +328,15 @@ class TestExitCodes:
         path.write_text("{oops")
         assert main(["radius", "--input", str(path)]) == EXIT_BAD_JSON
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="this interpreter reads integers of any length")
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        digits = "0" * sys.get_int_max_str_digits()
+        path = tmp_path / "huge.json"
+        path.write_text('{"type": "matrix", "entries": [[1%s]]}' % digits)
+        assert main(["radius", "--input", str(path)]) == EXIT_BAD_JSON
+        assert "digits" in capsys.readouterr().err
+
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"type": "wat"}))
@@ -343,6 +352,28 @@ class TestExitCodes:
             ],
         }))
         assert main(["radius", "--input", str(path)]) == EXIT_DIMENSION
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"type": "matrix", "entries": [[1.0, true], [0.5, 2.0]]}',
+         "$.entries[0][1]: expected a number, got a boolean"),
+        ('{"type": "matrix", "entries": [[1.0, 0.5], ["nan", 2.0]]}',
+         "$.entries[1][0]: number must be finite, got nan"),
+        ('{"type": "iru", "row_sets": [[[1.0, NaN]], [[0.5, 2.0]]]}',
+         "$.row_sets[0][0][1]: number must be finite, got nan"),
+        ('{"type": "iru", "row_sets": [[[1.0, 0.5]], [[0.5, 2.0], [1.0]]]}',
+         "$.row_sets[1]: ragged array: inner lists must have equal lengths"),
+        ('{"type": "iru", "row_sets": [[[1.0, 0.5]], []]}',
+         "$.row_sets[1]: expected a nonempty array"),
+        ('{"type": "matrix", "entries": [[1%s]]}' % ("0" * 400),
+         "$.entries[0][0]: number must be finite, got inf"),
+    ], ids=["boolean", "nan-string", "nan-literal", "ragged", "empty",
+            "huge-int"])
+    def test_unreadable_numbers_name_their_path(self, tmp_path, capsys,
+                                                text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["radius", "--input", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_usage_error(self):
         assert main(["radius", "--no-such-flag"]) == EXIT_USAGE

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hourglass.alternative import certify_extremal, hourglass_h1_iru
 from hourglass.descriptors import (
     DescriptorSchemaError,
     DescriptorSyntaxError,
+    _numeric_array,
+    _walked_array,
     descriptor_digest,
     jsonable,
     parse_descriptor,
@@ -192,3 +196,96 @@ def test_jsonable_handles_numpy():
     })
     assert out == {"arr": [0.0, 1.0, 2.0], "num": 1.5, "nested": [2, [True]]}
     assert json.dumps(out)
+
+
+# Plain JSON numbers, which the one-pass conversion reads, and leaves that
+# only the walker reads or rejects correctly: booleans (numpy would take
+# them as 1.0), None, non-finite values, decimal strings, 400-digit ints.
+_NUMBERS = st.one_of(st.integers(-10**6, 10**6), st.integers(),
+                     st.floats(-1e300, 1e300))
+_ODD = st.one_of(
+    st.booleans(), st.none(), st.floats(allow_nan=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                     10**400, -10**400]),
+    st.floats(allow_nan=True).map(str),
+    st.sampled_from(["1.5", "2", "-0.0", "1e400", "nan", "abc", ""]),
+)
+
+
+def _block(shape, leaves):
+    if not shape:
+        return leaves
+    return st.lists(_block(shape[1:], leaves),
+                    min_size=shape[0], max_size=shape[0])
+
+
+def _rectangular(depth, leaves):
+    shape = st.lists(st.integers(1, 4), min_size=depth, max_size=depth)
+    return shape.flatmap(lambda sh: _block(sh, leaves))
+
+
+def _wild(depth):
+    # Ragged, empty, too shallow, too deep and tuple containers.
+    if depth == 0:
+        return st.one_of(_NUMBERS, _ODD, st.lists(_NUMBERS, max_size=2))
+    inner = _wild(depth - 1)
+    return st.one_of(st.lists(inner, max_size=3),
+                     st.lists(inner, min_size=1, max_size=3).map(tuple),
+                     _NUMBERS)
+
+
+def _ragged(depth):
+    if depth == 0:
+        return _NUMBERS
+    return st.lists(_ragged(depth - 1), min_size=1, max_size=3)
+
+
+@st.composite
+def _numeric_blocks(draw):
+    depth = draw(st.sampled_from([2, 3]))
+    value = draw(st.one_of(_rectangular(depth, _NUMBERS),
+                           _rectangular(depth, st.one_of(_NUMBERS, _ODD)),
+                           _ragged(depth), _wild(depth)))
+    return depth, value
+
+
+def _outcome(read, value, depth):
+    try:
+        return read(value, "$.m", depth)
+    except Exception as exc:  # compared by type and text
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(_numeric_blocks())
+@example((2, [[]]))
+@example((3, [[[]]]))
+@example((2, [[[1.0]]]))
+@example((2, [1.0, 2.0]))
+@example((2, [(1, 2)]))
+@example((2, [[True, 1]]))
+@example((3, [[[1.0, 10**400]]]))
+@example((2, [["1.5", 2]]))
+@example((2, [[1.0], [2.0, 3.0]]))
+def test_fast_path_matches_walker(block):
+    depth, value = block
+    want = _outcome(_walked_array, value, depth)
+    got = _outcome(_numeric_array, value, depth)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "matrix", "entries": [[1.0, -10**400]]},
+     "$.entries[0][1]: number must be finite, got -inf"),
+    ({"type": "scale", "factor": 10**400, "child": {"type": "identity", "n": 2}},
+     "$.factor: number must be finite, got inf"),
+])
+def test_overflowing_integers_are_schema_errors(obj, message):
+    with pytest.raises(DescriptorSchemaError) as err:
+        parse_descriptor_obj(obj)
+    assert str(err.value) == message

@@ -466,17 +466,29 @@ class TestConvLsrCheck:
         )
 
 
-@pytest.mark.parametrize("make", [
+any_family = pytest.mark.parametrize("make", [
     lambda rng: _random_iru(rng, 2, (2, 3)),
     lambda rng: OrderedChain(np.cumsum(rng.uniform(0.1, 1.0, size=(3, 2, 2)), axis=0)),
     lambda rng: Sum((_random_iru(rng, 2, (2, 2)), Scale(0.5, IdentityElem(2)))),
 ], ids=["iru", "chain", "sum"])
+
+
+@any_family
 def test_word_engines_take_any_family(make):
     s = make(np.random.default_rng(17))
     flat = expr_expand(s)
     assert rho_n_bruteforce(s, 3, "min") == rho_n_bruteforce(flat, 3, "min")
     assert jsr_lsr_bounds(s, 2) == jsr_lsr_bounds(flat, 2)
     assert conv_lsr_check(s, 2, 20, seed=4) == conv_lsr_check(flat, 2, 20, seed=4)
+
+
+@any_family
+@pytest.mark.parametrize("direction", ["min", "max"])
+def test_exhaustive_oracle_takes_any_family(make, direction):
+    s = make(np.random.default_rng(17))
+    flat = expr_expand(s)
+    assert (rho_extremal_exhaustive(s, direction)
+            == rho_extremal_exhaustive(flat, direction))
 
 
 class TestThreading:
