@@ -51,6 +51,7 @@ from .sets import (
     ZeroElem,
     contains_matrix,
     dedup_tolerance,
+    expr_expand,
 )
 
 
@@ -221,7 +222,7 @@ class ProbeViolation:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of a sampled dichotomy probe on an explicit set.
+    """Outcome of a sampled dichotomy probe on a positive family.
 
     A pass means no sampled (center, u) pair violated either statement; it
     is evidence only, never a proof, since the probe samples finitely many
@@ -237,16 +238,22 @@ class ProbeReport:
     )
 
 
-def hourglass_probe_explicit(s: ExplicitSet, trials: int, seed: int,
+def hourglass_probe_explicit(s, trials: int, seed: int,
                              strict_tol: float | None = None) -> ProbeReport:
-    """Sampled H1/H2 refutation probe over an explicit positive set.
+    """Sampled H1/H2 refutation probe over a positive family.
 
-    Each trial draws a center matrix uniformly and a positive vector with
-    log-uniform coordinates in [0.1, 10], sets ``v`` to the center's image,
-    and scans the whole set for each statement: all images on the required
-    side, or some member weakly beyond ``v`` with a strict gap.  A trial
-    violates a statement when neither branch holds.
+    A family other than an explicit set is expanded under the default guard
+    first.  Each trial draws a center matrix uniformly and a positive vector
+    ``u`` with log-uniform coordinates in [0.1, 10], sets ``v`` to the
+    center's image, and scans the whole set for each statement: all images
+    on the required side, or some member weakly beyond ``v`` with a strict
+    gap.  A trial violates a statement when neither branch holds.  Both are
+    decided from each member's largest and smallest row gap ``v - A u``: H1
+    fails when some member's largest gap exceeds the strict tolerance and
+    no such member keeps its smallest gap within it; H2 mirrors this.
     """
+    if not isinstance(s, ExplicitSet):
+        s = expr_expand(s)
     if not s.is_positive:
         raise DomainError("the dichotomy probe requires a positive set")
     if trials < 1:
@@ -261,17 +268,20 @@ def hourglass_probe_explicit(s: ExplicitSet, trials: int, seed: int,
     violations = []
     for start in range(0, trials, step):
         at = slice(start, start + step)
-        images = np.matmul(mats, us[at, None, :, None])[..., 0]  # trial, member, row
+        u = us[at, None, None, :]  # trial, -, -, column
+        # Column by column: matmul costs a BLAS call per (trial, member).
+        images = mats[..., 0] * u[..., 0]  # trial, member, row
+        for j in range(1, mats.shape[2]):
+            images += mats[..., j] * u[..., j]
         v = images[np.arange(len(images)), centers[at]]
-        stol = np.array([strict_tolerance(x) if strict_tol is None
-                         else strict_tol for x in v])[:, None, None]
-        diff = v[:, None, :] - images
-        gaps = np.stack([diff, -diff])  # H1/H2, trial, member, row
-        on_side = (gaps <= stol).all(axis=(2, 3))
-        beyond = (_reduce(np.logical_and, gaps >= -stol, 3)
-                  & (_reduce(np.maximum, gaps, 3) > stol[..., 0])).any(axis=2)
+        stol = strict_tolerance(v)[:, None] if strict_tol is None else strict_tol
+        diff = np.subtract(v[:, None], images, out=images)
+        above = _reduce(np.maximum, diff, 2) > stol  # trial, member
+        below = _reduce(np.minimum, diff, 2) < -stol
+        h1 = above.any(axis=1) & ~(above & ~below).any(axis=1)
+        h2 = below.any(axis=1) & ~(below & ~above).any(axis=1)
         violations += [ProbeViolation(int(t), ("H1", "H2")[d], int(centers[t]), us[t])
-                       for t, d in np.argwhere((~on_side & ~beyond).T) + (start, 0)]
+                       for t, d in np.argwhere(np.stack([h1, h2], axis=1)) + (start, 0)]
     return ProbeReport(
         passed=not violations, trials=trials, violations=tuple(violations)
     )

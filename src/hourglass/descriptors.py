@@ -192,15 +192,15 @@ def parse_descriptor_obj(obj, path: str = "$") -> SetExpr:
 def parse_descriptor(path) -> SetExpr:
     """Load and parse a descriptor file.
 
-    Raises DescriptorSyntaxError for malformed JSON (and for an integer
-    literal beyond Python's 4300-digit limit), DescriptorSchemaError
-    for schema violations, and DimensionMismatchError (tagged with the JSON
-    path) for admissibility failures.
+    Raises DescriptorSyntaxError for bytes that are not UTF-8 and for
+    malformed JSON (and for an integer literal beyond Python's 4300-digit
+    limit), DescriptorSchemaError for schema violations, and
+    DimensionMismatchError (tagged with the JSON path) for admissibility
+    failures.
     """
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
-    except ValueError as exc:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one
         raise DescriptorSyntaxError(f"{path}: {exc}") from exc
     return parse_descriptor_obj(obj)
 

@@ -79,15 +79,15 @@ def is_positive(a) -> bool:
     return bool(np.all(np.asarray(a) > 0))
 
 
-def strict_tolerance(reference) -> float:
-    """Margin below which a componentwise comparison counts as a tie.
+def strict_tolerance(reference):
+    """Margin below which a componentwise comparison counts as a tie, one
+    per vector along the last axis of ``reference`` (a scalar for a vector).
 
     Scaled to the reference data so that "x differs from y" always means a
     quantified gap rather than float noise.
     """
-    ref = np.abs(np.asarray(reference, dtype=float))
-    scale = float(ref.max()) if ref.size else 0.0
-    return 1e-9 * max(1.0, scale)
+    ref = np.abs(np.atleast_1d(np.asarray(reference, dtype=float)))
+    return 1e-9 * np.fmax(1.0, ref.max(axis=-1, initial=0.0))
 
 
 def _reduce(op, a: np.ndarray, axis: int) -> np.ndarray:

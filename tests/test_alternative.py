@@ -15,6 +15,7 @@ from hourglass.sets import (
     convex_combination,
     convex_sample,
     epsilon_lift,
+    expr_expand,
     iru_enumerate,
     minkowski_product,
     minkowski_sum,
@@ -22,6 +23,7 @@ from hourglass.sets import (
     Sum,
 )
 from hourglass.spectral import rho_extremal_exhaustive
+from test_spectral import any_family
 
 
 def _random_iru(rng, n, sizes, lo=0.1, hi=2.0):
@@ -224,9 +226,28 @@ class TestProbe:
             s = ExplicitSet(rng.uniform(0.05, 2.0, size=(k, n, m)))
             found += self._assert_matches_oracle(s, 60, seed=i)
             found += self._assert_matches_oracle(s, 20, seed=i, strict_tol=0.05)
-        monkeypatch.setattr(alternative, "BATCH_ENTRIES", 7)  # one trial a block
+        k, n, m = 5, 3, 4
+        for i in range(10):
+            integer = rng.integers(1, 4, size=(k, n, m)).astype(float)
+            integer[:, -1] = integer[:, 0]  # repeated rows: exact zero gaps
+            pool = rng.uniform(0.1, 3.0, size=(3, m))
+            shared = pool[rng.integers(0, 3, size=(k, n))]  # members share rows
+            scaled = (rng.uniform(0.5, 2.0, size=(k, n, m))
+                      * 10.0 ** rng.integers(-8, 9, size=(k, 1, 1)))
+            for mats in (integer, shared, scaled,
+                         rng.uniform(0.05, 2.0, size=(k, 2, 6)),  # wide
+                         rng.uniform(0.05, 2.0, size=(k, 6, 2))):  # tall
+                s = ExplicitSet(mats, dedup=False)
+                found += self._assert_matches_oracle(s, 40, seed=100 + i)
+                # A tolerance of the order of the gaps themselves.
+                gap = float(np.median(np.abs(mats - mats[:1]).sum(axis=2)))
+                found += self._assert_matches_oracle(s, 40, seed=200 + i,
+                                                     strict_tol=gap)
         s = ExplicitSet(rng.uniform(0.05, 2.0, size=(3, 2, 2)))
+        monkeypatch.setattr(alternative, "BATCH_ENTRIES", 7)  # one trial a block
         found += self._assert_matches_oracle(s, 100, seed=99)
+        monkeypatch.setattr(alternative, "BATCH_ENTRIES", 20)  # three a block
+        found += self._assert_matches_oracle(s, 100, seed=99)  # last block: one
         assert found > 100  # the sets do violate
 
     def test_rejects_boundary(self):
@@ -234,6 +255,14 @@ class TestProbe:
             hourglass_probe_explicit(
                 ExplicitSet(np.zeros((1, 2, 2))), trials=1, seed=0
             )
+
+
+@any_family
+def test_probe_takes_any_family(make):
+    s = make(np.random.default_rng(17))
+    report = hourglass_probe_explicit(s, trials=100, seed=3)
+    assert report.passed  # every family here lies in the dichotomy class
+    assert report == hourglass_probe_explicit(expr_expand(s), trials=100, seed=3)
 
 
 class TestCertifyExtremal:

@@ -337,6 +337,16 @@ class TestExitCodes:
         assert main(["radius", "--input", str(path)]) == EXIT_BAD_JSON
         assert "digits" in capsys.readouterr().err
 
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"type": "matrix", "entries": [[1\xff]]}')
+        good = tmp_path / "good.json"
+        good.write_text('{"type": "matrix", "entries": [[1.0]]}')
+        for argv in (["radius", "--input", str(bad)],
+                     ["hausdorff", "--input", str(good), "--other", str(bad)]):
+            assert main(argv) == EXIT_BAD_JSON
+            assert "can't decode byte 0xff" in capsys.readouterr().err
+
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"type": "wat"}))
