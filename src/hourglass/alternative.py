@@ -49,9 +49,9 @@ from .sets import (
     Scale,
     Sum,
     ZeroElem,
+    as_explicit,
     contains_matrix,
     dedup_tolerance,
-    expr_expand,
 )
 
 
@@ -252,8 +252,7 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
     fails when some member's largest gap exceeds the strict tolerance and
     no such member keeps its smallest gap within it; H2 mirrors this.
     """
-    if not isinstance(s, ExplicitSet):
-        s = expr_expand(s)
+    s = as_explicit(s)
     if not s.is_positive:
         raise DomainError("the dichotomy probe requires a positive set")
     if trials < 1:

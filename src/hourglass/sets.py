@@ -45,42 +45,65 @@ class GuardExceededError(RuntimeError):
         self.guard = guard
 
 
+def _scale_tolerance(arr: np.ndarray) -> tuple[float, float]:
+    """Largest entry magnitude of ``arr`` and the default merge tolerance,
+    scaled to it.  A NaN entry makes both reductions NaN and an infinite one
+    makes the magnitude inf; neither needs a temporary the size of ``arr``,
+    as ``np.abs`` would."""
+    scale = float(max(arr.max(initial=0.0), -arr.min(initial=0.0)))
+    return scale, 1e-12 * (1.0 + scale)
+
+
 def dedup_tolerance(data) -> float:
     """Default merge tolerance, scaled to the largest entry magnitude."""
-    arr = np.abs(np.asarray(data, dtype=float))
-    scale = float(arr.max()) if arr.size else 0.0
-    return 1e-12 * (1.0 + scale)
+    return _scale_tolerance(np.asarray(data, dtype=float))[1]
 
 
-def _dedup_rows(flat: np.ndarray, tol: float) -> np.ndarray:
+def _merge_near(flat, w, tol, reach) -> np.ndarray:
+    """The grid and window passes of ``_dedup_rows``, with its weights ``w``
+    and window ``reach``."""
+    keys = np.round(flat / tol)
+    o = np.lexsort(keys.T[::-1])  # stable: the first row of a cell leads
+    fresh = np.concatenate(([True], (keys[o[1:]] != keys[o[:-1]]).any(axis=1)))
+    flat = flat[np.sort(o[fresh])]
+    order = np.argsort(proj := flat @ w)
+    span = np.searchsorted(proj[order], proj[order] + reach, side="right")
+    span -= np.arange(1, order.size + 1)
+    pairs = set()  # (later, earlier) row pairs within tol
+    for offset in range(1, int(span.max()) + 1):
+        at = np.flatnonzero(span >= offset)
+        i, j = np.sort([order[at], order[at + offset]], axis=0)
+        near = np.abs(flat[j] - flat[i]).max(axis=1) <= tol
+        pairs.update(zip(j[near].tolist(), i[near].tolist()))
+    keep = np.ones(flat.shape[0], dtype=bool)
+    for later, earlier in sorted(pairs):
+        keep[later] &= not keep[earlier]
+    return flat[keep]
+
+
+def _dedup_rows(flat: np.ndarray, tol: float, scale=None) -> np.ndarray:
     """Drop near-duplicate rows of a 2-D array and sort lexicographically.
 
     A grid of pitch ``tol`` keeps the first row of each cell; a greedy scan in
     index order then keeps a row iff no kept earlier row is within ``tol`` in
     the max metric.  Near pairs come from a window on a weighted row sum.
+
+    An exact screen runs first.  Rows that share a grid cell or lie within
+    ``tol`` have weighted sums within ``reach``, which also covers rounding
+    (``scale``, the largest entry magnitude, is computed when omitted; a
+    larger value only widens the window).  So when all sorted sums are
+    finite and more than ``reach`` apart, both passes would keep every row,
+    and they are skipped.
     """
     if flat.shape[0] > 1:
-        keys = np.round(flat / tol)
-        o = np.lexsort(keys.T[::-1])  # stable: the first row of a cell leads
-        fresh = np.concatenate(([True], (keys[o[1:]] != keys[o[:-1]]).any(axis=1)))
-        flat = flat[np.sort(o[fresh])]
         # Irrational weights keep permuted rows apart; reach covers rounding.
         w = np.sqrt(np.arange(2.0, flat.shape[1] + 2))
-        reach = w.sum() * (tol + 4 * (flat.shape[1] + 1)
-                           * np.finfo(float).eps * np.abs(flat).max())
-        order = np.argsort(proj := flat @ w)
-        span = np.searchsorted(proj[order], proj[order] + reach, side="right")
-        span -= np.arange(1, order.size + 1)
-        pairs = set()  # (later, earlier) row pairs within tol
-        for offset in range(1, int(span.max()) + 1):
-            at = np.flatnonzero(span >= offset)
-            i, j = np.sort([order[at], order[at + offset]], axis=0)
-            near = np.abs(flat[j] - flat[i]).max(axis=1) <= tol
-            pairs.update(zip(j[near].tolist(), i[near].tolist()))
-        keep = np.ones(flat.shape[0], dtype=bool)
-        for later, earlier in sorted(pairs):
-            keep[later] &= not keep[earlier]
-        flat = flat[keep]
+        if scale is None:
+            scale = _scale_tolerance(flat)[0]
+        reach = w.sum() * (tol + 4 * (flat.shape[1] + 1) * np.finfo(float).eps * scale)
+        ranked = np.sort(flat @ w)
+        if not (ranked[1:] > ranked[:-1] + reach).all():
+            flat = _merge_near(flat, w, tol, reach)
     return flat[np.lexsort(flat.T[::-1])]
 
 
@@ -93,9 +116,10 @@ class RowSet:
             raise DimensionMismatchError(
                 f"RowSet needs a nonempty list of equal-length rows, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        scale, tol = _scale_tolerance(arr)
+        if not math.isfinite(scale):
             raise DomainError("RowSet entries must be finite")
-        self.rows = _dedup_rows(arr, dedup_tolerance(arr))
+        self.rows = _dedup_rows(arr, tol, scale)
         self.rows.setflags(write=False)
 
     @property
@@ -244,12 +268,12 @@ class ExplicitSet(SetExpr):
             raise DimensionMismatchError(
                 f"ExplicitSet needs a nonempty list of matrices, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        scale, tol = _scale_tolerance(arr)
+        if not math.isfinite(scale):
             raise DomainError("ExplicitSet entries must be finite")
         if dedup:
             k, n, m = arr.shape
-            arr = _dedup_rows(arr.reshape(k, n * m),
-                              dedup_tolerance(arr)).reshape(-1, n, m)
+            arr = _dedup_rows(arr.reshape(k, n * m), tol, scale).reshape(-1, n, m)
         self.matrices = arr
         self.matrices.setflags(write=False)
 
@@ -280,18 +304,27 @@ class ExplicitSet(SetExpr):
         return f"ExplicitSet({self.size} matrices, {n}x{m})"
 
 
-def set_equal(a: ExplicitSet, b: ExplicitSet, tol: float | None = None) -> bool:
-    """Set equality up to ``tol`` under the entrywise max metric."""
+def as_explicit(s) -> ExplicitSet:
+    """``s`` itself if it is an explicit set (whatever its size), else ``s``
+    expanded under the default size guard."""
+    return s if isinstance(s, ExplicitSet) else expr_expand(s)
+
+
+def set_equal(a, b, tol: float | None = None) -> bool:
+    """Set equality up to ``tol`` under the entrywise max metric; any family
+    is taken, through ``as_explicit``."""
     if a.shape != b.shape:
         return False
+    a, b = as_explicit(a), as_explicit(b)
     if tol is None:
         tol = max(dedup_tolerance(a.matrices), dedup_tolerance(b.matrices))
     return hausdorff_distance(a, b).distance <= tol
 
 
-def contains_matrix(s: ExplicitSet, m, tol: float | None = None) -> int | None:
-    """Index of the member of ``s`` matching ``m`` within ``tol``, if any."""
-    m = as_matrix(m)
+def contains_matrix(s, m, tol: float | None = None) -> int | None:
+    """Index of the member of ``as_explicit(s)`` matching ``m`` within
+    ``tol``, if any."""
+    s, m = as_explicit(s), as_matrix(m)
     if tuple(s.shape) != m.shape:
         return None
     if tol is None:
@@ -394,12 +427,13 @@ class HausdorffReport:
 _NORMS = ("max", "l1op")
 
 
-def hausdorff_distance(a: ExplicitSet, b: ExplicitSet,
-                       norm: str = "max") -> HausdorffReport:
+def hausdorff_distance(a, b, norm: str = "max") -> HausdorffReport:
     """Exact Hausdorff distance between two finite sets of matrices.
 
     ``norm`` selects the underlying matrix metric: "max" for the entrywise
     max norm, "l1op" for the l1-induced operator norm of the difference.
+    Any family is taken, through ``as_explicit``; witness indices refer to
+    the explicit members.
     """
     if a.shape != b.shape:
         raise DimensionMismatchError(
@@ -407,6 +441,7 @@ def hausdorff_distance(a: ExplicitSet, b: ExplicitSet,
         )
     if norm not in _NORMS:
         raise DomainError(f"unknown norm {norm!r}; choose from {_NORMS}")
+    a, b = as_explicit(a), as_explicit(b)
     # Rows of A in blocks of about BATCH_ENTRIES difference entries, so
     # memory stays bounded; the B -> A side keeps a running minimum.
     step = max(1, BATCH_ENTRIES // b.matrices.size)

@@ -37,6 +37,7 @@ from .sets import (
     GuardExceededError,
     IruSet,
     OrderedChain,
+    as_explicit,
     convex_combination,
     expr_expand,
 )
@@ -228,8 +229,7 @@ def rho_extremal_exhaustive(s, direction: str,
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
-    if not isinstance(s, ExplicitSet):
-        s = expr_expand(s)
+    s = as_explicit(s)
     _require_square_set(s)
     if not s.is_nonnegative:
         raise DomainError("exhaustive extremal radius requires nonnegative members")

@@ -18,6 +18,7 @@ from hourglass.sets import (
     SetExpr,
     Sum,
     ZeroElem,
+    contains_matrix,
     convex_sample,
     epsilon_lift,
     expr_expand,
@@ -31,6 +32,7 @@ from hourglass.sets import (
 )
 from hourglass.sets import _dedup_rows
 from hourglass.spectral import rho_extremal_exhaustive
+from test_spectral import any_family
 
 NILP_A = np.array([[0.0, 2.0], [0.0, 0.0]])
 NILP_B = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -57,6 +59,16 @@ class TestRowSet:
     def test_rejects_ragged(self):
         with pytest.raises((DimensionMismatchError, ValueError)):
             RowSet([[1.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_raise(bad):
+    with pytest.raises(DomainError, match="^RowSet entries must be finite$"):
+        RowSet([[1.0, 2.0], [bad, 0.0]])
+    for dedup in (True, False):
+        with pytest.raises(DomainError,
+                           match="^ExplicitSet entries must be finite$"):
+            ExplicitSet([[[1.0, bad]], [[0.0, 1.0]]], dedup=dedup)
 
 
 def _dedup_rows_pairwise(flat, tol):
@@ -114,6 +126,74 @@ class TestDedupRows:
         assert not any(np.array_equal(flat[1200], r) for r in out)
         members = ExplicitSet(flat.reshape(1500, 2, 2))
         assert members.size == 1499
+
+    # Cases for the screen that runs before the grid and the window.
+    def test_separated_rows_are_all_kept(self):
+        rng = np.random.default_rng(24)
+        flat = rng.uniform(0.0, 1.0, size=(500, 4))
+        tol = dedup_tolerance(flat)
+        self._check(flat, tol)
+        assert _dedup_rows(flat, tol).shape == flat.shape
+
+    def test_one_near_pair_among_separated_rows(self):
+        rng = np.random.default_rng(25)
+        flat = rng.uniform(0.0, 1.0, size=(501, 4))
+        tol = dedup_tolerance(flat)
+        flat[321] = flat[42] + rng.uniform(-0.9, 0.9, size=4) * tol
+        self._check(flat, tol)
+        assert _dedup_rows(flat, tol).shape[0] == 500
+
+    def test_equal_sums_far_apart_are_both_kept(self):
+        # b - a is orthogonal to the weights (sqrt 2, sqrt 3): the weighted
+        # sums agree to rounding, yet the rows are 1000 tol apart.
+        tol = 1e-6
+        a = np.array([0.5, 0.5])
+        b = a + 1e3 * tol * np.array([np.sqrt(3.0), -np.sqrt(2.0)])
+        flat = np.array([a, b, [0.9, 0.1]])
+        self._check(flat, tol)
+        assert _dedup_rows(flat, tol).shape[0] == 3
+
+    def test_cell_mates_and_pairs_across_a_grid_line(self):
+        rng = np.random.default_rng(26)
+        flat = rng.uniform(0.0, 1.0, size=(300, 3))
+        tol = dedup_tolerance(flat)
+        # Rows 5 and 200 share a grid cell; rows 6 and 250 sit on either
+        # side of a grid line, 0.1 tol apart.
+        flat[200], flat[250] = flat[5], flat[6]
+        flat[5, 0], flat[200, 0] = 1000.1 * tol, 1000.4 * tol
+        flat[6, 0], flat[250, 0] = 2000.45 * tol, 2000.55 * tol
+        self._check(flat, tol)
+        assert _dedup_rows(flat, tol).shape[0] == 298
+
+    def test_pairs_exactly_tol_apart(self):
+        # b = a + tol in every coordinate, exactly: the weighted sums differ
+        # by the weight sum times tol up to rounding, which only the
+        # rounding allowance in reach covers.
+        rng = np.random.default_rng(29)
+        tol = 2.0 ** -20
+        for _ in range(50):
+            flat = rng.integers(0, 2 ** 10, size=(20, 3)) * 2.0 ** -10
+            flat[7] = flat[3] + tol
+            self._check(flat, tol)
+
+    def test_single_column_rows(self):
+        rng = np.random.default_rng(27)
+        col = rng.uniform(0.0, 1.0, size=(400, 1))
+        tol = dedup_tolerance(col)
+        self._check(col, tol)
+        near = col[:10] + rng.uniform(-1.5, 1.5, size=(10, 1)) * tol
+        self._check(np.concatenate([col, near])[rng.permutation(410)], tol)
+
+    def test_overflowing_sums_fall_through(self):
+        # The weighted sums of rows near 1e308 overflow to inf, so the
+        # screen cannot separate them and the full passes must run.
+        rng = np.random.default_rng(28)
+        flat = rng.uniform(0.5, 1.7, size=(40, 3)) * 1e308
+        tol = dedup_tolerance(flat)
+        flat[30] = flat[4] + 0.5 * tol
+        with np.errstate(over="ignore"):
+            self._check(flat, tol)
+            assert _dedup_rows(flat, tol).shape[0] == 39
 
 
 class TestIruEnumerate:
@@ -418,6 +498,17 @@ class TestHausdorff:
         finally:
             tracemalloc.stop()
         assert peak < 32e6  # the full difference array is 1500*1500*9 floats
+
+
+@any_family
+def test_set_comparisons_take_any_family(make):
+    s, other = make(np.random.default_rng(17)), make(np.random.default_rng(18))
+    flat = expr_expand(s)
+    assert hausdorff_distance(s, other) == hausdorff_distance(
+        flat, expr_expand(other))
+    assert hausdorff_distance(s, flat).distance == 0.0
+    assert set_equal(s, flat) and set_equal(flat, s)
+    assert contains_matrix(s, flat.matrices[-1]) == flat.size - 1
 
 
 class TestConvexSample:
