@@ -54,12 +54,12 @@ def random_chain(rng: np.random.Generator, length: int, n_rows: int,
 
 
 def random_expr(rng: np.random.Generator, depth: int, dim: int,
-                lo: float, hi: float, max_matrices: int = 200,
-                max_attempts: int = 1000) -> SetExpr:
+                lo: float, hi: float, max_matrices: int = 200) -> SetExpr:
     """Random square expression over IRU and chain leaves.
 
     Samples trees up to ``depth`` over sum/product/scale nodes, rejecting
-    draws whose projected expansion exceeds ``max_matrices``.
+    draws whose projected expansion exceeds ``max_matrices``, for at most
+    1000 draws.
     """
     if lo <= 0:
         raise DomainError("random_expr needs a strictly positive entry range")
@@ -83,12 +83,12 @@ def random_expr(rng: np.random.Generator, depth: int, dim: int,
             return Product((node(d - 1), node(d - 1)))
         return Scale(float(rng.uniform(0.5, 2.0)), node(d - 1))
 
-    for _ in range(max_attempts):
+    for _ in range(1000):
         candidate = node(depth)
         if candidate.cardinality_bound() <= max_matrices:
             return candidate
     raise DomainError(
-        f"no expression within {max_matrices} matrices after {max_attempts} draws"
+        f"no expression within {max_matrices} matrices after 1000 draws"
     )
 
 

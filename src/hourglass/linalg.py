@@ -12,6 +12,7 @@ the Perron certificates; ``perron_vector`` is its one-member case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,17 +122,22 @@ def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
     most ``tol`` wide.  Returns the radii, the widths left above ``tol``
     (else 0), and each member's coordinate-sum-1 iterate at its stopping
     step, where |A x - rho x| <= width / 2 componentwise.
+    A first upper bound (a shifted row sum) beyond the float range raises
+    DomainError; the brackets only narrow, so no later step can overflow.
     """
     k, n, _ = a.shape
     b = a + np.reshape(eps, (-1, 1, 1)) * np.eye(n)
     lo, hi, live = np.zeros(k), np.full(k, np.inf), np.arange(k)
     x, vecs = np.full((k, n), 1.0 / n), np.empty((k, n))
-    for _ in range(max_iter):
+    for step in range(max_iter):
         if live.size == 0:
             break
         # ufunc reductions: the array methods add call overhead that
         # dominates a stack of one
         y = np.matmul(b, x[..., None])[..., 0]
+        # Python floats: an overflowing quotient is inf without a warning.
+        if step == 0 and float(np.maximum.reduce(y, None)) / (1.0 / n) == math.inf:
+            raise DomainError("row sums exceed the float range; rescale the input")
         ratios = y / x
         lo[live] = step_lo = np.minimum.reduce(ratios, 1)
         hi[live] = step_hi = np.maximum.reduce(ratios, 1)
@@ -140,7 +146,8 @@ def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
             vecs[live[done]] = x[done]
             live, b, y = live[~done], b[~done], y[~done]
         x = y / np.add.reduce(y, 1, keepdims=True)
-    return (np.maximum(0.0, 0.5 * (lo + hi) - eps),
+    # Halve before adding: lo + hi overflows for radii above half the limit.
+    return (np.maximum(0.0, 0.5 * lo + 0.5 * hi - eps),
             np.where(hi - lo <= tol, 0.0, hi - lo), vecs)
 
 
@@ -174,7 +181,8 @@ def spectral_radius_power(a, tol: float = DEFAULT_TOL,
     which adds exactly eps to their radius and makes them primitive, then
     iterated until the Collatz-Wielandt ratio bracket is narrower than ``tol``.
 
-    Raises ConvergenceError (carrying the best estimate and the widest failing
+    Raises DomainError if a row sum exceeds the float range, and
+    ConvergenceError (carrying the best estimate and the widest failing
     bracket) if some block misses ``tol`` within ``max_iter`` iterations.
     """
     return float(spectral_radii(as_square(a)[None], tol, max_iter)[0])
@@ -307,8 +315,9 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
     convergence is geometric.
 
     Raises DomainError for non-positive input (nonnegative sets must be
-    lifted into the interior first), and ConvergenceError with the estimate
-    if the bracket is still wider than ``tol`` after ``max_iter`` steps.
+    lifted into the interior first) or a row sum beyond the float range, and
+    ConvergenceError with the estimate if the bracket is still wider than
+    ``tol`` after ``max_iter`` steps.
     """
     a = as_square(a)
     if not np.all(a > 0):

@@ -91,13 +91,14 @@ def _dedup_rows(flat: np.ndarray, tol: float, scale=None) -> np.ndarray:
     An exact screen runs first.  Rows that share a grid cell or lie within
     ``tol`` have weighted sums within ``reach``, which also covers rounding
     (``scale``, the largest entry magnitude, is computed when omitted; a
-    larger value only widens the window).  So when all sorted sums are
-    finite and more than ``reach`` apart, both passes would keep every row,
-    and they are skipped.
+    larger value only widens the window).  So when all sorted sums are more
+    than ``reach`` apart, both passes would keep every row, and they are
+    skipped.
     """
     if flat.shape[0] > 1:
         # Irrational weights keep permuted rows apart; reach covers rounding.
-        w = np.sqrt(np.arange(2.0, flat.shape[1] + 2))
+        # They sum to less than 1, so the sums of finite rows cannot overflow.
+        w = np.sqrt(np.arange(2.0, flat.shape[1] + 2)) / (flat.shape[1] + 2) ** 1.5
         if scale is None:
             scale = _scale_tolerance(flat)[0]
         reach = w.sum() * (tol + 4 * (flat.shape[1] + 1) * np.finfo(float).eps * scale)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,29 +41,6 @@ from .sets import (
 )
 
 _CHUNK = 1 << 16
-
-
-def thread_count() -> int:
-    """Worker cap for word enumeration, from HOURGLASS_THREADS (default 1)."""
-    raw = os.environ.get("HOURGLASS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"HOURGLASS_THREADS must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise DomainError(f"HOURGLASS_THREADS must be >= 1, got {val}")
-    return val
-
-
-def _map_chunks(fn, chunks, workers: int) -> list:
-    """Apply ``fn`` over chunks, in order; chunk boundaries do not depend on
-    the worker count, so results are identical at any parallelism level."""
-    if workers == 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, chunks))
 
 
 def _totient(d: int) -> int:
@@ -137,7 +112,7 @@ def _best(vals: np.ndarray, ranks: np.ndarray, sign: float):
     return sign * float(vals[i]), -int(ranks[i])
 
 
-def _scan(prods, logs, start, n, m, cyclic, norms, prune):
+def _scan(prods, logs, start, n, m, norms, prune):
     """Extremes over one block of normalised length-n products.
 
     Radii run over the least rotation of each word (the radius is rotation
@@ -150,7 +125,7 @@ def _scan(prods, logs, start, n, m, cyclic, norms, prune):
         nrm = _log(_l1_norms(prods)) + logs
         out[2:] = _best(nrm, ranks, 1.0), _best(nrm, ranks, -1.0)
     keep = np.ones(len(ranks), dtype=bool)
-    for r in range(1, n if cyclic else 1):
+    for r in range(1, n):
         tail = m ** (n - r)
         keep &= ranks <= (ranks % tail) * m ** r + ranks // tail
     idx = np.flatnonzero(keep)
@@ -167,24 +142,23 @@ def _scan(prods, logs, start, n, m, cyclic, norms, prune):
     return out
 
 
-def _sweep(mats: np.ndarray, n_max: int, first: int = 1,
-           cyclic: bool = True, norms: bool = True):
+def _sweep(mats: np.ndarray, n_max: int, first: int = 1, norms: bool = True):
     """Extremal log radii and log norms of the words of lengths first..n_max.
 
     Word (i1, ..., in) is the product A_{in} ... A_{i1} and has rank
     i1 m^(n-1) + ... + in.  Level n comes from level n-1 in one batched
     matmul, word (w, a) getting A_a P_w; products are rescaled by their l1
     operator norms with the log scales accumulated, so long words cannot
-    overflow.  Levels wider than ``_CHUNK / 2`` run in prefix blocks (about
-    ``_CHUNK`` products alive), the first split mapped over the worker
-    threads.  Returns per length the ``(log value, first word)`` pairs of
-    radius max, radius min, norm max and norm min (norms None if off).
+    overflow.  Levels wider than ``_CHUNK / 2`` run in prefix blocks, one
+    after another, so that about ``_CHUNK`` products are alive at once.
+    Returns per length the ``(log value, first word)`` pairs of radius max,
+    radius min, norm max and norm min (norms None if off).
     """
     m = len(mats)
     prune = bool(np.all(mats >= 0))
 
-    def descend(prods, logs, start, n, workers):
-        found = [_scan(prods, logs, start, n, m, cyclic, norms, prune)
+    def descend(prods, logs, start, n):
+        found = [_scan(prods, logs, start, n, m, norms, prune)
                  if n >= first else None]
         if n >= n_max:
             return found
@@ -194,16 +168,14 @@ def _sweep(mats: np.ndarray, n_max: int, first: int = 1,
             child = np.matmul(mats[None], prods[i:i + step, None])
             child = child.reshape(-1, *mats.shape[1:])
             child_logs = _normalise(child, np.repeat(logs[i:i + step], m))
-            return descend(child, child_logs, (start + i) * m, n + 1, 1)
+            return descend(child, child_logs, (start + i) * m, n + 1)
 
-        slices = range(0, len(prods), step)
-        parts = _map_chunks(extend, slices, workers if len(slices) > 1 else 1)
+        parts = [extend(i) for i in range(0, len(prods), step)]
         return found + [None if lv[0] is None else [max(e) for e in zip(*lv)]
                         for lv in zip(*parts)]
 
     prods = mats.astype(float, copy=True)
-    levels = descend(prods, _normalise(prods, np.zeros(m)), 0, 1,
-                     thread_count())
+    levels = descend(prods, _normalise(prods, np.zeros(m)), 0, 1)
     return [
         tuple(None if e == _MISSING else (s * e[0], tuple(
             int(i) for i in np.unravel_index(-e[1], (m,) * n)))
@@ -272,8 +244,7 @@ class SimplexTrace:
 
 
 def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
-                     max_iter: int = 10_000,
-                     cert_tol: float | None = None) -> SimplexTrace:
+                     max_iter: int = 10_000) -> SimplexTrace:
     """Greedy extremal-radius search on a positive set or expression tree.
 
     From the member of first choices, each step moves to the member with
@@ -313,9 +284,8 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
         gain = float((sign * (image - a @ v)).max()) if choices != selection else 0.0
         steps.append(SimplexStep(selection, rho, gain, any(ties)))
         if choices == selection:
-            if cert_tol is None:
-                cert_tol = max(tol, 1e-10 * (1.0 + rho))
-            cert = _certify_margins(s, a, perron, direction, cert_tol)
+            cert = _certify_margins(s, a, perron, direction,
+                                    max(tol, 1e-10 * (1.0 + rho)))
             return SimplexTrace(direction, tuple(steps), cert)
         if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "
@@ -328,8 +298,8 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
 
 
 def rho_n_bruteforce(s, n: int, direction: str,
-                     size_guard: int = DEFAULT_SIZE_GUARD,
-                     use_cyclic: bool = True) -> tuple[float, tuple[int, ...]]:
+                     size_guard: int = DEFAULT_SIZE_GUARD
+                     ) -> tuple[float, tuple[int, ...]]:
     """Extremal n-th root spectral radius over all length-n products.
 
     Enumerates one representative per cyclic word class (the product radius
@@ -343,10 +313,10 @@ def rho_n_bruteforce(s, n: int, direction: str,
         raise DomainError(f"word length must be >= 1, got {n}")
     s = expr_expand(s, size_guard)
     _require_square_set(s)
-    count = necklace_count(s.size, n) if use_cyclic else s.size ** n
+    count = necklace_count(s.size, n)
     if count > size_guard:
         raise GuardExceededError(count, size_guard)
-    val, word = _sweep(s.matrices, n, first=n, cyclic=use_cyclic,
+    val, word = _sweep(s.matrices, n, first=n,
                        norms=False)[0][0 if direction == "max" else 1]
     return float(np.exp(val / n)), word
 

@@ -23,6 +23,8 @@ from hourglass.linalg import DomainError
 from hourglass.sets import OrderedChain, expr_expand
 from hourglass.alternative import hourglass_probe_explicit
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 @pytest.fixture
 def diag_pair(tmp_path):
@@ -392,6 +394,21 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["radius", "--input", "/nonexistent.json"]) == EXIT_USAGE
 
+    def test_radius_beyond_float_range(self, tmp_path):
+        # Row sums overflow: one error line at once, and no warning.
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({"type": "explicit", "matrices": [
+            [[1.5e308, 1e308], [1e308, 1.2e308]],
+            [[1.4e308, 1e308], [1e308, 1.2e308]]]}))
+        done = subprocess.run(
+            [sys.executable, "-m", "hourglass.cli", "radius", "--input",
+             str(path)], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert "Warning" not in done.stderr
+
 
 class TestGen:
     def test_seed_reproducibility(self, tmp_path):
@@ -436,12 +453,13 @@ class TestGen:
 
 
 def test_import_loads_numpy_only():
-    # scipy is no dependency: importing the CLI must not load any of it.
+    # scipy is no dependency and the word sweep runs without a thread pool:
+    # importing the CLI must load neither.
     probe = ("import sys, hourglass.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m == 'concurrent.futures'])")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

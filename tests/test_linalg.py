@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,30 @@ class TestSpectralRadii:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(DomainError):
             spectral_radii(np.ones((2, 2, 2)), tol=0.0)
+
+
+class TestFloatLimit:
+    """Radii near the largest float: found when representable, else a
+    typed error before any iteration, and no warning either way."""
+
+    # Row sums of about 2.5e308: beyond the float range, as is the radius.
+    OVER = np.array([[[1.5e308, 1e308], [1e308, 1.2e308]],
+                     [[1.4e308, 1e308], [1e308, 1.2e308]]])
+
+    def test_radius_just_below_the_limit(self):
+        a = np.full((2, 2), 8e307)  # radius 1.6e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_radii(a[None])[0] == pytest.approx(1.6e308, rel=1e-12)
+            assert perron_vector(a).rho == pytest.approx(1.6e308, rel=1e-12)
+
+    def test_row_sums_beyond_the_limit_raise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float range"):
+                spectral_radii(self.OVER)
+            with pytest.raises(DomainError, match="float range"):
+                perron_vector(self.OVER[0])
 
 
 class TestSpectralRadiusGelfand:

@@ -34,7 +34,6 @@ from hourglass.spectral import (
     rho_extremal_exhaustive,
     rho_n_bruteforce,
     spectral_simplex,
-    thread_count,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -263,15 +262,16 @@ class TestRhoNBruteforce:
             rho_n_bruteforce(s, 4, "max", size_guard=100)
 
     def test_cyclic_reduction_sound(self):
-        # Reduced and full enumerations agree wherever the full set fits.
+        # The sweep over least rotations agrees with every word multiplied
+        # out plainly.
         rng = np.random.default_rng(8)
         for count, n in ((2, 3), (3, 3), (4, 4), (2, 6)):
             s = ExplicitSet(rng.uniform(0.0, 1.5, size=(count, 3, 3)))
-            assert count ** n <= 4096
+            full = _oracle(s.matrices, n, cyclic=False)
             for direction in ("min", "max"):
-                red, _ = rho_n_bruteforce(s, n, direction, use_cyclic=True)
-                full, _ = rho_n_bruteforce(s, n, direction, use_cyclic=False)
-                assert red == pytest.approx(full, abs=1e-12)
+                red, _ = rho_n_bruteforce(s, n, direction)
+                assert red == pytest.approx(
+                    full[f"rho_{direction}"][0] ** (1 / n), abs=1e-12)
 
     def test_long_words_rescaling_stable(self):
         # Length-12 products span ~1e12 in magnitude either way; the
@@ -491,25 +491,6 @@ def test_exhaustive_oracle_takes_any_family(make, direction):
             == rho_extremal_exhaustive(flat, direction))
 
 
-class TestThreading:
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("HOURGLASS_THREADS", "zero")
-        with pytest.raises(DomainError):
-            thread_count()
-        monkeypatch.setenv("HOURGLASS_THREADS", "0")
-        with pytest.raises(DomainError):
-            thread_count()
-
-    def test_parallel_results_identical(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        s = ExplicitSet(rng.uniform(0.0, 1.5, size=(3, 3, 3)))
-        monkeypatch.delenv("HOURGLASS_THREADS", raising=False)
-        sequential = rho_n_bruteforce(s, 5, "max")
-        monkeypatch.setenv("HOURGLASS_THREADS", "4")
-        parallel = rho_n_bruteforce(s, 5, "max")
-        assert sequential == parallel
-
-
 def _fixture_set(name):
     return expr_expand(parse_descriptor(FIXTURES / f"{name}.json"))
 
@@ -604,21 +585,6 @@ class TestWordSweep:
         rng = np.random.default_rng(110)
         _assert_matches_oracle(ExplicitSet(rng.normal(size=(3, 3, 3))), 4)
 
-    def test_all_words_without_cyclic_reduction(self):
-        # Rotations of one word tie up to rounding, so without the cyclic
-        # reduction the extremal word is some rotation of the oracle's.
-        rng = np.random.default_rng(111)
-        s = ExplicitSet(rng.uniform(0.0, 1.5, size=(3, 3, 3)))
-        for n in (1, 2, 4):
-            want = _oracle(s.matrices, n, cyclic=False)
-            for direction in ("max", "min"):
-                value, word = rho_n_bruteforce(s, n, direction,
-                                               use_cyclic=False)
-                want_value, want_word = want[f"rho_{direction}"]
-                assert value == pytest.approx(want_value ** (1 / n), rel=1e-9)
-                assert word in {want_word[r:] + want_word[:r]
-                                for r in range(n)}
-
     @pytest.mark.parametrize("t", [1e-12, 1e-6, 1e6, 1e12])
     def test_scale_equivariance(self, t):
         rng = np.random.default_rng(112)
@@ -638,16 +604,15 @@ class TestWordSweep:
         whole = jsr_lsr_bounds(s, 6)
         monkeypatch.setattr(spectral, "_CHUNK", 4)
         assert jsr_lsr_bounds(s, 6) == whole
-        monkeypatch.setenv("HOURGLASS_THREADS", "2")
-        assert jsr_lsr_bounds(s, 6) == whole
 
-    def test_threads_identical_across_blocks(self, monkeypatch):
+    def test_wide_levels_match_one_block(self, monkeypatch):
+        # At the default block size the deepest levels of 2^18 words run in
+        # several prefix blocks; with a block wider than every level, in one.
         rng = np.random.default_rng(114)
         s = ExplicitSet(rng.uniform(0.0, 1.5, size=(2, 2, 2)))
         n_max = 18
         assert s.size ** n_max > 2 * spectral._CHUNK
-        monkeypatch.setenv("HOURGLASS_THREADS", "1")
-        sequential = jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max)
-        monkeypatch.setenv("HOURGLASS_THREADS", "2")
-        parallel = jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max)
-        assert sequential == parallel
+        blocks = jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max)
+        monkeypatch.setattr(spectral, "_CHUNK", 1 << 20)
+        assert s.size ** n_max <= spectral._CHUNK // 2
+        assert jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max) == blocks
