@@ -7,14 +7,12 @@ spectral radius of such families is attained already at word length one.
 """
 
 from .linalg import (
-    BoundVerdict,
     ConvergenceError,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DimensionMismatchError,
     DomainError,
     PerronCertificate,
-    classify_bound,
     l1_operator_norm,
     perron_vector,
     spectral_radius_gelfand,

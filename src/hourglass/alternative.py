@@ -24,6 +24,7 @@ certificate.  Families with a negative entry are refused.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .linalg import (
     BATCH_ENTRIES,
     DimensionMismatchError,
     DomainError,
+    ROW_SUMS_OVERFLOW,
     PerronCertificate,
     _perron_tol,
     _reduce,
@@ -257,12 +259,16 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
         raise DomainError("the dichotomy probe requires a positive set")
     if trials < 1:
         raise DomainError("trials must be at least 1")
+    mats, n = s.matrices, s.shape[1]
+    # Every image at u <= 10 is at most ten row sums.  Row means cannot
+    # overflow, and a Python product overflows to inf without a warning.
+    if float(np.matmul(mats, np.full(n, 1.0 / n)).max()) * 10 * n == math.inf:
+        raise DomainError(ROW_SUMS_OVERFLOW)
     rng = np.random.default_rng(seed)
     draws = [(rng.integers(0, s.size),
-              np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=s.shape[1])))
+              np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n)))
              for _ in range(trials)]
     centers, us = map(np.array, zip(*draws))
-    mats = s.matrices
     step = max(1, BATCH_ENTRIES // mats[..., 0].size)  # trials per batch
     violations = []
     for start in range(0, trials, step):
@@ -315,14 +321,17 @@ def certify_extremal(s, candidate, direction: str,
                      cert_tol: float) -> ExtremalCertificate:
     """Certify that ``candidate`` attains the extremal spectral radius of ``s``.
 
-    The candidate must be a member of ``s`` (within the dedup tolerance)
-    and strictly positive.  Its Perron vector ``v`` is computed and the
+    Any family is taken.  The candidate must be a strictly positive member
+    of ``s`` within the dedup tolerance (IRU rows are matched row by row;
+    other families go through ``contains_matrix``, which expands them
+    under the default guard).  Its Perron vector ``v`` is computed and the
     family is scanned: for direction "min" every admissible row ``a`` of
     row position i must satisfy ``a . v >= rho * v_i - cert_tol`` (for IRU
     input the scan is per row set, which is exact and costs the sum of the
     row-set sizes instead of their product); for explicit input every
-    member A must satisfy ``A v >= rho v - cert_tol`` componentwise.
-    Direction "max" mirrors the inequalities.
+    member A, and for chains and trees the extremal image, must satisfy
+    ``A v >= rho v - cert_tol`` componentwise.  Direction "max" mirrors
+    the inequalities.
 
     Raises CertificationError naming the violating row or matrix if the
     margins fail, or if the candidate is not a member of the family, and
@@ -342,11 +351,8 @@ def certify_extremal(s, candidate, direction: str,
                 raise CertificationError(
                     f"candidate row {i} is not an admissible row", violator=i
                 )
-    elif isinstance(s, ExplicitSet):
-        if contains_matrix(s, candidate) is None:
-            raise CertificationError("candidate is not a member of the set")
-    else:
-        raise TypeError(f"cannot certify over {type(s).__name__}")
+    elif contains_matrix(s, candidate) is None:
+        raise CertificationError("candidate is not a member of the set")
     perron = perron_vector(candidate, tol=min(_perron_tol(candidate), cert_tol))
     return _certify_margins(s, candidate, perron, direction, cert_tol)
 

@@ -5,9 +5,10 @@ is no wrapper type.  The module provides two independent spectral-radius
 algorithms (a power iteration over the irreducible blocks found by a boolean
 reachability closure, and a norm-of-squared-powers scheme) so that each can
 serve as a cross-check for the other, plus Perron eigenvector certificates
-and eigenvalue bound classification for nonnegative matrices.  One stacked
-Collatz-Wielandt power loop, ``_bracketed_power``, serves both the radii and
-the Perron certificates; ``perron_vector`` is its one-member case.
+for positive matrices.  One stacked Collatz-Wielandt power loop,
+``_bracketed_power``, serves both the radii and the Perron certificates;
+``perron_vector`` is its one-member case.  The Collatz-Wielandt comparison
+over a whole family lives in ``alternative`` (``_certify_margins``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 GELFAND_MAX_SQUARINGS = 60
 BATCH_ENTRIES = 1 << 14  # array entries per batch of the stacked set-layer passes
+ROW_SUMS_OVERFLOW = "row sums exceed the float range; rescale the input"
 
 
 class DimensionMismatchError(ValueError):
@@ -70,14 +72,6 @@ def as_vector(u) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError("vector entries must be finite")
     return arr
-
-
-def is_nonnegative(a) -> bool:
-    return bool(np.all(np.asarray(a) >= 0))
-
-
-def is_positive(a) -> bool:
-    return bool(np.all(np.asarray(a) > 0))
 
 
 def strict_tolerance(reference):
@@ -137,7 +131,7 @@ def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
         y = np.matmul(b, x[..., None])[..., 0]
         # Python floats: an overflowing quotient is inf without a warning.
         if step == 0 and float(np.maximum.reduce(y, None)) / (1.0 / n) == math.inf:
-            raise DomainError("row sums exceed the float range; rescale the input")
+            raise DomainError(ROW_SUMS_OVERFLOW)
         ratios = y / x
         lo[live] = step_lo = np.minimum.reduce(ratios, 1)
         hi[live] = step_hi = np.maximum.reduce(ratios, 1)
@@ -221,8 +215,7 @@ def spectral_radii(stack, tol: float = DEFAULT_TOL,
     return radii
 
 
-def spectral_radius_gelfand(a, tol: float = DEFAULT_TOL,
-                            max_squarings: int = GELFAND_MAX_SQUARINGS) -> float:
+def spectral_radius_gelfand(a, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius of any real square matrix via repeated squaring.
 
     Evaluates the norm root sequence ||A^(2^k)||^(1/2^k) with the l1
@@ -231,7 +224,7 @@ def spectral_radius_gelfand(a, tol: float = DEFAULT_TOL,
     implicit powers up to 2^60 cannot overflow or underflow.  Along the
     squaring subsequence the estimates are nonincreasing upper bounds on the
     radius; iteration stops once successive estimates agree to well within
-    ``tol`` (or after ``max_squarings``).
+    ``tol`` (or after ``GELFAND_MAX_SQUARINGS``).
     """
     a = as_square(a)
     if tol <= 0:
@@ -243,7 +236,7 @@ def spectral_radius_gelfand(a, tol: float = DEFAULT_TOL,
     log_scale = np.longdouble(np.log(norm))
     prev = float(np.exp(log_scale))
     power = 1
-    for k in range(1, max_squarings + 1):
+    for k in range(1, GELFAND_MAX_SQUARINGS + 1):
         m = m @ m
         power *= 2
         norm = l1_operator_norm(m)
@@ -334,72 +327,3 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
     residual = float(np.abs(a @ x - rho * x).max())
     return PerronCertificate(rho=float(rho), eigenvector=x, residual=residual,
                              tol=tol)
-
-
-@dataclass(frozen=True)
-class BoundVerdict:
-    """Which eigenvalue-bound hypotheses hold for a triple (A, u, lam).
-
-    For nonnegative square A these are the standard comparison facts:
-
-    * ``upper``:        A u <= lam u with u > 0          implies rho(A) <= lam
-    * ``upper_strict``: plus A > 0 and A u != lam u      implies rho(A) <  lam
-    * ``lower``:        A u >= lam u, u >= 0 nonzero,
-                        lam >= 0                         implies rho(A) >= lam
-    * ``lower_strict``: plus A > 0 and A u != lam u      implies rho(A) >  lam
-    """
-
-    upper: bool
-    upper_strict: bool
-    lower: bool
-    lower_strict: bool
-
-    def conclusions(self) -> tuple[str, ...]:
-        out = []
-        if self.upper:
-            out.append("rho <= lambda")
-        if self.upper_strict:
-            out.append("rho < lambda")
-        if self.lower:
-            out.append("rho >= lambda")
-        if self.lower_strict:
-            out.append("rho > lambda")
-        return tuple(out)
-
-
-def classify_bound(a, u, lam: float, tol: float = DEFAULT_TOL) -> BoundVerdict:
-    """Classify which spectral bounds (A, u, lam) certifies.
-
-    Comparisons A u <= lam u and A u >= lam u are taken with an absolute
-    slack of ``tol`` scaled by max(1, ||lam u||_inf); the inequation
-    A u != lam u requires a gap above the strict tolerance so that the
-    strict conclusions always rest on a quantified margin.
-    """
-    a = as_square(a)
-    u = as_vector(u)
-    if np.any(a < 0):
-        raise DomainError("classify_bound requires a nonnegative matrix")
-    if u.size != a.shape[0]:
-        raise DimensionMismatchError(
-            f"vector of length {u.size} does not match matrix of order {a.shape[0]}"
-        )
-    au = a @ u
-    lam_u = lam * u
-    slack = tol * max(1.0, float(np.abs(lam_u).max()))
-    gap = float(np.abs(au - lam_u).max())
-    not_equal = gap > strict_tolerance(lam_u)
-    a_pos = is_positive(a)
-    u_pos = is_positive(u)
-    u_nonneg_nonzero = is_nonnegative(u) and bool(np.any(u > 0))
-
-    le = bool(np.all(au <= lam_u + slack))
-    ge = bool(np.all(au >= lam_u - slack))
-
-    upper = u_pos and le
-    lower = u_nonneg_nonzero and lam >= 0 and ge
-    return BoundVerdict(
-        upper=upper,
-        upper_strict=upper and a_pos and not_equal,
-        lower=lower,
-        lower_strict=lower and a_pos and not_equal,
-    )

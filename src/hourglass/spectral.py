@@ -23,6 +23,7 @@ from .linalg import (
     ConvergenceError,
     DEFAULT_TOL,
     DomainError,
+    ROW_SUMS_OVERFLOW,
     _perron_tol,
     _reduce,
     l1_operator_norm,
@@ -152,7 +153,8 @@ def _sweep(mats: np.ndarray, n_max: int, first: int = 1, norms: bool = True):
     overflow.  Levels wider than ``_CHUNK / 2`` run in prefix blocks, one
     after another, so that about ``_CHUNK`` products are alive at once.
     Returns per length the ``(log value, first word)`` pairs of radius max,
-    radius min, norm max and norm min (norms None if off).
+    radius min, norm max and norm min (norms None if off).  A member whose
+    l1 norm exceeds the float range raises DomainError.
     """
     m = len(mats)
     prune = bool(np.all(mats >= 0))
@@ -175,7 +177,13 @@ def _sweep(mats: np.ndarray, n_max: int, first: int = 1, norms: bool = True):
                         for lv in zip(*parts)]
 
     prods = mats.astype(float, copy=True)
-    levels = descend(prods, _normalise(prods, np.zeros(m)), 0, 1)
+    # An overflowing l1 norm shows as an infinite log.  Later levels hold
+    # normalised products, whose norms are at most the first level's.
+    with np.errstate(over="ignore"):
+        logs = _normalise(prods, np.zeros(m))
+    if float(logs.max()) == math.inf:
+        raise DomainError("column sums exceed the float range; rescale the input")
+    levels = descend(prods, logs, 0, 1)
     return [
         tuple(None if e == _MISSING else (s * e[0], tuple(
             int(i) for i in np.unravel_index(-e[1], (m,) * n)))
@@ -256,7 +264,8 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
     extremal over the whole family.
 
     Boundary (merely nonnegative) families are refused; lift them first and
-    compare runs at a couple of lift sizes to audit the limit.
+    compare runs at a couple of lift sizes to audit the limit.  Row sums
+    beyond the float range raise DomainError before the first step.
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -269,8 +278,13 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
             "apply an epsilon lift to boundary sets first"
         )
     sign = 1.0 if direction == "max" else -1.0
-    a, _, selection, _ = extremal_pick(s, np.ones(n), sign, itertools.repeat(0),
-                                       math.inf)
+    # At tol inf either sign keeps the first choices.  The largest image at
+    # 1/n bounds every member's row means, so one check spares every Perron
+    # call below an overflow (a Python product is inf without a warning).
+    a, image, selection, _ = extremal_pick(s, np.full(n, 1.0 / n), 1.0,
+                                           itertools.repeat(0), math.inf)
+    if float(image.max()) * n == math.inf:
+        raise DomainError(ROW_SUMS_OVERFLOW)
     seen = {selection}
     steps: list[SimplexStep] = []
     for _ in range(max_iter):

@@ -22,7 +22,7 @@ from hourglass.sets import (
     OrderedChain,
     Sum,
 )
-from hourglass.spectral import rho_extremal_exhaustive
+from hourglass.spectral import rho_extremal_exhaustive, spectral_simplex
 from test_spectral import any_family
 
 
@@ -387,3 +387,18 @@ class TestCertifyExtremal:
         assert cert.direction == "max"
         assert cert.margins.shape == (s.size,)
         assert cert.rho == pytest.approx(value, abs=1e-8)
+
+
+@any_family
+@pytest.mark.parametrize("direction", ["min", "max"])
+def test_certify_takes_any_family(make, direction):
+    # Chains and trees certify through membership in their expansion and
+    # the oracle's image, as the simplex's own terminal certificate does.
+    s = make(np.random.default_rng(17))
+    trace = spectral_simplex(s, direction)
+    tol = trace.certificate.cert_tol
+    cert = certify_extremal(s, trace.certificate.extremal_matrix, direction, tol)
+    assert cert.rho == pytest.approx(trace.rho, rel=1e-12, abs=0)
+    assert cert.worst_margin >= -tol
+    with pytest.raises(CertificationError):
+        certify_extremal(s, np.full(s.shape, 7.0), direction, tol)

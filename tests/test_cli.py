@@ -394,20 +394,38 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["radius", "--input", "/nonexistent.json"]) == EXIT_USAGE
 
-    def test_radius_beyond_float_range(self, tmp_path):
-        # Row sums overflow: one error line at once, and no warning.
+    @staticmethod
+    def _fails_at_once(tmp_path, argv, first_row=(1.5e308, 1e308)):
+        # Row and column sums overflow: one error line at once, no warning.
         path = tmp_path / "over.json"
         path.write_text(json.dumps({"type": "explicit", "matrices": [
-            [[1.5e308, 1e308], [1e308, 1.2e308]],
+            [first_row, [1e308, 1.2e308]],
             [[1.4e308, 1e308], [1e308, 1.2e308]]]}))
         done = subprocess.run(
-            [sys.executable, "-m", "hourglass.cli", "radius", "--input",
+            [sys.executable, "-m", "hourglass.cli", *argv, "--input",
              str(path)], capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert done.returncode == EXIT_USAGE
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
         assert "Warning" not in done.stderr
+
+    def test_radius_beyond_float_range(self, tmp_path):
+        self._fails_at_once(tmp_path, ["radius"])
+
+    @pytest.mark.parametrize("argv, first_row", [
+        (["jsr", "--n-max", "2"], (1.5e308, 1e308)),
+        (["lsr", "--n-max", "2"], (1.5e308, 1e308)),
+        (["conv-check"], (1.5e308, 1e308)),
+        (["simplex", "--direction", "max"], (1.5e308, 1e308)),
+        (["simplex", "--direction", "min"], (1.5e308, 1e308)),
+        (["hset-probe"], (1.5e308, 1e308)),
+        # The sweep takes signed members; their absolute column sums overflow.
+        (["jsr", "--n-max", "2"], (1.5e308, -1e308)),
+    ], ids=["jsr", "lsr", "conv-check", "simplex-max", "simplex-min",
+            "hset-probe", "jsr-signed"])
+    def test_beyond_float_range(self, tmp_path, argv, first_row):
+        self._fails_at_once(tmp_path, argv, first_row)
 
 
 class TestGen:
