@@ -43,10 +43,10 @@ from .linalg import (
     strict_tolerance,
 )
 from .sets import (
+    LEAVES,
     ExplicitSet,
     IdentityElem,
     IruSet,
-    OrderedChain,
     Product,
     Scale,
     Sum,
@@ -75,8 +75,9 @@ def _choose(images: np.ndarray, incumbent, tol: float):
     near = gaps <= tol
     if incumbent is None or not near[incumbent]:
         incumbent = int(gaps.argmin())
-        if not near[incumbent]:
-            raise DomainError("no explicit-leaf member has an extremal image")
+        if not near[incumbent]:  # finite members and w: images overflowed
+            raise DomainError(ROW_SUMS_OVERFLOW if not np.isfinite(best).all()
+                              else "no explicit-leaf member has an extremal image")
     return incumbent, best, bool(np.count_nonzero(near) > 1)
 
 
@@ -95,8 +96,8 @@ def extremal_pick(e, w: np.ndarray, sign: float, keep, tol: float) -> tuple:
     ``ties`` flags, per choice, two candidates within ``tol`` of the
     extremum.  Negative leaves raise DomainError.
     """
-    if isinstance(e, (IruSet, OrderedChain, ExplicitSet)):
-        if not isinstance(e, OrderedChain) and not e.is_nonnegative:
+    if isinstance(e, LEAVES):
+        if not e.is_nonnegative:
             raise DomainError("extremal images require nonnegative leaves")
         if isinstance(e, IruSet):
             js, bests, ties = zip(*(
@@ -151,7 +152,7 @@ class HourglassOutcome:
         return self.verdict == "all_on_side"
 
 
-def _hourglass_iru(s: IruSet, a_tilde, u, strict_tol, sign: int) -> HourglassOutcome:
+def _hourglass_iru(s: IruSet, a_tilde, u, sign: int) -> HourglassOutcome:
     """Shared H1/H2 decision; sign=+1 looks for a row below, -1 for one above."""
     if not isinstance(s, IruSet):
         raise TypeError(f"hourglass decisions need an IruSet, got {type(s).__name__}")
@@ -164,10 +165,13 @@ def _hourglass_iru(s: IruSet, a_tilde, u, strict_tol, sign: int) -> HourglassOut
         )
     if not np.all(u > 0):
         raise DomainError("u must be strictly positive")
-    choice = tuple(int(j) for j in a_tilde)
-    tilde = s.assemble(choice)  # validates indices
+    choice = tuple(a_tilde)
+    for i, (j, rs) in enumerate(zip(choice, s.row_sets)):
+        if not isinstance(j, (int, np.integer)) or j not in range(rs.size):
+            raise DomainError(f"a_tilde[{i}] = {j!r} is not a row index of row set {i}")
+    tilde = s.assemble(choice)  # checks the choice length
     v = tilde @ u
-    stol = strict_tolerance(v) if strict_tol is None else strict_tol
+    stol = strict_tolerance(v)
 
     direction = "H1" if sign > 0 else "H2"
     # Every image lies on the required side iff the extremal one does.
@@ -195,8 +199,7 @@ def _hourglass_iru(s: IruSet, a_tilde, u, strict_tol, sign: int) -> HourglassOut
     )
 
 
-def hourglass_h1_iru(s: IruSet, a_tilde, u,
-                     strict_tol: float | None = None) -> HourglassOutcome:
+def hourglass_h1_iru(s: IruSet, a_tilde, u) -> HourglassOutcome:
     """Exact H1 decision on an IRU family.
 
     With ``v = A~ u``: either every member satisfies ``A u >= v`` (up to the
@@ -205,13 +208,12 @@ def hourglass_h1_iru(s: IruSet, a_tilde, u,
     first offending (row position, row index) in lexicographic order is
     swapped in.
     """
-    return _hourglass_iru(s, a_tilde, u, strict_tol, sign=+1)
+    return _hourglass_iru(s, a_tilde, u, sign=+1)
 
 
-def hourglass_h2_iru(s: IruSet, a_tilde, u,
-                     strict_tol: float | None = None) -> HourglassOutcome:
+def hourglass_h2_iru(s: IruSet, a_tilde, u) -> HourglassOutcome:
     """Exact H2 decision on an IRU family (mirror image of H1)."""
-    return _hourglass_iru(s, a_tilde, u, strict_tol, sign=-1)
+    return _hourglass_iru(s, a_tilde, u, sign=-1)
 
 
 @dataclass(frozen=True)
@@ -363,7 +365,7 @@ def _certify_margins(s, candidate: np.ndarray, perron: PerronCertificate,
     chains and trees get one margin per component of their extremal image."""
     sign = 1.0 if direction == "min" else -1.0
     v = perron.eigenvector
-    if isinstance(s, (IruSet, ExplicitSet)) and not s.is_nonnegative:
+    if isinstance(s, LEAVES) and not s.is_nonnegative:
         # A v <= rho v bounds the radius of no member with a negative entry.
         raise DomainError("certificates require a nonnegative family")
     if isinstance(s, IruSet):

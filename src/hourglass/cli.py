@@ -80,25 +80,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _render_text(obj, indent=0) -> str:
     pad = "  " * indent
-    if isinstance(obj, dict):
-        lines = []
-        for key, val in obj.items():
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {val}")
-        return "\n".join(lines)
-    if isinstance(obj, list):
-        lines = []
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-        return "\n".join(lines)
-    return f"{pad}{obj}"
+    if not isinstance(obj, (dict, list)):
+        return f"{pad}{obj}"
+    labelled = (((f"{key}:", val) for key, val in obj.items())
+                if isinstance(obj, dict) else (("-", val) for val in obj))
+    lines = []
+    for label, val in labelled:
+        if isinstance(val, (dict, list)):
+            lines += [f"{pad}{label}", _render_text(val, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {val}")
+    return "\n".join(lines)
 
 
 def _emit(report: RunReport, fmt: str) -> None:
@@ -213,6 +205,8 @@ def cmd_hausdorff(args, expr) -> dict:
 
 
 def cmd_conv_check(args, expr) -> dict:
+    if args.n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {args.n_max}")
     expanded = expr_expand(expr, args.guard)
     reports = [
         conv_lsr_check(expanded, n, samples=args.samples, seed=args.seed + n,

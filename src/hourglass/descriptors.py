@@ -215,13 +215,9 @@ def _serialize_node(e: SetExpr) -> dict:
         return {"type": "chain", "matrices": e.matrices.tolist()}
     if isinstance(e, ExplicitSet):
         return {"type": "explicit", "matrices": e.matrices.tolist()}
-    if isinstance(e, Sum):
-        return {"type": "sum", "children": [_serialize_node(c) for c in e.children]}
-    if isinstance(e, Product):
-        return {
-            "type": "product",
-            "children": [_serialize_node(c) for c in e.children],
-        }
+    if isinstance(e, (Sum, Product)):
+        return {"type": "sum" if isinstance(e, Sum) else "product",
+                "children": [_serialize_node(c) for c in e.children]}
     if isinstance(e, Scale):
         return {"type": "scale", "factor": e.factor,
                 "child": _serialize_node(e.child)}

@@ -44,12 +44,13 @@ def random_iru(rng: np.random.Generator, n_rows: int, n_cols: int,
 
 def random_chain(rng: np.random.Generator, length: int, n_rows: int,
                  n_cols: int, lo: float, hi: float) -> OrderedChain:
+    if length < 1:
+        raise DomainError(f"chain length must be >= 1, got {length}")
     # Cumulative nonnegative increments guarantee the entrywise ordering.
     base = rng.uniform(lo, hi, size=(n_rows, n_cols))
     step = max(hi - lo, hi, 1.0)
     increments = rng.uniform(0.0, step, size=(length - 1, n_rows, n_cols))
-    mats = np.concatenate([base[None], base[None] + np.cumsum(increments, axis=0)]) \
-        if length > 1 else base[None]
+    mats = np.concatenate([base[None], base[None] + np.cumsum(increments, axis=0)])
     return OrderedChain(mats)
 
 
@@ -63,6 +64,8 @@ def random_expr(rng: np.random.Generator, depth: int, dim: int,
     """
     if lo <= 0:
         raise DomainError("random_expr needs a strictly positive entry range")
+    if depth < 0:
+        raise DomainError(f"expression depth must be >= 0, got {depth}")
 
     def leaf() -> SetExpr:
         if rng.integers(2) == 0:

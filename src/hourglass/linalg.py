@@ -196,7 +196,7 @@ def spectral_radii(stack, tol: float = DEFAULT_TOL,
                                      f"got shape {stack.shape}")
     if not np.all(np.isfinite(stack) & (stack >= 0)):
         raise DomainError("spectral radii require finite nonnegative entries")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     k, n, _ = stack.shape
     radii, widths = np.empty(k), np.empty(k)
@@ -227,7 +227,7 @@ def spectral_radius_gelfand(a, tol: float = DEFAULT_TOL) -> float:
     ``tol`` (or after ``GELFAND_MAX_SQUARINGS``).
     """
     a = as_square(a)
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     norm = l1_operator_norm(a)
     if norm == 0.0:
@@ -317,7 +317,7 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
         raise DomainError(
             "perron_vector requires strictly positive entries; lift the input first"
         )
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     (rho,), (width,), (x,) = _bracketed_power(a[None], _power_shift(a[None]),
                                               tol, max_iter)

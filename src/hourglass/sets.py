@@ -216,67 +216,25 @@ class IruSet(SetExpr):
         return f"IruSet({self.n_rows}x{self.n_cols}, row set sizes {sizes})"
 
 
-class OrderedChain(SetExpr):
-    """Entrywise-ordered finite list of nonnegative matrices."""
+class _MemberStack(SetExpr):
+    """A leaf holding a nonempty read-only stack of equal-size matrices."""
 
-    def __init__(self, matrices):
-        arr = np.asarray(matrices, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] == 0:
-            raise DimensionMismatchError(
-                f"OrderedChain needs a nonempty list of matrices, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("OrderedChain entries must be finite")
-        if np.any(arr < 0):
-            raise DomainError("OrderedChain matrices must be nonnegative")
-        if np.any(arr[1:] < arr[:-1]):
-            raise DomainError(
-                "OrderedChain matrices must be entrywise nondecreasing"
-            )
-        self.matrices = arr
+    def __init__(self, matrices: np.ndarray):
+        self.matrices = matrices
         self.matrices.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.matrices.shape[0]
-
-    def cardinality_bound(self) -> int:
-        return self.size
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrices.shape[1:]
-
-    @property
-    def is_positive(self) -> bool:
-        return bool(np.all(self.matrices[0] > 0))
-
-    @property
-    def is_strictly_increasing(self) -> bool:
-        return bool(np.all(self.matrices[1:] > self.matrices[:-1]))
-
-    def __repr__(self):
-        n, m = self.shape
-        return f"OrderedChain({self.size} matrices, {n}x{m})"
-
-
-class ExplicitSet(SetExpr):
-    """A finite set of equal-size matrices, deduplicated within a tolerance."""
-
-    def __init__(self, matrices, dedup: bool = True):
+    def _checked(self, matrices) -> tuple[np.ndarray, float, float]:
+        """``matrices`` checked, with its magnitude and merge tolerance."""
         arr = np.asarray(matrices, dtype=float)
         if arr.ndim != 3 or arr.shape[0] == 0:
             raise DimensionMismatchError(
-                f"ExplicitSet needs a nonempty list of matrices, got shape {arr.shape}"
+                f"{type(self).__name__} needs a nonempty list of matrices, "
+                f"got shape {arr.shape}"
             )
         scale, tol = _scale_tolerance(arr)
         if not math.isfinite(scale):
-            raise DomainError("ExplicitSet entries must be finite")
-        if dedup:
-            k, n, m = arr.shape
-            arr = _dedup_rows(arr.reshape(k, n * m), tol, scale).reshape(-1, n, m)
-        self.matrices = arr
-        self.matrices.setflags(write=False)
+            raise DomainError(f"{type(self).__name__} entries must be finite")
+        return arr, scale, tol
 
     @property
     def size(self) -> int:
@@ -297,12 +255,45 @@ class ExplicitSet(SetExpr):
     def is_positive(self) -> bool:
         return bool(np.all(self.matrices > 0))
 
+    def __repr__(self):
+        n, m = self.shape
+        return f"{type(self).__name__}({self.size} matrices, {n}x{m})"
+
+
+class OrderedChain(_MemberStack):
+    """Entrywise-ordered finite list of nonnegative matrices."""
+
+    def __init__(self, matrices):
+        arr = self._checked(matrices)[0]
+        if np.any(arr < 0):
+            raise DomainError("OrderedChain matrices must be nonnegative")
+        if np.any(arr[1:] < arr[:-1]):
+            raise DomainError(
+                "OrderedChain matrices must be entrywise nondecreasing"
+            )
+        super().__init__(arr)
+
+    @property
+    def is_strictly_increasing(self) -> bool:
+        return bool(np.all(self.matrices[1:] > self.matrices[:-1]))
+
+
+class ExplicitSet(_MemberStack):
+    """A finite set of equal-size matrices, deduplicated within a tolerance."""
+
+    def __init__(self, matrices, dedup: bool = True):
+        arr, scale, tol = self._checked(matrices)
+        if dedup:
+            k, n, m = arr.shape
+            arr = _dedup_rows(arr.reshape(k, n * m), tol, scale).reshape(-1, n, m)
+        super().__init__(arr)
+
     def __iter__(self):
         return iter(self.matrices)
 
-    def __repr__(self):
-        n, m = self.shape
-        return f"ExplicitSet({self.size} matrices, {n}x{m})"
+
+# The leaves of every expression tree: the generators of the class.
+LEAVES = (IruSet, OrderedChain, ExplicitSet)
 
 
 def as_explicit(s) -> ExplicitSet:
@@ -322,17 +313,15 @@ def set_equal(a, b, tol: float | None = None) -> bool:
     return hausdorff_distance(a, b).distance <= tol
 
 
-def contains_matrix(s, m, tol: float | None = None) -> int | None:
-    """Index of the member of ``as_explicit(s)`` matching ``m`` within
-    ``tol``, if any."""
+def contains_matrix(s, m) -> int | None:
+    """Index of the member of ``as_explicit(s)`` matching ``m`` within the
+    dedup tolerance, if any."""
     s, m = as_explicit(s), as_matrix(m)
     if tuple(s.shape) != m.shape:
         return None
-    if tol is None:
-        tol = dedup_tolerance(s.matrices)
     dists = np.abs(s.matrices - m[None]).max(axis=(1, 2))
     i = int(dists.argmin())
-    return i if dists[i] <= tol else None
+    return i if dists[i] <= dedup_tolerance(s.matrices) else None
 
 
 def iru_enumerate(s: IruSet, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSet:
@@ -357,6 +346,14 @@ def chain_enumerate(c: OrderedChain) -> ExplicitSet:
     return ExplicitSet(c.matrices, dedup=False)
 
 
+def _minkowski_set(stack: np.ndarray, op: str) -> ExplicitSet:
+    """``stack`` deduplicated; from finite sets it is finite unless it overflowed."""
+    try:
+        return ExplicitSet(stack)
+    except DomainError:
+        raise DomainError(f"the Minkowski {op} exceeds the float range") from None
+
+
 def minkowski_sum(a: ExplicitSet, b: ExplicitSet) -> ExplicitSet:
     """All pairwise sums {A + B}, deduplicated."""
     if a.shape != b.shape:
@@ -364,8 +361,9 @@ def minkowski_sum(a: ExplicitSet, b: ExplicitSet) -> ExplicitSet:
             f"cannot add sets of shapes {a.shape} and {b.shape}"
         )
     n, m = a.shape
-    sums = (a.matrices[:, None] + b.matrices[None, :]).reshape(-1, n, m)
-    return ExplicitSet(sums)
+    with np.errstate(over="ignore"):  # reported by the finiteness check
+        sums = (a.matrices[:, None] + b.matrices[None, :]).reshape(-1, n, m)
+    return _minkowski_set(sums, "sum")
 
 
 def minkowski_product(a: ExplicitSet, b: ExplicitSet) -> ExplicitSet:
@@ -376,7 +374,7 @@ def minkowski_product(a: ExplicitSet, b: ExplicitSet) -> ExplicitSet:
         )
     prods = np.einsum("aij,bjk->abik", a.matrices, b.matrices)
     prods = prods.reshape(-1, a.shape[0], b.shape[1])
-    return ExplicitSet(prods)
+    return _minkowski_set(prods, "product")
 
 
 def scale_set(t: float, s):
@@ -504,53 +502,49 @@ def transpose_set(s) -> ExplicitSet:
 
 def Leaf(s):
     """``s`` itself, checked to be a set: a set is its own one-leaf tree."""
-    if not isinstance(s, (IruSet, OrderedChain, ExplicitSet)):
+    if not isinstance(s, LEAVES):
         raise TypeError(f"unsupported leaf payload {type(s).__name__}")
     return s
 
 
 @dataclass(frozen=True, eq=False)
-class Sum(SetExpr):
+class _Nary(SetExpr):
+    """Minkowski sum or product of two or more children."""
+
     children: tuple[SetExpr, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) < 2:
-            raise DimensionMismatchError("Sum needs at least two children")
+            raise DimensionMismatchError(
+                f"{type(self).__name__} needs at least two children"
+            )
+        self.shape  # each operation's shape rule, checked and cached once
+
+    def cardinality_bound(self):
+        return math.prod(c.cardinality_bound() for c in self.children)
+
+
+class Sum(_Nary):
+    @cached_property
+    def shape(self):
         shapes = {c.shape for c in self.children}
         if len(shapes) != 1:
             raise DimensionMismatchError(
                 f"Sum children must share one shape, got {sorted(shapes)}"
             )
-
-    @property
-    def shape(self):
         return self.children[0].shape
 
-    def cardinality_bound(self):
-        return math.prod(c.cardinality_bound() for c in self.children)
 
-
-@dataclass(frozen=True, eq=False)
-class Product(SetExpr):
-    children: tuple[SetExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
-            raise DimensionMismatchError("Product needs at least two children")
+class Product(_Nary):
+    @cached_property
+    def shape(self):
         for left, right in itertools.pairwise(self.children):
             if left.shape[1] != right.shape[0]:
                 raise DimensionMismatchError(
                     f"Product children {left.shape} and {right.shape} do not chain"
                 )
-
-    @property
-    def shape(self):
         return (self.children[0].shape[0], self.children[-1].shape[1])
-
-    def cardinality_bound(self):
-        return math.prod(c.cardinality_bound() for c in self.children)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,10 +32,9 @@ from .linalg import (
 )
 from .sets import (
     DEFAULT_SIZE_GUARD,
+    LEAVES,
     ExplicitSet,
     GuardExceededError,
-    IruSet,
-    OrderedChain,
     as_explicit,
     convex_combination,
     expr_expand,
@@ -269,10 +268,12 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
+    if not math.isfinite(tol):  # NaN or inf would certify nothing
+        raise DomainError(f"tol must be finite, got {tol}")
     n, m = s.shape
     if n != m:
         raise DomainError(f"need a square family, got {n}x{m}")
-    if isinstance(s, (IruSet, OrderedChain, ExplicitSet)) and not s.is_positive:
+    if isinstance(s, LEAVES) and not s.is_positive:
         raise DomainError(
             "spectral_simplex requires a strictly positive family; "
             "apply an epsilon lift to boundary sets first"
@@ -281,8 +282,9 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
     # At tol inf either sign keeps the first choices.  The largest image at
     # 1/n bounds every member's row means, so one check spares every Perron
     # call below an overflow (a Python product is inf without a warning).
-    a, image, selection, _ = extremal_pick(s, np.full(n, 1.0 / n), 1.0,
-                                           itertools.repeat(0), math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, image, selection, _ = extremal_pick(s, np.full(n, 1.0 / n), 1.0,
+                                               itertools.repeat(0), math.inf)
     if float(image.max()) * n == math.inf:
         raise DomainError(ROW_SUMS_OVERFLOW)
     seen = {selection}
@@ -443,6 +445,12 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     random convex combinations of members, exercising stability over
     intermediate sets between the family and its convex hull.
     """
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if sandwich_samples < 0:
+        raise DomainError(f"sandwich_samples must be >= 0, got {sandwich_samples}")
+    if not math.isfinite(tol):  # inf would pass every check, NaN fail them
+        raise DomainError(f"tol must be finite, got {tol}")
     expanded = expr_expand(s, size_guard)
     _require_square_set(expanded)
     if not expanded.is_nonnegative:
@@ -522,6 +530,8 @@ def conv_lsr_check(s, n: int, samples: int, seed: int,
         raise DomainError("convex-hull check requires nonnegative matrices")
     if samples < 1:
         raise DomainError("samples must be at least 1")
+    if not math.isfinite(tol):  # NaN or inf would pass every sample
+        raise DomainError(f"tol must be finite, got {tol}")
     dim = s.shape[0]
     rho_check_n, _ = rho_n_bruteforce(s, n, "min", size_guard)
     threshold_power = rho_check_n ** n / dim

@@ -26,6 +26,9 @@ from hourglass.spectral import rho_extremal_exhaustive, spectral_simplex
 from test_spectral import any_family
 
 
+J2 = np.ones((2, 2))
+
+
 def _random_iru(rng, n, sizes, lo=0.1, hi=2.0):
     return IruSet([rng.uniform(lo, hi, size=(k, n)) for k in sizes])
 
@@ -126,6 +129,19 @@ class TestHourglassH1:
         s = IruSet([[[1.0, 1.0]], [[1.0, 1.0]]])
         with pytest.raises(DomainError):
             hourglass_h1_iru(s, (0, 0), [1.0, -1.0])
+
+    @pytest.mark.parametrize("choice, position", [
+        ((-1, 0), 0), ((0.5, 0), 0), ((5, 0), 0), ((0, 2), 1),
+    ], ids=["negative", "fraction", "past-the-end", "second-position"])
+    def test_rejects_choices_that_are_not_row_indices(self, choice, position):
+        # A negative index would pick from the end, a fraction would be
+        # truncated: neither names a row.
+        s = IruSet([[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]]])
+        for decide in (hourglass_h1_iru, hourglass_h2_iru):
+            with pytest.raises(DomainError, match=(
+                    rf"^a_tilde\[{position}\] = {choice[position]!r} is not a "
+                    rf"row index of row set {position}$")):
+                decide(s, choice, [1.0, 1.0])
 
     def test_agrees_with_exhaustive_scan(self):
         # Structured decisions match a brute-force scan of the enumeration
@@ -387,6 +403,22 @@ class TestCertifyExtremal:
         assert cert.direction == "max"
         assert cert.margins.shape == (s.size,)
         assert cert.rho == pytest.approx(value, abs=1e-8)
+
+    # J is the all-ones 2x2 matrix: rho(cJ) = 2c, Perron vector (1/2, 1/2).
+    @pytest.mark.parametrize("s, c, direction, message, violator", [
+        (ExplicitSet([J2, 3 * J2]), 1, "max",
+         "member 1 violates the max inequality by 2.000e+00", 1),
+        (ExplicitSet([J2, 3 * J2]), 3, "min",
+         "member 0 violates the min inequality by 2.000e+00", 0),
+        (Sum((ExplicitSet([J2, 2 * J2]), ExplicitSet([J2]))), 2, "max",
+         "component 0 of the extremal image violates the max inequality "
+         "by 1.000e+00", 0),
+    ], ids=["explicit-max", "explicit-min", "sum-max"])
+    def test_names_the_violator(self, s, c, direction, message, violator):
+        with pytest.raises(CertificationError) as err:
+            certify_extremal(s, c * J2, direction, cert_tol=1e-9)
+        assert str(err.value) == message
+        assert err.value.violator == violator
 
 
 @any_family

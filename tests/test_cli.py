@@ -391,14 +391,43 @@ class TestExitCodes:
         assert main(["radius", "--no-such-flag"]) == EXIT_USAGE
         assert main(["extremal", "--direction", "sideways"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (["finiteness", "--n-max", "0"], "n_max must be >= 1, got 0"),
+        (["conv-check", "--n-max", "0"], "n_max must be >= 1, got 0"),
+        (["finiteness", "--sandwich-samples", "-1"],
+         "sandwich_samples must be >= 0, got -1"),
+        (["radius", "--tol", "nan"], "tol must be positive"),
+        (["extremal", "--direction", "min", "--tol", "nan"],
+         "tol must be positive"),
+        (["simplex", "--direction", "max", "--tol", "nan"],
+         "tol must be finite, got nan"),
+        (["simplex", "--direction", "min", "--tol", "inf"],
+         "tol must be finite, got inf"),
+        (["conv-check", "--tol", "nan"], "tol must be finite, got nan"),
+        (["finiteness", "--tol", "inf"], "tol must be finite, got inf"),
+        (["gen", "--kind", "chain", "--length", "0"],
+         "chain length must be >= 1, got 0"),
+        (["gen", "--kind", "expr", "--depth", "-1"],
+         "expression depth must be >= 0, got -1"),
+    ], ids=["finiteness-n-max", "conv-check-n-max", "sandwich-samples",
+            "radius-tol-nan", "extremal-tol-nan", "simplex-tol-nan",
+            "simplex-tol-inf", "conv-check-tol-nan", "finiteness-tol-inf",
+            "gen-chain-length", "gen-expr-depth"])
+    def test_refuses_values_that_make_a_check_vacuous(self, tmp_path, capsys,
+                                                      iru_file, argv, message):
+        where = (["--out", str(tmp_path / "g.json")] if argv[0] == "gen"
+                 else ["--input", iru_file])
+        assert main([*argv, *where]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_file(self):
         assert main(["radius", "--input", "/nonexistent.json"]) == EXIT_USAGE
 
     @staticmethod
-    def _fails_at_once(tmp_path, argv, first_row=(1.5e308, 1e308)):
+    def _fails_at_once(tmp_path, argv, first_row=(1.5e308, 1e308), tree=None):
         # Row and column sums overflow: one error line at once, no warning.
         path = tmp_path / "over.json"
-        path.write_text(json.dumps({"type": "explicit", "matrices": [
+        path.write_text(json.dumps(tree or {"type": "explicit", "matrices": [
             [first_row, [1e308, 1.2e308]],
             [[1.4e308, 1e308], [1e308, 1.2e308]]]}))
         done = subprocess.run(
@@ -409,23 +438,37 @@ class TestExitCodes:
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
         assert "Warning" not in done.stderr
+        assert "the float range" in done.stderr
 
     def test_radius_beyond_float_range(self, tmp_path):
         self._fails_at_once(tmp_path, ["radius"])
 
-    @pytest.mark.parametrize("argv, first_row", [
-        (["jsr", "--n-max", "2"], (1.5e308, 1e308)),
-        (["lsr", "--n-max", "2"], (1.5e308, 1e308)),
-        (["conv-check"], (1.5e308, 1e308)),
-        (["simplex", "--direction", "max"], (1.5e308, 1e308)),
-        (["simplex", "--direction", "min"], (1.5e308, 1e308)),
-        (["hset-probe"], (1.5e308, 1e308)),
+    # Finite leaves whose Minkowski sum or product overflows.
+    _SUM = {"type": "sum", "children": 2 * [
+        {"type": "iru", "row_sets": [[[1e308, 1e307]], [[1e307, 1e308]]]}]}
+    _PRODUCT = {"type": "product", "children": 2 * [
+        {"type": "iru", "row_sets": [[[1e200, 1e200]], [[1e200, 1e200]]]}]}
+
+    @pytest.mark.parametrize("argv, first_row, tree", [
+        (["jsr", "--n-max", "2"], (1.5e308, 1e308), None),
+        (["lsr", "--n-max", "2"], (1.5e308, 1e308), None),
+        (["conv-check"], (1.5e308, 1e308), None),
+        (["simplex", "--direction", "max"], (1.5e308, 1e308), None),
+        (["simplex", "--direction", "min"], (1.5e308, 1e308), None),
+        (["hset-probe"], (1.5e308, 1e308), None),
         # The sweep takes signed members; their absolute column sums overflow.
-        (["jsr", "--n-max", "2"], (1.5e308, -1e308)),
+        (["jsr", "--n-max", "2"], (1.5e308, -1e308), None),
+        *((argv, None, tree) for tree in (_SUM, _PRODUCT) for argv in (
+            ["radius"], ["extremal", "--direction", "max"], ["jsr", "--n-max", "2"],
+            ["finiteness"], ["hset-probe"], ["conv-check"],
+            ["simplex", "--direction", "max"], ["simplex", "--direction", "min"])),
     ], ids=["jsr", "lsr", "conv-check", "simplex-max", "simplex-min",
-            "hset-probe", "jsr-signed"])
-    def test_beyond_float_range(self, tmp_path, argv, first_row):
-        self._fails_at_once(tmp_path, argv, first_row)
+            "hset-probe", "jsr-signed",
+            *(f"{tree}-{cmd}" for tree in ("sum", "product") for cmd in (
+                "radius", "extremal", "jsr", "finiteness", "hset-probe",
+                "conv-check", "simplex-max", "simplex-min"))])
+    def test_beyond_float_range(self, tmp_path, argv, first_row, tree):
+        self._fails_at_once(tmp_path, argv, first_row, tree)
 
 
 class TestGen:

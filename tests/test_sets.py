@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,8 @@ def test_non_finite_entries_raise(bad):
         with pytest.raises(DomainError,
                            match="^ExplicitSet entries must be finite$"):
             ExplicitSet([[[1.0, bad]], [[0.0, 1.0]]], dedup=dedup)
+    with pytest.raises(DomainError, match="^OrderedChain entries must be finite$"):
+        OrderedChain([[[0.0, 1.0]], [[1.0, bad]]])
 
 
 def _dedup_rows_pairwise(flat, tol):
@@ -246,6 +249,25 @@ class TestMinkowskiSum:
             minkowski_sum(ExplicitSet([NILP_A]), ExplicitSet(np.ones((1, 3, 3))))
 
 
+@pytest.mark.parametrize("op, a, b", [
+    (minkowski_sum, [[1e308, 1e307], [1e307, 1e308]], None),
+    (minkowski_product, np.full((2, 2), 1e200), None),
+    # Terms of opposite sign that both overflow leave a NaN entry.
+    (minkowski_product, [[1e200, -1e200], [1.0, 1.0]], [[1e200, 1.0], [1e200, 1.0]]),
+], ids=["sum", "product", "product-nan"])
+def test_minkowski_beyond_float_range(op, a, b):
+    # Finite operands whose combinations overflow: one error naming the
+    # float range, not the finiteness check of the input, and no warning.
+    a = ExplicitSet([a])
+    b = a if b is None else ExplicitSet([b])
+    name = "sum" if op is minkowski_sum else "product"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError,
+                           match=f"^the Minkowski {name} exceeds the float range$"):
+            op(a, b)
+
+
 class TestMinkowskiProduct:
     def test_identity_element(self):
         rng = np.random.default_rng(4)
@@ -389,6 +411,10 @@ class TestExprExpand:
             Sum((ZeroElem(2, 2), ZeroElem(3, 3)))
         with pytest.raises(DimensionMismatchError):
             Product((ZeroElem(2, 3), ZeroElem(2, 3)))
+        for node in (Sum, Product):
+            with pytest.raises(DimensionMismatchError,
+                               match=f"^{node.__name__} needs at least two children$"):
+                node([ZeroElem(2, 2)])
         with pytest.raises(DomainError):
             Scale(-1.0, IdentityElem(2))
 
