@@ -242,6 +242,30 @@ class ProbeReport:
     )
 
 
+def _draws_per_trial(rng, k: int, n: int, trials: int):
+    """The probe's draws, one generator call after another: the contract."""
+    centers, us = zip(*[(rng.integers(0, k), np.exp(rng.uniform(
+        np.log(0.1), np.log(10.0), size=n))) for _ in range(trials)])
+    return np.array(centers), np.array(us)
+
+
+def _probe_draws(seed: int, k: int, n: int, trials: int):
+    """``_draws_per_trial(default_rng(seed), ...)`` bit for bit from one raw
+    PCG64 block: centers are Lemire's ``(half * k) >> 32`` (even trials: low
+    half of a fresh output; odd: the high half kept; k = 1: none), uniforms
+    ``uniform``'s on the others.  Rejections or k >= 2**32 run the loop."""
+    fresh = int(k > 1)  # outputs per pair of trials for their centers
+    raw = np.random.PCG64(seed).random_raw((-(-trials // 2), fresh + 2 * n))
+    rng = np.random.default_rng(seed)
+    halves = raw[:, :1] >> np.uint64([0, 32]) & 0xFFFFFFFF  # low, high
+    scaled = halves.ravel()[:trials] * np.uint64(k)
+    if k > 0xFFFFFFFF or ((scaled & 0xFFFFFFFF) < (2**32 - k) % k).any():
+        return _draws_per_trial(rng, k, n, trials)
+    logs = rng.uniform(np.log(0.1), np.log(10.0), size=raw.shape)
+    return ((scaled >> 32).astype(np.int64),
+            np.exp(logs[:, fresh:].reshape(-1, n)[:trials]))
+
+
 def hourglass_probe_explicit(s, trials: int, seed: int,
                              strict_tol: float | None = None) -> ProbeReport:
     """Sampled H1/H2 refutation probe over a positive family.
@@ -254,7 +278,8 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
     gap.  A trial violates a statement when neither branch holds.  Both are
     decided from each member's largest and smallest row gap ``v - A u``: H1
     fails when some member's largest gap exceeds the strict tolerance and
-    no such member keeps its smallest gap within it; H2 mirrors this.
+    no such member keeps its smallest gap within it; H2 mirrors this.  The
+    per-trial draws of ``_draws_per_trial`` are the contract.
     """
     s = as_explicit(s)
     if not s.is_positive:
@@ -266,11 +291,7 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
     # overflow, and a Python product overflows to inf without a warning.
     if float(np.matmul(mats, np.full(n, 1.0 / n)).max()) * 10 * n == math.inf:
         raise DomainError(ROW_SUMS_OVERFLOW)
-    rng = np.random.default_rng(seed)
-    draws = [(rng.integers(0, s.size),
-              np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n)))
-             for _ in range(trials)]
-    centers, us = map(np.array, zip(*draws))
+    centers, us = _probe_draws(seed, s.size, n, trials)
     step = max(1, BATCH_ENTRIES // mats[..., 0].size)  # trials per batch
     violations = []
     for start in range(0, trials, step):

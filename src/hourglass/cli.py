@@ -191,9 +191,8 @@ def cmd_finiteness(args, expr) -> dict:
 
 
 def cmd_hset_probe(args, expr) -> dict:
-    return jsonable(hourglass_probe_explicit(expr_expand(expr, args.guard),
-                                             trials=args.trials,
-                                             seed=args.seed))
+    return jsonable(hourglass_probe_explicit(
+        expr_expand(expr, args.guard), trials=args.trials, seed=args.seed))
 
 
 def cmd_hausdorff(args, expr) -> dict:
@@ -232,9 +231,15 @@ def _flag(name: str, **kwargs) -> tuple[str, dict]:
     return name, kwargs
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:  # numpy's generators refuse negative seeds
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 _INPUT = _flag("--input", required=True, help="descriptor file")
 _TOL = _flag("--tol", type=float, default=DEFAULT_TOL)
-_SEED = _flag("--seed", type=int, default=0)
+_SEED = _flag("--seed", type=_seed, default=0)
 _GUARD = _flag("--guard", type=int, default=DEFAULT_SIZE_GUARD,
                help="materialization / word-count guard")
 _DIRECTION = _flag("--direction", choices=("min", "max"), required=True)

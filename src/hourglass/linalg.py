@@ -88,10 +88,10 @@ def strict_tolerance(reference):
 def _reduce(op, a: np.ndarray, axis: int) -> np.ndarray:
     """``op.reduce`` along a short axis, left to right, in elementwise calls
     (numpy's reduction costs far more with a few elements per output)."""
-    parts = np.moveaxis(a, axis, 0)
-    acc = parts[0].copy()
-    for part in parts[1:]:
-        op(acc, part, out=acc)
+    at = (slice(None),) * axis
+    acc = a[at + (0,)].copy()
+    for j in range(1, a.shape[axis]):
+        op(acc, a[at + (j,)], out=acc)
     return acc
 
 

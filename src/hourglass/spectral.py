@@ -70,10 +70,9 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 def _l1_norms(prods: np.ndarray) -> np.ndarray:
     """l1 operator norm (largest absolute column sum) of each matrix."""
-    rows = np.moveaxis(prods, 1, 0)  # by rows: no temporary of prods' size
-    sums = np.abs(rows[0])
-    for row in rows[1:]:
-        sums += np.abs(row)
+    sums = np.abs(prods[:, 0])  # by rows: no temporary of prods' size
+    for i in range(1, prods.shape[1]):
+        sums += np.abs(prods[:, i])
     return _reduce(np.maximum, sums, 1)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from hourglass.alternative import (
     CertificationError,
+    _probe_draws,
     certify_extremal,
     hourglass_h1_iru,
     hourglass_h2_iru,
@@ -271,6 +272,47 @@ class TestProbe:
             hourglass_probe_explicit(
                 ExplicitSet(np.zeros((1, 2, 2))), trials=1, seed=0
             )
+
+
+def _draws_loop(seed, k, n, trials):
+    """The probe's draws as separate generator calls per trial (oracle)."""
+    rng = np.random.default_rng(seed)
+    centers, us = [], []
+    for _ in range(trials):
+        centers.append(rng.integers(0, k))
+        us.append(np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n)))
+    return np.array(centers), np.array(us)
+
+
+class TestProbeDraws:
+    @staticmethod
+    def _assert_same(seed, k, n, trials):
+        for got, want in zip(_probe_draws(seed, k, n, trials),
+                             _draws_loop(seed, k, n, trials)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 1280])
+    def test_block_equals_per_trial_loop(self, k):
+        for seed in range(40):
+            for n in range(1, 6):
+                for trials in (1, 2, 3, 8, 25):
+                    self._assert_same(seed, k, n, trials)
+
+    def test_rejections_fall_back_to_the_loop(self, monkeypatch):
+        import hourglass.alternative as alternative
+
+        # k = 3 * 2**30 + 7 rejects about a quarter of the 32-bit halves.
+        k, loops, batched = 3 * 2**30 + 7, [], 0
+        loop = alternative._draws_per_trial
+        monkeypatch.setattr(alternative, "_draws_per_trial",
+                            lambda *args: loops.append(args) or loop(*args))
+        for seed in range(60):
+            for n, trials in ((1, 1), (2, 2), (3, 5)):
+                before = len(loops)
+                self._assert_same(seed, k, n, trials)
+                batched += len(loops) == before
+        assert 0 < batched < 180 and len(loops) == 180 - batched
 
 
 @any_family

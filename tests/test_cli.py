@@ -297,6 +297,19 @@ class TestDeclaredFlags:
         assert main(argv + [flag, value]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command",
+                             ["hset-probe", "finiteness", "conv-check", "gen"])
+    def test_negative_seed_is_a_usage_error(self, capsys, iru_file, tmp_path,
+                                            command):
+        # numpy's generators refuse negative seeds; the parser does first.
+        argv = _argv(command, iru_file, tmp_path)
+        assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"hourglass {command}: error: argument --seed: "
+            "not a non-negative integer: '-1'"]
+
 
 class TestReproducibility:
     def test_identical_results_for_identical_inputs(self, capsys, iru_file):
