@@ -85,6 +85,13 @@ def strict_tolerance(reference):
     return 1e-9 * np.fmax(1.0, ref.max(axis=-1, initial=0.0))
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if tol == math.inf:  # every bracket would pass at the first step
+        raise DomainError(f"tol must be finite, got {tol}")
+
+
 def _reduce(op, a: np.ndarray, axis: int) -> np.ndarray:
     """``op.reduce`` along a short axis, left to right, in elementwise calls
     (numpy's reduction costs far more with a few elements per output)."""
@@ -196,8 +203,7 @@ def spectral_radii(stack, tol: float = DEFAULT_TOL,
                                      f"got shape {stack.shape}")
     if not np.all(np.isfinite(stack) & (stack >= 0)):
         raise DomainError("spectral radii require finite nonnegative entries")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     k, n, _ = stack.shape
     radii, widths = np.empty(k), np.empty(k)
     step = max(1, BATCH_ENTRIES // (n * n))
@@ -227,8 +233,7 @@ def spectral_radius_gelfand(a, tol: float = DEFAULT_TOL) -> float:
     ``tol`` (or after ``GELFAND_MAX_SQUARINGS``).
     """
     a = as_square(a)
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     norm = l1_operator_norm(a)
     if norm == 0.0:
         return 0.0
@@ -317,8 +322,7 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
         raise DomainError(
             "perron_vector requires strictly positive entries; lift the input first"
         )
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     (rho,), (width,), (x,) = _bracketed_power(a[None], _power_shift(a[None]),
                                               tol, max_iter)
     if width:

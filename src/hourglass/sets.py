@@ -226,10 +226,10 @@ class _MemberStack(SetExpr):
     def _checked(self, matrices) -> tuple[np.ndarray, float, float]:
         """``matrices`` checked, with its magnitude and merge tolerance."""
         arr = np.asarray(matrices, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] == 0:
+        if arr.ndim != 3 or 0 in arr.shape:
             raise DimensionMismatchError(
-                f"{type(self).__name__} needs a nonempty list of matrices, "
-                f"got shape {arr.shape}"
+                f"{type(self).__name__} needs a nonempty list of nonempty "
+                f"matrices, got shape {arr.shape}"
             )
         scale, tol = _scale_tolerance(arr)
         if not math.isfinite(scale):

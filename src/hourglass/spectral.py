@@ -141,9 +141,20 @@ def _scan(prods, logs, start, n, m, norms, prune):
     return out
 
 
-def _sweep(mats: np.ndarray, n_max: int, first: int = 1, norms: bool = True):
+def _require_square_set(s: ExplicitSet):
+    n, m = s.shape
+    if n != m:
+        raise DomainError(f"need square matrices, got {n}x{m}")
+
+
+def _sweep(s, n_max: int, size_guard: int, first: int = 1,
+           norms: bool = True):
     """Extremal log radii and log norms of the words of lengths first..n_max.
 
+    ``s`` is expanded under ``size_guard`` unless it is an explicit set.
+    The guard then bounds the words of length n_max over its m members:
+    all ``m ** n_max`` of them when norms are swept (norms are not rotation
+    invariant), else one per cyclic class, ``necklace_count(m, n_max)``.
     Word (i1, ..., in) is the product A_{in} ... A_{i1} and has rank
     i1 m^(n-1) + ... + in.  Level n comes from level n-1 in one batched
     matmul, word (w, a) getting A_a P_w; products are rescaled by their l1
@@ -154,11 +165,15 @@ def _sweep(mats: np.ndarray, n_max: int, first: int = 1, norms: bool = True):
     radius min, norm max and norm min (norms None if off).  A member whose
     l1 norm exceeds the float range raises DomainError.
     """
-    m = len(mats)
-    prune = bool(np.all(mats >= 0))
+    s = s if isinstance(s, ExplicitSet) else expr_expand(s, size_guard)
+    _require_square_set(s)
+    m, mats = s.size, s.matrices
+    words = m ** n_max if norms else necklace_count(m, n_max)
+    if words > size_guard:
+        raise GuardExceededError(words, size_guard)
 
     def descend(prods, logs, start, n):
-        found = [_scan(prods, logs, start, n, m, norms, prune)
+        found = [_scan(prods, logs, start, n, m, norms, s.is_nonnegative)
                  if n >= first else None]
         if n >= n_max:
             return found
@@ -183,17 +198,11 @@ def _sweep(mats: np.ndarray, n_max: int, first: int = 1, norms: bool = True):
         raise DomainError("column sums exceed the float range; rescale the input")
     levels = descend(prods, logs, 0, 1)
     return [
-        tuple(None if e == _MISSING else (s * e[0], tuple(
+        tuple(None if e == _MISSING else (sign * e[0], tuple(
             int(i) for i in np.unravel_index(-e[1], (m,) * n)))
-              for e, s in zip(found, _SIGNS))
+              for e, sign in zip(found, _SIGNS))
         for n, found in enumerate(levels[first - 1:n_max], first)
     ]
-
-
-def _require_square_set(s: ExplicitSet):
-    n, m = s.shape
-    if n != m:
-        raise DomainError(f"need square matrices, got {n}x{m}")
 
 
 def rho_extremal_exhaustive(s, direction: str,
@@ -318,7 +327,7 @@ def rho_n_bruteforce(s, n: int, direction: str,
     """Extremal n-th root spectral radius over all length-n products.
 
     Enumerates one representative per cyclic word class (the product radius
-    is rotation invariant), guards on the reduced count, and returns
+    is rotation invariant), guards on their count, and returns
     ``(value, word)`` with value = rho(A_{w_n} ... A_{w_1}) ** (1/n) and
     the first extremal word in lexicographic order.
     """
@@ -326,12 +335,7 @@ def rho_n_bruteforce(s, n: int, direction: str,
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
     if n < 1:
         raise DomainError(f"word length must be >= 1, got {n}")
-    s = expr_expand(s, size_guard)
-    _require_square_set(s)
-    count = necklace_count(s.size, n)
-    if count > size_guard:
-        raise GuardExceededError(count, size_guard)
-    val, word = _sweep(s.matrices, n, first=n,
+    val, word = _sweep(s, n, size_guard, first=n,
                        norms=False)[0][0 if direction == "max" else 1]
     return float(np.exp(val / n)), word
 
@@ -340,52 +344,44 @@ def rho_n_bruteforce(s, n: int, direction: str,
 class SpectralSummary:
     """Growth-rate bound sequences for products of increasing length.
 
-    For each n up to ``n_max``: ``rho_hat``/``rho_check`` are the max/min of
-    rho(product)**(1/n) over all length-n words (with the extremal words
-    recorded), and ``norm_upper``/``norm_lower`` the corresponding l1
-    operator-norm roots.  ``jsr_bracket`` encloses the joint spectral
-    radius between the best radius-based lower bound and the best
-    norm-based upper bound; for the lower spectral radius finite data only
-    bounds from above (``lsr_upper``), the trivial 0 standing in below.
+    For each n up to ``n_max``, in the field order ``jsr`` prints:
+    ``rho_hat``/``rho_check`` are the max/min of rho(product)**(1/n) over
+    all length-n words, ``norm_upper``/``norm_lower`` the l1 operator-norm
+    roots (so all ``m ** n_max`` words of m members count against the
+    guard), then the words attaining the radius extrema.  ``jsr_bracket``
+    encloses the joint spectral radius between the best bounds from radii
+    below and norms above; ``lsr_bracket`` bounds the lower spectral radius
+    from above only, the trivial 0 standing in below.
     """
 
     n_max: int
     rho_hat: tuple[float, ...]
     rho_check: tuple[float, ...]
-    argmax_words: tuple[tuple[int, ...], ...]
-    argmin_words: tuple[tuple[int, ...], ...]
     norm_upper: tuple[float, ...]
     norm_lower: tuple[float, ...]
-
-    @property
-    def jsr_bracket(self) -> tuple[float, float]:
-        return (max(self.rho_hat), min(self.norm_upper))
-
-    @property
-    def lsr_bracket(self) -> tuple[float, float]:
-        return (0.0, min(self.rho_check))
+    argmax_words: tuple[tuple[int, ...], ...]
+    argmin_words: tuple[tuple[int, ...], ...]
+    jsr_bracket: tuple[float, float]
+    lsr_bracket: tuple[float, float]
 
 
 def jsr_lsr_bounds(s, n_max: int,
                    size_guard: int = DEFAULT_SIZE_GUARD) -> SpectralSummary:
     """Fill the four bound sequences for word lengths 1..n_max.
 
-    ``s`` is expanded first.  Radius sequences run over cyclic
-    representatives; norm sequences need the full word set (norms are not
-    rotation invariant), so the guard is checked against ``|s| ** n``.
+    Radius sequences run over cyclic representatives, norm sequences over
+    every word (norms are not rotation invariant).
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    s = expr_expand(s, size_guard)
-    _require_square_set(s)
-    if s.size ** n_max > size_guard:
-        raise GuardExceededError(s.size ** n_max, size_guard)
-    return SpectralSummary(n_max, *zip(*(  # one tuple per length, in field order
-        (float(np.exp(hv / n)), float(np.exp(cv / n)), hw, cw,
-         float(np.exp(nu / n)), float(np.exp(nl / n)))
+    hat, check, upper, lower, hw, cw = zip(*(  # one tuple per length
+        (float(np.exp(hv / n)), float(np.exp(cv / n)),
+         float(np.exp(nu / n)), float(np.exp(nl / n)), hw, cw)
         for n, ((hv, hw), (cv, cw), (nu, _), (nl, _))
-        in enumerate(_sweep(s.matrices, n_max), 1)
-    )))
+        in enumerate(_sweep(s, n_max, size_guard), 1)
+    ))
+    return SpectralSummary(n_max, hat, check, upper, lower, hw, cw,
+                           (max(hat), min(upper)), (0.0, min(check)))
 
 
 def n_adjusted_tol(n: int, rho_max: float, tol: float) -> float:
@@ -424,11 +420,8 @@ class FinitenessReport:
     passed: bool
     rho_min: float
     rho_max: float
-    argmin_index: int
-    argmax_index: int
     checks: tuple[FinitenessCheck, ...]
     failures: tuple[FinitenessCheck, ...]
-    sandwich_samples: int
 
 
 def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
@@ -442,7 +435,9 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     ``sandwich_samples`` > 0, the same comparison (against the original
     extrema) reruns for n <= min(3, n_max) on the set enlarged by that many
     random convex combinations of members, exercising stability over
-    intermediate sets between the family and its convex hull.
+    intermediate sets between the family and its convex hull.  Each run
+    counts ``necklace_count(m, n)`` words against the guard, for its m
+    members and its longest length n.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -455,45 +450,32 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     if not expanded.is_nonnegative:
         raise DomainError("finiteness check requires nonnegative matrices")
     radii = spectral_radii(expanded.matrices)
-    argmin, argmax = int(radii.argmin()), int(radii.argmax())
-    rho_min, rho_max = float(radii[argmin]), float(radii[argmax])
+    rho_min, rho_max = float(radii.min()), float(radii.max())
 
     def run(target: ExplicitSet, n_top: int, sandwich: bool):
-        for n in range(1, n_top + 1):
-            if (count := necklace_count(target.size, n)) > size_guard:
-                raise GuardExceededError(count, size_guard)
-        checks = []
         for n, ((hv, hw), (cv, cw), _, _) in enumerate(
-                _sweep(target.matrices, n_top, norms=False), 1):
+                _sweep(target, n_top, size_guard, norms=False), 1):
             lo, hi = float(np.exp(cv / n)), float(np.exp(hv / n))
-            checks.append(FinitenessCheck(
+            yield FinitenessCheck(
                 n=n, sandwich=sandwich, rho_check_n=lo, rho_hat_n=hi,
                 dev_min=abs(lo - rho_min), dev_max=abs(hi - rho_max),
                 tol_n=n_adjusted_tol(n, rho_max, tol), word_min=cw, word_max=hw,
-            ))
-        return checks
+            )
 
-    checks = run(expanded, n_max, False)
+    checks = list(run(expanded, n_max, False))
     if sandwich_samples > 0:
         rng = np.random.default_rng(seed)
-        extra = np.stack([
+        enlarged = ExplicitSet([*expanded.matrices, *(
             convex_combination(rng, expanded, expanded.size)
-            for _ in range(sandwich_samples)
-        ])
-        enlarged = ExplicitSet(
-            np.concatenate([expanded.matrices, extra], axis=0)
-        )
+            for _ in range(sandwich_samples))])
         checks += run(enlarged, min(3, n_max), True)
     failures = tuple(c for c in checks if not c.ok)
     return FinitenessReport(
         passed=not failures,
         rho_min=rho_min,
         rho_max=rho_max,
-        argmin_index=argmin,
-        argmax_index=argmax,
         checks=tuple(checks),
         failures=failures,
-        sandwich_samples=sandwich_samples,
     )
 
 

@@ -17,11 +17,12 @@ from hourglass.cli import (
     build_parser,
     main,
 )
-from hourglass.descriptors import parse_descriptor, write_descriptor
+from hourglass.descriptors import jsonable, parse_descriptor, write_descriptor
 from hourglass.generate import gen_instance
 from hourglass.linalg import DomainError
 from hourglass.sets import OrderedChain, expr_expand
 from hourglass.alternative import hourglass_probe_explicit
+from hourglass.spectral import finiteness_verify, jsr_lsr_bounds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -271,6 +272,67 @@ UNREAD = [
 ]
 
 
+class TestPrintedReports:
+    """``jsr`` and ``finiteness`` print the library's reports as they are,
+    in the reports' field order."""
+
+    @pytest.mark.parametrize("command", ["jsr", "lsr"])
+    def test_jsr_prints_the_summary(self, capsys, iru_file, command):
+        code, data = _run_json(capsys, [command, "--input", iru_file,
+                                        "--n-max", "3", "--format", "json"])
+        assert code == EXIT_OK
+        want = jsr_lsr_bounds(expr_expand(parse_descriptor(iru_file)), 3)
+        assert data["results"] == jsonable(want)
+
+    @pytest.mark.parametrize("fixture, exit_code", [
+        ("iru_file", EXIT_OK), ("nilp_pair", EXIT_CHECK_FAILED)])
+    def test_finiteness_prints_the_report(self, capsys, request, fixture,
+                                          exit_code):
+        path = request.getfixturevalue(fixture)
+        code, data = _run_json(capsys, ["finiteness", "--input", path,
+                                        "--n-max", "3", "--seed", "2",
+                                        "--format", "json"])
+        assert code == exit_code
+        want = finiteness_verify(parse_descriptor(path), n_max=3, seed=2)
+        assert data["results"] == jsonable(want)
+
+    @pytest.mark.parametrize("command, labels", [
+        ("jsr", ["n_max", "rho_hat", "rho_check", "norm_upper", "norm_lower",
+                 "argmax_words", "argmin_words", "jsr_bracket",
+                 "lsr_bracket"]),
+        ("finiteness", ["passed", "rho_min", "rho_max", "checks",
+                        "failures"]),
+    ])
+    def test_text_keeps_the_label_order(self, capsys, iru_file, command,
+                                        labels):
+        assert main([command, "--input", iru_file, "--n-max", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        body = lines[lines.index("results:") + 1:]
+        body = body[:next(i for i, line in enumerate(body)
+                          if not line.startswith("  "))]
+        assert [line[2:].split(":")[0] for line in body
+                if line[2] not in " -"] == labels
+
+    def test_jsr_under_benchmark_tracer(self, capsys, monkeypatch, iru_file):
+        # The benchmark tracer sizes a jsr_lsr_bounds span by the member
+        # count of its argument, so the command hands the library the
+        # expanded set.
+        monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+        import tracing
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = main(["jsr", "--input", iru_file, "--n-max", "2"])
+        finally:
+            tracer.uninstall()
+        assert code == EXIT_OK
+        spans = [span for span in tracer.spans
+                 if span[tracing.NAME] == "spectral.jsr_lsr_bounds"]
+        assert [span[tracing.INFO] for span in spans] == [{"words": sum(
+            2 * tracing.necklace_count(4, n) + 2 * 4 ** n for n in (1, 2))}]
+
+
 def _argv(command, iru_file, tmp_path):
     extra = [a.format(s=iru_file, out=tmp_path / "g.json")
              for a in DECLARED[command][1]]
@@ -412,6 +474,9 @@ class TestExitCodes:
         (["radius", "--tol", "nan"], "tol must be positive"),
         (["extremal", "--direction", "min", "--tol", "nan"],
          "tol must be positive"),
+        (["radius", "--tol", "inf"], "tol must be finite, got inf"),
+        (["extremal", "--direction", "max", "--tol", "inf"],
+         "tol must be finite, got inf"),
         (["simplex", "--direction", "max", "--tol", "nan"],
          "tol must be finite, got nan"),
         (["simplex", "--direction", "min", "--tol", "inf"],
@@ -423,7 +488,8 @@ class TestExitCodes:
         (["gen", "--kind", "expr", "--depth", "-1"],
          "expression depth must be >= 0, got -1"),
     ], ids=["finiteness-n-max", "conv-check-n-max", "sandwich-samples",
-            "radius-tol-nan", "extremal-tol-nan", "simplex-tol-nan",
+            "radius-tol-nan", "extremal-tol-nan", "radius-tol-inf",
+            "extremal-tol-inf", "simplex-tol-nan",
             "simplex-tol-inf", "conv-check-tol-nan", "finiteness-tol-inf",
             "gen-chain-length", "gen-expr-depth"])
     def test_refuses_values_that_make_a_check_vacuous(self, tmp_path, capsys,

@@ -225,6 +225,25 @@ class TestSpectralRadii:
             spectral_radii(np.ones((2, 2, 2)), tol=0.0)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda a, tol: spectral_radii(a[None], tol),
+    spectral_radius_power,
+    perron_vector,
+    spectral_radius_gelfand,
+], ids=["spectral_radii", "power", "perron", "gelfand"])
+@pytest.mark.parametrize("tol, message", [
+    (np.inf, "^tol must be finite, got inf$"),
+    (np.nan, "^tol must be positive$"),
+], ids=["inf", "nan"])
+def test_kernels_refuse_a_tolerance_that_certifies_nothing(kernel, tol,
+                                                          message):
+    # At tol inf every bracket counts as converged: the power kernels
+    # would return a value 9 % low here and perron_vector a residual 0.14.
+    a = np.random.default_rng(0).uniform(0.1, 1, (3, 3))
+    with pytest.raises(DomainError, match=message):
+        kernel(a, tol)
+
+
 class TestFloatLimit:
     """Radii near the largest float: found when representable, else a
     typed error before any iteration, and no warning either way."""

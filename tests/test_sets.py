@@ -418,6 +418,20 @@ class TestExprExpand:
         with pytest.raises(DomainError):
             Scale(-1.0, IdentityElem(2))
 
+    @pytest.mark.parametrize("leaf, shape", [
+        (ExplicitSet, (2, 0, 0)),
+        (ExplicitSet, (2, 2, 0)),
+        (ExplicitSet, (2, 0, 3)),
+        (OrderedChain, (2, 0, 3)),
+        (OrderedChain, (2, 3, 0)),
+        (ExplicitSet, (0, 2, 2)),
+    ])
+    def test_stacks_of_empty_matrices_are_refused(self, leaf, shape):
+        # As a RowSet refuses empty rows: a member needs a row and a column.
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{leaf.__name__} needs a nonempty list"):
+            leaf(np.zeros(shape))
+
 
 class TestEpsilonLift:
     def test_iru_becomes_positive(self):

@@ -431,6 +431,56 @@ class TestFinitenessVerify:
         assert expands and expands[0] == {"bound": 4, "size": 4}
 
 
+class TestWordBudget:
+    """One rule for every word sweep: with m members the guard must cover
+    all m ** n_max words when norms are swept, else one word per cyclic
+    class of length n_max; beyond it the error names that count."""
+
+    @staticmethod
+    def _at_budget(run, required):
+        run(required)
+        with pytest.raises(GuardExceededError) as info:
+            run(required - 1)
+        assert (info.value.required, info.value.guard) == (required,
+                                                           required - 1)
+
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (1, 5)])
+    def test_rho_n_bruteforce_counts_necklaces(self, m, n):
+        s = ExplicitSet(np.random.default_rng(60).uniform(0.1, 2.0, (m, 2, 2)))
+        self._at_budget(lambda guard: rho_n_bruteforce(s, n, "max", guard),
+                        necklace_count(m, n))
+
+    def test_rho_n_bruteforce_on_a_tree(self):
+        s = _random_iru(np.random.default_rng(61), 2, (2, 2))  # 4 members
+        self._at_budget(lambda guard: rho_n_bruteforce(s, 3, "min", guard),
+                        necklace_count(4, 3))
+
+    @pytest.mark.parametrize("m, n_max", [(3, 3), (2, 5)])
+    def test_jsr_counts_every_word(self, m, n_max):
+        s = ExplicitSet(np.random.default_rng(62).uniform(0.1, 2.0, (m, 2, 2)))
+        self._at_budget(lambda guard: jsr_lsr_bounds(s, n_max, guard),
+                        m ** n_max)
+
+    def test_finiteness_main_run_counts_its_longest_length(self):
+        # 10 members at n_max = 4: the count for length 4, not the first
+        # length whose count exceeds the guard.
+        s = ExplicitSet(np.random.default_rng(63).uniform(0.1, 2.0, (10, 2, 2)))
+        with pytest.raises(GuardExceededError) as info:
+            finiteness_verify(s, n_max=4, sandwich_samples=0, size_guard=100)
+        assert info.value.required == necklace_count(10, 4) == 2530
+        self._at_budget(lambda guard: finiteness_verify(
+            s, n_max=3, sandwich_samples=0, size_guard=guard),
+            necklace_count(10, 3))
+
+    def test_finiteness_sandwich_run_counts_the_enlarged_set(self):
+        # Three members need 6 words at length 2; with two convex
+        # combinations added the sandwich run needs necklace_count(5, 2).
+        s = ExplicitSet(np.random.default_rng(64).uniform(0.1, 2.0, (3, 2, 2)))
+        self._at_budget(lambda guard: finiteness_verify(
+            s, n_max=2, sandwich_samples=2, seed=1, size_guard=guard),
+            necklace_count(5, 2))
+
+
 class TestConvLsrCheck:
     def test_identity_trivial(self):
         report = conv_lsr_check(ExplicitSet(np.eye(2)[None]), 2, 20, seed=0)
