@@ -261,6 +261,13 @@ def descriptor_digest(path) -> str:
 
 def jsonable(obj):
     """Recursively convert reports (dataclasses, numpy data) to JSON types."""
+    # The exact type: np.float64 subclasses float but must go through .item()
+    if type(obj) in (float, int, str, bool, type(None)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name))
@@ -270,8 +277,4 @@ def jsonable(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
     return obj

@@ -307,10 +307,10 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
 
     The one-member case of the stacked power loop behind ``spectral_radii``:
     the shifted iteration runs until the Collatz-Wielandt bracket is at most
-    ``tol`` wide, so ``rho`` equals ``spectral_radius_power(a, tol)`` (bit
-    for bit from order 2 on) and the returned iterate's eigen-residual is at
-    most ``tol / 2``.  Positivity makes the dominant eigenvalue simple, so
-    convergence is geometric.
+    ``tol`` wide (order 1 is read off), so ``rho`` equals
+    ``spectral_radius_power(a, tol)`` bit for bit and the returned iterate's
+    eigen-residual is at most ``tol / 2``.  Positivity makes the dominant
+    eigenvalue simple, so convergence is geometric.
 
     Raises DomainError for non-positive input (nonnegative sets must be
     lifted into the interior first) or a row sum beyond the float range, and
@@ -323,6 +323,9 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
             "perron_vector requires strictly positive entries; lift the input first"
         )
     _check_tol(tol)
+    if len(a) == 1:  # as in spectral_radii: no shift to add and take off
+        return PerronCertificate(rho=float(a[0, 0]), eigenvector=np.ones(1),
+                                 residual=0.0, tol=tol)
     (rho,), (width,), (x,) = _bracketed_power(a[None], _power_shift(a[None]),
                                               tol, max_iter)
     if width:

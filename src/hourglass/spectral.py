@@ -65,7 +65,7 @@ def necklace_count(m: int, n: int) -> int:
 
 def _log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
+        return np.log(x)
 
 
 def _l1_norms(prods: np.ndarray) -> np.ndarray:
@@ -89,8 +89,12 @@ def _radius_bracket(q: np.ndarray):
     from x = P 1: lo = min (Px)_i / x_i over x_i > 0; hi = max (Px)_i / x_i
     if x > 0, else the largest row sum."""
     x = _reduce(np.add, q, 2)
+    y = np.einsum("kij,kj->ki", q, x)
     pos = x > 0
-    ratio = _reduce(np.add, q * x[:, None, :], 2) / np.where(pos, x, 1.0)
+    if pos.all():  # every product of a positive family
+        ratio = y / x
+        return _reduce(np.minimum, ratio, 1), _reduce(np.maximum, ratio, 1)
+    ratio = y / np.where(pos, x, 1.0)
     lo = _reduce(np.minimum, np.where(pos, ratio, np.inf), 1)
     hi = np.where(pos.all(axis=1), _reduce(np.maximum, ratio, 1),
                   _reduce(np.maximum, x, 1))
@@ -111,33 +115,36 @@ def _best(vals: np.ndarray, ranks: np.ndarray, sign: float):
     return sign * float(vals[i]), -int(ranks[i])
 
 
-def _scan(prods, logs, start, n, m, norms, prune):
-    """Extremes over one block of normalised length-n products.
-
-    Radii run over the least rotation of each word (the radius is rotation
-    invariant).  For nonnegative sets eigvals skips every word whose radius
-    bracket lies strictly beyond a radius already attained in the block.
-    """
-    ranks = np.arange(start, start + len(prods), dtype=np.int64)
-    out = [_MISSING] * 4
-    if norms:
-        nrm = _log(_l1_norms(prods)) + logs
-        out[2:] = _best(nrm, ranks, 1.0), _best(nrm, ranks, -1.0)
+def _least_rotations(ranks, n, m):
+    """Mask of the length-n word ranks that are the least of their rotations."""
     keep = np.ones(len(ranks), dtype=bool)
     for r in range(1, n):
         tail = m ** (n - r)
         keep &= ranks <= (ranks % tail) * m ** r + ranks // tail
-    idx = np.flatnonzero(keep)
-    if len(idx) == 0:
+    return keep
+
+
+def _scan(prods, logs, ranks, reps, norms, prune):
+    """Extremes over one block of normalised products with the given ranks.
+
+    Radii run over ``reps``, the least rotation of each word (the radius is
+    rotation invariant).  For nonnegative sets eigvals skips every word whose
+    radius bracket lies strictly beyond a radius already attained in the block.
+    """
+    out = [_MISSING] * 4
+    if norms:
+        nrm = _log(_l1_norms(prods)) + logs
+        out[2:] = _best(nrm, ranks, 1.0), _best(nrm, ranks, -1.0)
+    q, ql, qr = prods[reps], logs[reps], ranks[reps]
+    if len(qr) == 0:
         return out
-    q, ql = prods[idx], logs[idx]
     if prune:
         lo, hi = (_log(b) + ql for b in _radius_bracket(q))
         cand = np.flatnonzero((hi >= lo.max() - _PRUNE_MARGIN)
                               | (lo <= hi.min() + _PRUNE_MARGIN))
-        q, ql, idx = q[cand], ql[cand], idx[cand]
+        q, ql, qr = q[cand], ql[cand], qr[cand]
     rho = _log(_reduce(np.maximum, np.abs(np.linalg.eigvals(q)), 1)) + ql
-    out[:2] = _best(rho, ranks[idx], 1.0), _best(rho, ranks[idx], -1.0)
+    out[:2] = _best(rho, qr, 1.0), _best(rho, qr, -1.0)
     return out
 
 
@@ -157,10 +164,12 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
     invariant), else one per cyclic class, ``necklace_count(m, n_max)``.
     Word (i1, ..., in) is the product A_{in} ... A_{i1} and has rank
     i1 m^(n-1) + ... + in.  Level n comes from level n-1 in one batched
-    matmul, word (w, a) getting A_a P_w; products are rescaled by their l1
-    operator norms with the log scales accumulated, so long words cannot
-    overflow.  Levels wider than ``_CHUNK / 2`` run in prefix blocks, one
-    after another, so that about ``_CHUNK`` products are alive at once.
+    matmul, word (w, a) getting A_a P_w; without norms, level n_max holds
+    only the least rotation of each word, the words the guard counts.
+    Products are rescaled by their l1 operator norms with the log scales
+    accumulated, so long words cannot overflow.  Levels wider than
+    ``_CHUNK / 2`` run in prefix blocks, one after another, so that about
+    ``_CHUNK`` products are alive at once.
     Returns per length the ``(log value, first word)`` pairs of radius max,
     radius min, norm max and norm min (norms None if off).  A member whose
     l1 norm exceeds the float range raises DomainError.
@@ -172,18 +181,28 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
     if words > size_guard:
         raise GuardExceededError(words, size_guard)
 
-    def descend(prods, logs, start, n):
-        found = [_scan(prods, logs, start, n, m, norms, s.is_nonnegative)
+    def descend(prods, logs, ranks, reps, n):
+        found = [_scan(prods, logs, ranks, reps, norms, s.is_nonnegative)
                  if n >= first else None]
         if n >= n_max:
             return found
         step = max(1, _CHUNK // 2 // m ** (n_max - n))
 
         def extend(i):
-            child = np.matmul(mats[None], prods[i:i + step, None])
-            child = child.reshape(-1, *mats.shape[1:])
-            child_logs = _normalise(child, np.repeat(logs[i:i + step], m))
-            return descend(child, child_logs, (start + i) * m, n + 1)
+            block, block_logs = prods[i:i + step], logs[i:i + step]
+            child_ranks = np.arange(ranks[i] * m, (ranks[i] + len(block)) * m)
+            reps = _least_rotations(child_ranks, n + 1, m)
+            if n + 1 == n_max and not norms:  # one word per cyclic class
+                child_ranks, reps = child_ranks[reps], slice(None)
+                at = child_ranks // m - ranks[i]
+                child = np.matmul(mats[child_ranks % m], block[at])
+                child_logs = block_logs[at]
+            else:
+                child = np.matmul(mats[None], block[:, None])
+                child = child.reshape(-1, *mats.shape[1:])
+                child_logs = np.repeat(block_logs, m)
+            return descend(child, _normalise(child, child_logs), child_ranks,
+                           reps, n + 1)
 
         parts = [extend(i) for i in range(0, len(prods), step)]
         return found + [None if lv[0] is None else [max(e) for e in zip(*lv)]
@@ -196,7 +215,7 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
         logs = _normalise(prods, np.zeros(m))
     if float(logs.max()) == math.inf:
         raise DomainError("column sums exceed the float range; rescale the input")
-    levels = descend(prods, logs, 0, 1)
+    levels = descend(prods, logs, np.arange(m), slice(None), 1)
     return [
         tuple(None if e == _MISSING else (sign * e[0], tuple(
             int(i) for i in np.unravel_index(-e[1], (m,) * n)))

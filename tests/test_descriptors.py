@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -189,13 +190,26 @@ def test_digest_tracks_content(tmp_path):
 
 
 def test_jsonable_handles_numpy():
+    @dataclasses.dataclass(frozen=True)
+    class Report:
+        value: object
+        pair: tuple
+
     out = jsonable({
         "arr": np.arange(3.0),
         "num": np.float64(1.5),
         "nested": (np.int64(2), [np.bool_(True)]),
+        "report": Report(np.float64(0.5), (np.int32(3), np.bool_(False))),
     })
-    assert out == {"arr": [0.0, 1.0, 2.0], "num": 1.5, "nested": [2, [True]]}
+    assert out == {"arr": [0.0, 1.0, 2.0], "num": 1.5, "nested": [2, [True]],
+                   "report": {"value": 0.5, "pair": [3, False]}}
     assert json.dumps(out)
+    # numpy scalars become Python's own types, wherever they are nested
+    assert type(out["num"]) is float
+    assert type(out["nested"][0]) is int and type(out["nested"][1][0]) is bool
+    assert type(out["report"]["value"]) is float
+    assert type(out["report"]["pair"][0]) is int
+    assert type(out["report"]["pair"][1]) is bool
 
 
 # Plain JSON numbers, which the one-pass conversion reads, and leaves that

@@ -132,9 +132,8 @@ class TestSpectralRadii:
                 stack = rng.uniform(0.01, 2.0, size=(k, d, d)) * scale
                 self._assert_per_member(stack)
                 self._assert_per_member(stack, tol=1e-8)
-                if d > 1:
-                    self._assert_perron_shares(stack, tol=TOL)
-                    self._assert_perron_shares(stack, tol=1e-8)
+                self._assert_perron_shares(stack, tol=TOL)
+                self._assert_perron_shares(stack, tol=1e-8)
 
     def test_small_magnitude_converges(self):
         # The diagonal shift is relative, so a scaled-down stack contracts
@@ -312,6 +311,13 @@ class TestPerronVector:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             perron_vector(DIAG_A, TOL)
+
+    @pytest.mark.parametrize("x", [2.0, 3.0, 0.1, 1e-300, 1.7e308])
+    def test_order_one_is_read_off(self, x):
+        cert = perron_vector([[x]])
+        assert (cert.rho, cert.residual) == (x, 0.0)
+        assert cert.eigenvector.tolist() == [1.0]
+        assert cert.rho == spectral_radius_power([[x]])
 
 
 class TestClassifyBound:

@@ -10,6 +10,7 @@ from hourglass.descriptors import parse_descriptor
 from hourglass.generate import random_expr
 from hourglass.linalg import DomainError, perron_vector, spectral_radius_power
 from hourglass.sets import (
+    DEFAULT_SIZE_GUARD,
     ExplicitSet,
     GuardExceededError,
     IdentityElem,
@@ -71,6 +72,14 @@ class TestSpectralSimplex:
         trace = spectral_simplex(s, "max")
         assert len(trace.iterations) == 1
         assert trace.certificate.worst_margin >= -trace.certificate.cert_tol
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_order_one_members_match_the_exhaustive_scan(self, direction):
+        s = ExplicitSet([[[2.0]], [[3.0]]])
+        want, idx = rho_extremal_exhaustive(s, direction)
+        trace = spectral_simplex(s, direction)
+        assert trace.rho == want
+        assert trace.selection == (idx,)
 
     def test_two_by_two_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -472,6 +481,28 @@ class TestWordBudget:
             s, n_max=3, sandwich_samples=0, size_guard=guard),
             necklace_count(10, 3))
 
+    @pytest.mark.parametrize("m, n_max", [(1, 4), (2, 5), (3, 4), (4, 3),
+                                          (27, 3)])
+    def test_radius_only_sweeps_build_what_the_guard_counts(self, monkeypatch,
+                                                           m, n_max):
+        # Shorter lengths are built whole (they are prefixes); the last one
+        # holds exactly one product per cyclic class.
+        built = []
+        normalise = spectral._normalise
+
+        def spy(prods, logs):
+            built.append(len(prods))
+            return normalise(prods, logs)
+
+        monkeypatch.setattr(spectral, "_normalise", spy)
+        s = ExplicitSet(np.random.default_rng(65).uniform(0.1, 2.0, (m, 2, 2)))
+        want = sum(m ** n for n in range(1, n_max)) + necklace_count(m, n_max)
+        for run in (lambda: rho_n_bruteforce(s, n_max, "max"),
+                    lambda: finiteness_verify(s, n_max, sandwich_samples=0)):
+            built.clear()
+            run()
+            assert sum(built) == want
+
     def test_finiteness_sandwich_run_counts_the_enlarged_set(self):
         # Three members need 6 words at length 2; with two convex
         # combinations added the sandwich run needs necklace_count(5, 2).
@@ -666,3 +697,33 @@ class TestWordSweep:
         monkeypatch.setattr(spectral, "_CHUNK", 1 << 20)
         assert s.size ** n_max <= spectral._CHUNK // 2
         assert jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max) == blocks
+
+    @staticmethod
+    def _families():
+        rng = np.random.default_rng(115)
+        for _ in range(4):
+            shape = (int(rng.integers(1, 5)), *(2 * [int(rng.integers(1, 4))]))
+            mats = rng.uniform(0.0, 2.0, size=shape)
+            sparse = mats * (rng.uniform(size=shape) > 0.5)  # zero rows too
+            for members in (mats, sparse, rng.normal(size=shape)):
+                yield ExplicitSet(members, dedup=False)
+        for name in ("diagonal_pair", "nilpotent_pair", "sign_pair"):
+            yield _fixture_set(name)
+
+    @pytest.mark.parametrize("chunk", [spectral._CHUNK, 4])
+    def test_radius_only_sweep_matches_full_sweep(self, monkeypatch, chunk):
+        # A radius-only sweep multiplies one word per cyclic class at its
+        # last length (several prefix blocks of it at a block size of 4);
+        # its radius pairs are the full sweep's, bit for bit.
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        for s in self._families():
+            summary = jsr_lsr_bounds(s, 5)
+            for n in range(1, 6):
+                full = spectral._sweep(s, n, DEFAULT_SIZE_GUARD)
+                radii = spectral._sweep(s, n, DEFAULT_SIZE_GUARD, norms=False)
+                assert [lv[:2] for lv in radii] == [lv[:2] for lv in full]
+                assert [lv[2:] for lv in radii] == [(None, None)] * n
+                assert rho_n_bruteforce(s, n, "max") == (
+                    summary.rho_hat[n - 1], summary.argmax_words[n - 1])
+                assert rho_n_bruteforce(s, n, "min") == (
+                    summary.rho_check[n - 1], summary.argmin_words[n - 1])
