@@ -65,20 +65,23 @@ class CertificationError(RuntimeError):
         self.violator = violator
 
 
-def _choose(images: np.ndarray, incumbent, tol: float):
-    """(index, extremum, ties) among sign-adjusted candidates: the scores of
-    one IRU row position's rows, or a chain's or explicit leaf's images."""
-    best = images.max(axis=0)
-    gaps = best - images
-    if gaps.ndim == 2:
-        gaps = gaps.max(axis=1)  # a member's worst component
-    near = gaps <= tol
-    if incumbent is None or not near[incumbent]:
-        incumbent = int(gaps.argmin())
-        if not near[incumbent]:  # finite members and w: images overflowed
-            raise DomainError(ROW_SUMS_OVERFLOW if not np.isfinite(best).all()
-                              else "no explicit-leaf member has an extremal image")
-    return incumbent, best, bool(np.count_nonzero(near) > 1)
+def _choose(images: np.ndarray, incumbents, tol: float, slots=True):
+    """(indices, extrema, ties) per batch member among sign-adjusted
+    candidates: an IRU leaf's ``row_images`` (-inf outside ``slots``) or a
+    chain's or explicit leaf's member images, as a batch of one."""
+    best = images.max(axis=1)
+    gaps = best[:, None] - images
+    if gaps.ndim == 3:
+        gaps = gaps.max(axis=2)  # a member's worst component
+    near = (gaps <= tol) & slots
+    held = np.array([-1 if j is None else j for j in incumbents])
+    at = np.arange(held.size)
+    picks = np.where((held >= 0) & near[at, held], held, gaps.argmin(axis=1))
+    if not (picked := near[at, picks]).all():  # finite members and w: overflow
+        b = int(picked.argmin())
+        raise DomainError(ROW_SUMS_OVERFLOW if not np.isfinite(best[b]).all()
+                          else "no explicit-leaf member has an extremal image")
+    return picks.tolist(), best, np.count_nonzero(near, axis=1) > 1
 
 
 def extremal_pick(e, w: np.ndarray, sign: float, keep, tol: float) -> tuple:
@@ -100,12 +103,13 @@ def extremal_pick(e, w: np.ndarray, sign: float, keep, tol: float) -> tuple:
         if not e.is_nonnegative:
             raise DomainError("extremal images require nonnegative leaves")
         if isinstance(e, IruSet):
-            js, bests, ties = zip(*(
-                _choose(sign * (rs.rows @ w), next(keep), tol)
-                for rs in e.row_sets))
-            return e.assemble(js), sign * np.array(bests), js, ties
-        j, best, tied = _choose(sign * (e.matrices @ w), next(keep), tol)
-        return e.matrices[j], sign * best, (j,), (tied,)
+            js, best, ties = _choose(sign * e.row_images(w, -sign * math.inf),
+                                     [next(keep) for _ in e.row_sets], tol,
+                                     e.slots)
+            return e.assemble(js), sign * best, tuple(js), tuple(ties.tolist())
+        [j], [best], [tied] = _choose((sign * (e.matrices @ w))[None],
+                                      [next(keep)], tol)
+        return e.matrices[j], sign * best, (j,), (bool(tied),)
     if isinstance(e, Sum):
         matrices, images, choices, ties = zip(*(
             extremal_pick(c, w, sign, keep, tol) for c in e.children))
@@ -368,12 +372,14 @@ def certify_extremal(s, candidate, direction: str,
             raise CertificationError(
                 f"candidate shape {candidate.shape} does not match set {s.shape}"
             )
-        for i, rs in enumerate(s.row_sets):
-            dists = np.abs(rs.rows - candidate[i]).max(axis=1)
-            if dists.min() > dedup_tolerance(rs.rows):
-                raise CertificationError(
-                    f"candidate row {i} is not an admissible row", violator=i
-                )
+        strays = []  # row positions whose candidate row no admissible row matches
+        for positions, rows in s.groups:
+            dists = np.abs(rows - candidate[positions, None]).max(axis=2)
+            strays += positions[dists.min(axis=1) > dedup_tolerance(rows, (1, 2))
+                                ].tolist()
+        if strays:
+            raise CertificationError(f"candidate row {min(strays)} is not an "
+                                     "admissible row", violator=min(strays))
     elif contains_matrix(s, candidate) is None:
         raise CertificationError("candidate is not a member of the set")
     perron = perron_vector(candidate, tol=min(_perron_tol(candidate), cert_tol))
@@ -390,10 +396,7 @@ def _certify_margins(s, candidate: np.ndarray, perron: PerronCertificate,
         # A v <= rho v bounds the radius of no member with a negative entry.
         raise DomainError("certificates require a nonnegative family")
     if isinstance(s, IruSet):
-        margins = np.concatenate([
-            sign * (rs.rows @ v - perron.rho * v[i])
-            for i, rs in enumerate(s.row_sets)
-        ])
+        margins = (sign * (s.row_images(v) - perron.rho * v[:, None]))[s.slots]
     elif isinstance(s, ExplicitSet):
         margins = (sign * (s.matrices @ v - perron.rho * v[None, :])).min(axis=1)
     else:
@@ -402,10 +405,8 @@ def _certify_margins(s, candidate: np.ndarray, perron: PerronCertificate,
     k = int(margins.argmin())
     if margins[k] < -cert_tol:
         if isinstance(s, IruSet):
-            ends = list(itertools.accumulate(rs.size for rs in s.row_sets))
-            i = next(i for i, end in enumerate(ends) if k < end)
-            violator = (i, k - ends[i] + s.row_sets[i].size)
-            where = f"row {violator[1]} of row set {i}"
+            violator = tuple(int(at[k]) for at in np.nonzero(s.slots))
+            where = f"row {violator[1]} of row set {violator[0]}"
         elif isinstance(s, ExplicitSet):
             violator, where = k, f"member {k}"
         else:

@@ -34,7 +34,6 @@ from .sets import (
     IruSet,
     OrderedChain,
     Product,
-    RowSet,
     Scale,
     SetExpr,
     Sum,
@@ -149,11 +148,8 @@ def _parse_node(obj, path: str) -> SetExpr:
             raw = _get(obj, "row_sets", path)
             if not isinstance(raw, list) or not raw:
                 _fail(f"{path}.row_sets", "expected a nonempty array of row sets")
-            row_sets = [
-                RowSet(_numeric_array(rs, f"{path}.row_sets[{i}]", 2))
-                for i, rs in enumerate(raw)
-            ]
-            return IruSet(row_sets)
+            return IruSet([_numeric_array(rs, f"{path}.row_sets[{i}]", 2)
+                           for i, rs in enumerate(raw)])
         if kind == "chain":
             mats = _numeric_array(_get(obj, "matrices", path), f"{path}.matrices", 3)
             return OrderedChain(mats)

@@ -15,7 +15,6 @@ from .sets import (
     IruSet,
     OrderedChain,
     Product,
-    RowSet,
     Scale,
     SetExpr,
     Sum,
@@ -37,8 +36,7 @@ def _check_range(lo: float, hi: float, allow_boundary: bool):
 def random_iru(rng: np.random.Generator, n_rows: int, n_cols: int,
                row_set_size: int, lo: float, hi: float) -> IruSet:
     return IruSet([
-        RowSet(rng.uniform(lo, hi, size=(row_set_size, n_cols)))
-        for _ in range(n_rows)
+        rng.uniform(lo, hi, size=(row_set_size, n_cols)) for _ in range(n_rows)
     ])
 
 

@@ -5,10 +5,10 @@ is no wrapper type.  The module provides two independent spectral-radius
 algorithms (a power iteration over the irreducible blocks found by a boolean
 reachability closure, and a norm-of-squared-powers scheme) so that each can
 serve as a cross-check for the other, plus Perron eigenvector certificates
-for positive matrices.  One stacked Collatz-Wielandt power loop,
-``_bracketed_power``, serves both the radii and the Perron certificates;
-``perron_vector`` is its one-member case.  The Collatz-Wielandt comparison
-over a whole family lives in ``alternative`` (``_certify_margins``).
+for positive matrices.  One Collatz-Wielandt power step, ``_cw_step``,
+drives the stacked loop behind the radii and ``perron_vector``'s own loop
+on 1-D arrays, its one-member case bit for bit.  The Collatz-Wielandt
+comparison over a family lives in ``alternative`` (``_certify_margins``).
 """
 
 from __future__ import annotations
@@ -114,17 +114,28 @@ def _power_shift(a: np.ndarray):
     return 1e-3 * a.max(axis=(-2, -1))
 
 
+def _cw_step(b: np.ndarray, x: np.ndarray, step: int) -> tuple:
+    """``y = B x`` and its Collatz-Wielandt bracket, the extremes of ``y / x``
+    along the last axis.  A first upper bound beyond the float range raises
+    DomainError; the brackets only narrow, so no later step can overflow."""
+    y = np.matmul(b, x[..., None])[..., 0]
+    # Python floats: an overflowing quotient is inf without a warning.
+    if step == 0 and (float(np.maximum.reduce(y, None)) / (1.0 / x.shape[-1])
+                      == math.inf):
+        raise DomainError(ROW_SUMS_OVERFLOW)
+    ratios = y / x  # ufunc reductions: the array methods cost more per call
+    return y, np.minimum.reduce(ratios, -1), np.maximum.reduce(ratios, -1)
+
+
 def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
     """Radii and Perron vectors of a stack of irreducible nonnegative matrices.
 
     Member i is shifted by eps_i * I, which adds exactly eps_i to its radius
     and makes it primitive; the Collatz-Wielandt ratios (Bx)_j / x_j then
-    bracket rho(B) and contract, and a member stops once its bracket is at
-    most ``tol`` wide.  Returns the radii, the widths left above ``tol``
-    (else 0), and each member's coordinate-sum-1 iterate at its stopping
-    step, where |A x - rho x| <= width / 2 componentwise.
-    A first upper bound (a shifted row sum) beyond the float range raises
-    DomainError; the brackets only narrow, so no later step can overflow.
+    bracket rho(B) and contract (``_cw_step``), and a member stops once its
+    bracket is at most ``tol`` wide.  Returns the radii, the widths left
+    above ``tol`` (else 0), and each member's coordinate-sum-1 iterate at
+    its stopping step, where |A x - rho x| <= width / 2 componentwise.
     """
     k, n, _ = a.shape
     b = a + np.reshape(eps, (-1, 1, 1)) * np.eye(n)
@@ -133,15 +144,8 @@ def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
     for step in range(max_iter):
         if live.size == 0:
             break
-        # ufunc reductions: the array methods add call overhead that
-        # dominates a stack of one
-        y = np.matmul(b, x[..., None])[..., 0]
-        # Python floats: an overflowing quotient is inf without a warning.
-        if step == 0 and float(np.maximum.reduce(y, None)) / (1.0 / n) == math.inf:
-            raise DomainError(ROW_SUMS_OVERFLOW)
-        ratios = y / x
-        lo[live] = step_lo = np.minimum.reduce(ratios, 1)
-        hi[live] = step_hi = np.maximum.reduce(ratios, 1)
+        y, step_lo, step_hi = _cw_step(b, x, step)
+        lo[live], hi[live] = step_lo, step_hi
         done = step_hi - step_lo <= tol
         if np.count_nonzero(done):
             vecs[live[done]] = x[done]
@@ -326,10 +330,18 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
     if len(a) == 1:  # as in spectral_radii: no shift to add and take off
         return PerronCertificate(rho=float(a[0, 0]), eigenvector=np.ones(1),
                                  residual=0.0, tol=tol)
-    (rho,), (width,), (x,) = _bracketed_power(a[None], _power_shift(a[None]),
-                                              tol, max_iter)
-    if width:
-        raise ConvergenceError(f"Perron bracket still {width:.3e} wide after "
+    # The one-member case of _bracketed_power's loop, on 1-D arrays.
+    eps = _power_shift(a)
+    b, lo, hi = a + eps * np.eye(len(a)), 0.0, math.inf
+    x = np.full(len(a), 1.0 / len(a))
+    for step in range(max_iter):
+        y, lo, hi = _cw_step(b, x, step)
+        if hi - lo <= tol:
+            break
+        x = y / np.add.reduce(y)
+    rho = np.maximum(0.0, 0.5 * lo + 0.5 * hi - eps)
+    if not hi - lo <= tol:
+        raise ConvergenceError(f"Perron bracket still {hi - lo:.3e} wide after "
                                f"{max_iter} steps", float(rho))
     residual = float(np.abs(a @ x - rho * x).max())
     return PerronCertificate(rho=float(rho), eigenvector=x, residual=residual,

@@ -3,7 +3,8 @@
 Three concrete set representations are provided:
 
 * ``IruSet``: a product-structured family where row i of the matrix is
-  chosen independently from a finite set of admissible rows;
+  chosen independently from a finite set of admissible rows, its row sets
+  held as stacks of equal-size row sets, built and scanned one per pass;
 * ``OrderedChain``: a finite list of nonnegative matrices ordered
   entrywise;
 * ``ExplicitSet``: a plain deduplicated list of matrices.
@@ -45,22 +46,23 @@ class GuardExceededError(RuntimeError):
         self.guard = guard
 
 
-def _scale_tolerance(arr: np.ndarray) -> tuple[float, float]:
-    """Largest entry magnitude of ``arr`` and the default merge tolerance,
-    scaled to it.  A NaN entry makes both reductions NaN and an infinite one
-    makes the magnitude inf; neither needs a temporary the size of ``arr``,
-    as ``np.abs`` would."""
-    scale = float(max(arr.max(initial=0.0), -arr.min(initial=0.0)))
+def _scale_tolerance(arr: np.ndarray, axis=None) -> tuple:
+    """Largest entry magnitude of ``arr`` (per member: reduced over ``axis``)
+    and the default merge tolerance, scaled to it.  A NaN entry makes both
+    reductions NaN and an infinite one makes the magnitude inf; neither
+    needs a temporary the size of ``arr``, as ``np.abs`` would."""
+    scale = np.maximum(arr.max(axis, initial=0.0), -arr.min(axis, initial=0.0))
     return scale, 1e-12 * (1.0 + scale)
 
 
-def dedup_tolerance(data) -> float:
-    """Default merge tolerance, scaled to the largest entry magnitude."""
-    return _scale_tolerance(np.asarray(data, dtype=float))[1]
+def dedup_tolerance(data, axis=None):
+    """Default merge tolerance, scaled to the largest entry magnitude (per
+    member: reduced over ``axis``)."""
+    return _scale_tolerance(np.asarray(data, dtype=float), axis)[1]
 
 
 def _merge_near(flat, w, tol, reach) -> np.ndarray:
-    """The grid and window passes of ``_dedup_rows``, with its weights ``w``
+    """The grid and window passes of ``_dedup_stack``, with its weights ``w``
     and window ``reach``."""
     keys = np.round(flat / tol)
     o = np.lexsort(keys.T[::-1])  # stable: the first row of a cell leads
@@ -81,8 +83,10 @@ def _merge_near(flat, w, tol, reach) -> np.ndarray:
     return flat[keep]
 
 
-def _dedup_rows(flat: np.ndarray, tol: float, scale=None) -> np.ndarray:
-    """Drop near-duplicate rows of a 2-D array and sort lexicographically.
+def _dedup_stack(stack: np.ndarray, tol, scale) -> list:
+    """Each member of a (g, r, d) stack deduplicated within its ``tol`` (one
+    per member, or one for all) and sorted lexicographically, as
+    ``(members, rows)`` groups.
 
     A grid of pitch ``tol`` keeps the first row of each cell; a greedy scan in
     index order then keeps a row iff no kept earlier row is within ``tol`` in
@@ -90,38 +94,45 @@ def _dedup_rows(flat: np.ndarray, tol: float, scale=None) -> np.ndarray:
 
     An exact screen runs first.  Rows that share a grid cell or lie within
     ``tol`` have weighted sums within ``reach``, which also covers rounding
-    (``scale``, the largest entry magnitude, is computed when omitted; a
-    larger value only widens the window).  So when all sorted sums are more
-    than ``reach`` apart, both passes would keep every row, and they are
-    skipped.
+    (``scale`` is the member's largest entry magnitude; a larger value only
+    widens the window).  So a member whose sorted sums are all more than
+    ``reach`` apart keeps every row: those members share one lexsort keyed
+    by (member, columns), and the others are merged one by one.
     """
-    if flat.shape[0] > 1:
-        # Irrational weights keep permuted rows apart; reach covers rounding.
-        # They sum to less than 1, so the sums of finite rows cannot overflow.
-        w = np.sqrt(np.arange(2.0, flat.shape[1] + 2)) / (flat.shape[1] + 2) ** 1.5
-        if scale is None:
-            scale = _scale_tolerance(flat)[0]
-        reach = w.sum() * (tol + 4 * (flat.shape[1] + 1) * np.finfo(float).eps * scale)
-        ranked = np.sort(flat @ w)
-        if not (ranked[1:] > ranked[:-1] + reach).all():
-            flat = _merge_near(flat, w, tol, reach)
-    return flat[np.lexsort(flat.T[::-1])]
+    g, r, d = stack.shape
+    # Irrational weights keep permuted rows apart; reach covers rounding.
+    # They sum to less than 1, so the sums of finite rows cannot overflow.
+    w = np.sqrt(np.arange(2.0, d + 2)) / (d + 2) ** 1.5
+    reach = w.sum() * (tol + 4 * (d + 1) * np.finfo(float).eps * scale)
+    ranked = np.sort(stack @ w, axis=1).T
+    clear = (ranked[1:] > ranked[:-1] + reach).all(axis=0)
+    groups = [(np.arange(g), stack)]
+    if not clear.all():
+        tol, reach = np.broadcast_to(tol, g), np.broadcast_to(reach, g)
+        groups = [(np.flatnonzero(clear), stack[clear])] + [
+            (np.array([i]), _merge_near(stack[i], w, tol[i], reach[i])[None])
+            for i in np.flatnonzero(~clear)]
+    for k, (members, rows) in enumerate(groups):
+        flat = rows.reshape(-1, d)
+        keys = flat.T[::-1]
+        if len(members) > 1:  # the member leads
+            keys = [*keys, np.arange(flat.shape[0]) // rows.shape[1]]
+        groups[k] = (members, flat[np.lexsort(keys)].reshape(rows.shape))
+    return [group for group in groups if group[0].size]
+
+
+def _dedup_rows(flat: np.ndarray, tol: float, scale=None) -> np.ndarray:
+    """``_dedup_stack`` of one member; ``scale`` is computed when omitted."""
+    scale = _scale_tolerance(flat)[0] if scale is None else scale
+    return _dedup_stack(flat[None], tol, scale)[0][1][0]
 
 
 class RowSet:
-    """A finite nonempty set of admissible rows of a common length."""
+    """A finite nonempty set of admissible rows of a common length,
+    deduplicated and sorted: a one-row-set ``IruSet``'s."""
 
     def __init__(self, rows):
-        arr = np.asarray(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise DimensionMismatchError(
-                f"RowSet needs a nonempty list of equal-length rows, got {arr.shape}"
-            )
-        scale, tol = _scale_tolerance(arr)
-        if not math.isfinite(scale):
-            raise DomainError("RowSet entries must be finite")
-        self.rows = _dedup_rows(arr, tol, scale)
-        self.rows.setflags(write=False)
+        self.rows = IruSet([rows]).row_sets[0].rows
 
     @property
     def dim(self) -> int:
@@ -160,21 +171,40 @@ class IruSet(SetExpr):
     """Independent-row-uncertainty family: row i drawn from ``row_sets[i]``.
 
     The represented set contains every matrix assembled by one choice per
-    row position, hence exactly prod(|row_sets[i]|) matrices.
+    row position, hence exactly prod(|row_sets[i]|) matrices.  The rows
+    live in ``groups``, ``(positions, rows)`` stacks of equal-size row sets
+    (``rows[k]`` is row set ``positions[k]``), and ``row_sets`` views them.
     """
 
     def __init__(self, row_sets):
-        row_sets = [
-            rs if isinstance(rs, RowSet) else RowSet(rs) for rs in row_sets
-        ]
+        row_sets = list(row_sets)
         if not row_sets:
             raise DimensionMismatchError("IruSet needs at least one row set")
-        dims = {rs.dim for rs in row_sets}
-        if len(dims) != 1:
+        # One pass per shape; errors: malformed, non-finite, unequal lengths.
+        by_shape, self.groups, self.row_sets = {}, [], row_sets
+        for i, rs in enumerate(row_sets):
+            arr = np.asarray(rs.rows if isinstance(rs, RowSet) else rs, dtype=float)
+            if arr.ndim != 2 or 0 in arr.shape:
+                raise DimensionMismatchError(
+                    f"RowSet needs a nonempty list of equal-length rows, got {arr.shape}"
+                )
+            by_shape.setdefault(arr.shape, []).append((i, arr))
+        for members in by_shape.values():
+            positions, stack = map(np.array, zip(*members))
+            scale, tol = _scale_tolerance(stack, (1, 2))
+            if not np.isfinite(scale).all():
+                raise DomainError("RowSet entries must be finite")
+            self.groups += [(positions[at], rows)
+                            for at, rows in _dedup_stack(stack, tol, scale)]
+        if len(dims := {rows.shape[2] for _, rows in self.groups}) != 1:
             raise DimensionMismatchError(
                 f"all row sets must share one row length, got {sorted(dims)}"
             )
-        self.row_sets = row_sets
+        for positions, rows in self.groups:
+            rows.setflags(write=False)  # before its views are taken
+            for i, view in zip(positions.tolist(), rows):
+                row_sets[i] = object.__new__(RowSet)
+                row_sets[i].rows = view
 
     @property
     def n_rows(self) -> int:
@@ -195,13 +225,28 @@ class IruSet(SetExpr):
     def cardinality_bound(self) -> int:
         return self.cardinality
 
-    @property
+    @cached_property  # rows are read-only
     def is_nonnegative(self) -> bool:
-        return all(rs.is_nonnegative for rs in self.row_sets)
+        return all(bool(np.all(rows >= 0)) for _, rows in self.groups)
 
-    @property
+    @cached_property
     def is_positive(self) -> bool:
-        return all(rs.is_positive for rs in self.row_sets)
+        return all(bool(np.all(rows > 0)) for _, rows in self.groups)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The ``row_images`` entries that hold a row: row set i fills row i."""
+        sizes = np.array([rs.size for rs in self.row_sets])
+        return np.arange(sizes.max()) < sizes[:, None]
+
+    def row_images(self, w: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """Images ``a . w`` of the admissible rows in their ``slots``, else
+        ``fill``: one ``rows @ w`` per group, each row set's product bit for
+        bit."""
+        table = np.full(self.slots.shape, fill)
+        for positions, rows in self.groups:
+            table[positions, :rows.shape[1]] = rows @ w
+        return table
 
     def assemble(self, choice) -> np.ndarray:
         """Matrix picked by one row index per position."""
@@ -209,7 +254,10 @@ class IruSet(SetExpr):
             raise DimensionMismatchError(
                 f"choice length {len(choice)} != {self.n_rows} row positions"
             )
-        return np.stack([self.row_sets[i].rows[j] for i, j in enumerate(choice)])
+        choice, out = np.asarray(choice), np.empty(self.shape)
+        for positions, rows in self.groups:
+            out[positions] = rows[np.arange(positions.size), choice[positions]]
+        return out
 
     def __repr__(self):
         sizes = "x".join(str(rs.size) for rs in self.row_sets)
@@ -382,7 +430,7 @@ def scale_set(t: float, s):
     if not (np.isfinite(t) and t > 0):
         raise DomainError(f"scale factor must be positive and finite, got {t}")
     if isinstance(s, IruSet):
-        return IruSet([RowSet(t * rs.rows) for rs in s.row_sets])
+        return IruSet([t * rs.rows for rs in s.row_sets])
     if isinstance(s, OrderedChain):
         return OrderedChain(t * s.matrices)
     if isinstance(s, ExplicitSet):
@@ -403,7 +451,7 @@ def epsilon_lift(s, eps: float):
     if isinstance(s, IruSet):
         if not s.is_nonnegative:
             raise DomainError("epsilon_lift expects a nonnegative IRU set")
-        return IruSet([RowSet(rs.rows + eps) for rs in s.row_sets])
+        return IruSet([rs.rows + eps for rs in s.row_sets])
     if isinstance(s, OrderedChain):
         shifts = eps * np.arange(1, s.size + 1)[:, None, None]
         return OrderedChain(s.matrices + shifts)

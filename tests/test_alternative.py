@@ -1,16 +1,30 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hourglass.alternative import (
     CertificationError,
+    _certify_margins,
+    extremal_pick,
     _probe_draws,
     certify_extremal,
     hourglass_h1_iru,
     hourglass_h2_iru,
     hourglass_probe_explicit,
 )
-from hourglass.linalg import DomainError, spectral_radius_power, strict_tolerance
+from hourglass.linalg import (
+    ROW_SUMS_OVERFLOW,
+    DomainError,
+    PerronCertificate,
+    spectral_radius_power,
+    strict_tolerance,
+)
 from hourglass.sets import (
+    dedup_tolerance,
     ExplicitSet,
     IruSet,
     convex_combination,
@@ -476,3 +490,153 @@ def test_certify_takes_any_family(make, direction):
     assert cert.worst_margin >= -tol
     with pytest.raises(CertificationError):
         certify_extremal(s, np.full(s.shape, 7.0), direction, tol)
+
+
+def _choose_loop(images, incumbent, tol):
+    """One row position's (or one leaf's) pick, as a loop over row sets
+    makes it (test oracle)."""
+    best = images.max(axis=0)
+    gaps = best - images
+    if gaps.ndim == 2:
+        gaps = gaps.max(axis=1)
+    near = gaps <= tol
+    if incumbent is None or not near[incumbent]:
+        incumbent = int(gaps.argmin())
+        if not near[incumbent]:
+            raise DomainError(ROW_SUMS_OVERFLOW if not np.isfinite(best).all()
+                              else "no explicit-leaf member has an extremal image")
+    return incumbent, best, bool(np.count_nonzero(near) > 1)
+
+
+def _pick_loop(e, w, sign, keep, tol):
+    """``extremal_pick`` on a leaf, one row set at a time (test oracle)."""
+    if isinstance(e, IruSet):
+        js, bests, ties = zip(*(_choose_loop(sign * (rs.rows @ w), next(keep), tol)
+                                for rs in e.row_sets))
+        matrix = np.stack([rs.rows[j] for rs, j in zip(e.row_sets, js)])
+        return matrix, sign * np.array(bests), js, ties
+    j, best, tied = _choose_loop(sign * (e.matrices @ w), next(keep), tol)
+    return e.matrices[j], sign * best, (j,), (tied,)
+
+
+def _margins_loop(s, rho, v, sign, cert_tol):
+    """IRU margins and violator, one row set at a time (test oracle)."""
+    margins = np.concatenate([sign * (rs.rows @ v - rho * v[i])
+                              for i, rs in enumerate(s.row_sets)])
+    k = int(margins.argmin())
+    if margins[k] >= -cert_tol:
+        return margins, None
+    ends = list(itertools.accumulate(rs.size for rs in s.row_sets))
+    i = next(i for i, end in enumerate(ends) if k < end)
+    return margins, (i, k - ends[i] + s.row_sets[i].size)
+
+
+def _outcome(call):
+    with np.errstate(all="ignore"):
+        try:
+            return call()
+        except (DomainError, CertificationError) as exc:
+            return type(exc), str(exc), getattr(exc, "violator", None)
+
+
+def _ragged_iru(rng, n, d, overflow):
+    """Row sets of sizes 1-5 in interleaved positions, entries from a small
+    grid so that images tie; ``overflow`` puts a row near the float limit
+    into one position."""
+    row_sets = [rng.integers(1, 4, size=(int(rng.integers(1, 6)), d)).astype(float)
+                for _ in range(n)]
+    if overflow:
+        rs = row_sets[int(rng.integers(n))]
+        rs[int(rng.integers(len(rs)))] = 1.5e308
+    return IruSet(row_sets)
+
+
+_TOLS = st.sampled_from([0.0, 1e-12, 0.5, 1.0, 2.0, math.inf])
+
+
+class TestGroupedScansMatchTheRowSetLoop:
+    """The IRU scans score each group of equal-size row sets with one
+    matmul; picks, images, ties, margins and violators must be those of a
+    loop over the row sets, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+           d=st.integers(1, 4), tol=_TOLS, sign=st.sampled_from([1.0, -1.0]),
+           overflow=st.booleans(), incumbents=st.sampled_from(["none", "held"]))
+    def test_extremal_pick(self, seed, n, d, tol, sign, overflow, incumbents):
+        rng = np.random.default_rng(seed)
+        leaves = [_ragged_iru(rng, n, d, overflow),
+                  ExplicitSet(rng.integers(1, 4, size=(int(rng.integers(1, 6)), d, d))
+                              .astype(float))]
+        w = rng.integers(0, 3, size=d).astype(float)
+        for leaf in leaves:
+            sizes = ([rs.size for rs in leaf.row_sets]
+                     if isinstance(leaf, IruSet) else [leaf.size])
+            held = [None if incumbents == "none" or rng.random() < 0.3
+                    else int(rng.integers(k)) for k in sizes]
+            got = _outcome(lambda: extremal_pick(leaf, w, sign, iter(held), tol))
+            want = _outcome(lambda: _pick_loop(leaf, w, sign, iter(held), tol))
+            if isinstance(want[0], type):  # an error: the same type and text
+                assert got == want
+                continue
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == tuple(want[2])
+            assert [type(j) for j in got[2]] == [int] * len(got[2])
+            assert got[3] == tuple(want[3])
+            assert [type(t) for t in got[3]] == [bool] * len(got[3])
+
+    def test_first_overflowing_position_raises(self):
+        # Positions 1 and 3 overflow at w = (2, 2); position 1 is named
+        # first, whatever the group order.
+        s = IruSet([[[1.0, 1.0], [2.0, 1.0]], [[1e308, 1e308]], [[1.0, 2.0]],
+                    [[1.0, 1.0], [1e308, 1e308], [3.0, 1.0]]])
+        w = np.array([2.0, 2.0])
+        for sign in (1.0, -1.0):
+            held = [None] * 4
+            got = _outcome(lambda: extremal_pick(s, w, sign, iter(held), 0.0))
+            want = _outcome(lambda: _pick_loop(s, w, sign, iter(held), 0.0))
+            assert got == want
+            assert got[:2] == (DomainError, ROW_SUMS_OVERFLOW)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+           cert_tol=_TOLS, direction=st.sampled_from(["min", "max"]))
+    def test_certify_margins(self, seed, n, cert_tol, direction):
+        rng = np.random.default_rng(seed)
+        s = _ragged_iru(rng, n, n, overflow=False)
+        v = rng.uniform(0.1, 1.0, size=n)
+        v /= v.sum()
+        rho = float(rng.uniform(1.0, 4.0 * n))
+        perron = PerronCertificate(rho=rho, eigenvector=v, residual=0.0, tol=1.0)
+        sign = 1.0 if direction == "min" else -1.0
+        candidate = s.assemble([0] * n)
+        want, violator = _margins_loop(s, rho, v, sign, cert_tol)
+        got = _outcome(lambda: _certify_margins(s, candidate, perron, direction,
+                                                cert_tol))
+        if violator is None:
+            assert got.margins.tobytes() == want.tobytes()
+            assert got.worst_margin == float(want.min())
+        else:
+            k = int(want.argmin())
+            where = f"row {violator[1]} of row set {violator[0]}"
+            assert got == (CertificationError, f"{where} violates the "
+                           f"{direction} inequality by {-want[k]:.3e}", violator)
+            assert [type(i) for i in got[2]] == [int, int]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7))
+    def test_certify_names_the_first_stray_row(self, seed, n):
+        rng = np.random.default_rng(seed)
+        s = _ragged_iru(rng, n, n, overflow=False)
+        candidate = s.assemble([int(rng.integers(rs.size)) for rs in s.row_sets])
+        candidate[rng.random(n) < 0.4] += 0.5  # off the integer grid
+        want = next((i for i, rs in enumerate(s.row_sets)
+                     if np.abs(rs.rows - candidate[i]).max(axis=1).min()
+                     > dedup_tolerance(rs.rows)), None)
+        got = _outcome(lambda: certify_extremal(s, candidate, "max", 1e-9))
+        if want is None:
+            assert not isinstance(got, tuple) or "admissible" not in got[1]
+        else:
+            assert got == (CertificationError,
+                           f"candidate row {want} is not an admissible row", want)

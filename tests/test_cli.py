@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hourglass.cli as cli
 from hourglass.cli import (
     EXIT_BAD_JSON,
     EXIT_CHECK_FAILED,
@@ -25,6 +26,40 @@ from hourglass.alternative import hourglass_probe_explicit
 from hourglass.spectral import finiteness_verify, jsr_lsr_bounds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def emitted_json_matches_the_json_module(monkeypatch):
+    # Every report a command here emits, whatever its --format, must encode
+    # as json.dumps(indent=2, sort_keys=True) does, byte for byte.
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda data, fmt: (reports.append(data), emit(data, fmt)))
+    yield
+    for data in reports:
+        assert cli._json_text(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    {"floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                1e308, 0.1, 1e16, 1.5e-7]},
+    {"scalars": [float("nan"), -float("inf"), -0.0, 5e-324, 1e308, 2**63,
+                 2**64 + 1, -(2**70), True, False, None, 0, "x"]},
+    {"nested": [[], {}, [[]], [{}], {"a": []}, {"b": {}}, [[1.0, 2], [3]]]},
+    {"mixed": [1, 2.5, True, None, "s", [1.0], {"k": False}]},
+    {"bools_and_numbers": [True, 1, False, 0.5], "ints": [3, -2**63, 0]},
+    {"text": ["", "caf\u00e9", "\u2603 snow", "tab\tnew\nline", 'quote " and \\',
+              "\x00\x1f\x7f", "\ud83d\ude00"], "\u00fcber": "\"key\""},
+    {"z": 1, "a": {"y": [1, 2], "b": {"c": [float("nan")]}}, "m": "%s {}"},
+    {}, [], [1.0], 1.0, float("nan"), -0.0, 2**100, "plain", None, True,
+    {"tuple": (1, 2.0), "int_keys": {2: "a", 10: ["b"]}, "float_keys": {2.5: 1}},
+])
+def test_emitter_matches_json_dumps(payload, capsys):
+    want = json.dumps(payload, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == want
+    cli._emit(payload, "json")
+    assert capsys.readouterr().out == want + "\n"
 
 
 @pytest.fixture

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hourglass.linalg import (
+    _bracketed_power,
+    _perron_tol,
+    _power_shift,
     ConvergenceError,
     DimensionMismatchError,
     DomainError,
@@ -311,6 +314,30 @@ class TestPerronVector:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             perron_vector(DIAG_A, TOL)
+
+    def test_one_member_loop_matches_the_stacked_loop_bit_for_bit(self):
+        # perron_vector runs its own loop on 1-D arrays; it must be the
+        # one-member case of _bracketed_power exactly, bracket and iterate.
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            n = int(rng.integers(2, 33))
+            a = rng.uniform(0.1, 2.0, size=(n, n)) * 10.0 ** rng.uniform(-6, 6)
+            tol = _perron_tol(a)
+            for max_iter in (100_000, 0, 1, 2, 5):
+                (rho,), (width,), (x,) = _bracketed_power(
+                    a[None], _power_shift(a[None]), tol, max_iter)
+                if max_iter == 100_000:
+                    assert width == 0.0
+                if width:
+                    with pytest.raises(ConvergenceError) as err:
+                        perron_vector(a, tol, max_iter=max_iter)
+                    assert err.value.estimate == float(rho)
+                    assert (f"still {width:.3e} wide after {max_iter} steps"
+                            in str(err.value))
+                else:
+                    cert = perron_vector(a, tol, max_iter=max_iter)
+                    assert cert.rho == rho
+                    assert cert.eigenvector.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("x", [2.0, 3.0, 0.1, 1e-300, 1.7e308])
     def test_order_one_is_read_off(self, x):
