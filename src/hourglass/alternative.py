@@ -349,7 +349,7 @@ def certify_extremal(s, candidate, direction: str,
     """Certify that ``candidate`` attains the extremal spectral radius of ``s``.
 
     Any family is taken.  The candidate must be a strictly positive member
-    of ``s`` within the dedup tolerance (IRU rows are matched row by row;
+    of ``s`` within ``dedup_tolerance`` (IRU rows are matched row by row;
     other families go through ``contains_matrix``, which expands them
     under the default guard).  Its Perron vector ``v`` is computed and the
     family is scanned: for direction "min" every admissible row ``a`` of

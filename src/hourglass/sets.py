@@ -7,7 +7,7 @@ Three concrete set representations are provided:
   held as stacks of equal-size row sets, built and scanned one per pass;
 * ``OrderedChain``: a finite list of nonnegative matrices ordered
   entrywise;
-* ``ExplicitSet``: a plain deduplicated list of matrices.
+* ``ExplicitSet``: a plain list of matrices, exactly deduplicated.
 
 All three are ``SetExpr`` nodes: the leaves of expression trees (``Sum``,
 ``Product``, ``Scale``, ``ZeroElem``, ``IdentityElem``) with Minkowski
@@ -46,85 +46,40 @@ class GuardExceededError(RuntimeError):
         self.guard = guard
 
 
-def _scale_tolerance(arr: np.ndarray, axis=None) -> tuple:
-    """Largest entry magnitude of ``arr`` (per member: reduced over ``axis``)
-    and the default merge tolerance, scaled to it.  A NaN entry makes both
-    reductions NaN and an infinite one makes the magnitude inf; neither
-    needs a temporary the size of ``arr``, as ``np.abs`` would."""
-    scale = np.maximum(arr.max(axis, initial=0.0), -arr.min(axis, initial=0.0))
-    return scale, 1e-12 * (1.0 + scale)
+def _magnitude(arr: np.ndarray, axis=None):
+    """Largest entry magnitude of ``arr`` (per member: reduced over ``axis``).
+    A NaN entry makes it NaN and an infinite one inf; it needs no temporary
+    the size of ``arr``, as ``np.abs`` would."""
+    return np.maximum(arr.max(axis, initial=0.0), -arr.min(axis, initial=0.0))
 
 
 def dedup_tolerance(data, axis=None):
-    """Default merge tolerance, scaled to the largest entry magnitude (per
-    member: reduced over ``axis``)."""
-    return _scale_tolerance(np.asarray(data, dtype=float), axis)[1]
+    """Membership tolerance of ``contains_matrix``, ``set_equal`` and the IRU
+    row check of ``certify_extremal``, scaled to the largest entry magnitude
+    (per member: reduced over ``axis``).  Deduplication itself is exact."""
+    return 1e-12 * (1.0 + _magnitude(np.asarray(data, dtype=float), axis))
 
 
-def _merge_near(flat, w, tol, reach) -> np.ndarray:
-    """The grid and window passes of ``_dedup_stack``, with its weights ``w``
-    and window ``reach``."""
-    keys = np.round(flat / tol)
-    o = np.lexsort(keys.T[::-1])  # stable: the first row of a cell leads
-    fresh = np.concatenate(([True], (keys[o[1:]] != keys[o[:-1]]).any(axis=1)))
-    flat = flat[np.sort(o[fresh])]
-    order = np.argsort(proj := flat @ w)
-    span = np.searchsorted(proj[order], proj[order] + reach, side="right")
-    span -= np.arange(1, order.size + 1)
-    pairs = set()  # (later, earlier) row pairs within tol
-    for offset in range(1, int(span.max()) + 1):
-        at = np.flatnonzero(span >= offset)
-        i, j = np.sort([order[at], order[at + offset]], axis=0)
-        near = np.abs(flat[j] - flat[i]).max(axis=1) <= tol
-        pairs.update(zip(j[near].tolist(), i[near].tolist()))
-    keep = np.ones(flat.shape[0], dtype=bool)
-    for later, earlier in sorted(pairs):
-        keep[later] &= not keep[earlier]
-    return flat[keep]
+def _dedup_stack(stack: np.ndarray) -> list:
+    """Each member of a (g, r, d) stack without repeated rows and sorted
+    lexicographically, as ``(members, rows)`` groups.
 
-
-def _dedup_stack(stack: np.ndarray, tol, scale) -> list:
-    """Each member of a (g, r, d) stack deduplicated within its ``tol`` (one
-    per member, or one for all) and sorted lexicographically, as
-    ``(members, rows)`` groups.
-
-    A grid of pitch ``tol`` keeps the first row of each cell; a greedy scan in
-    index order then keeps a row iff no kept earlier row is within ``tol`` in
-    the max metric.  Near pairs come from a window on a weighted row sum.
-
-    An exact screen runs first.  Rows that share a grid cell or lie within
-    ``tol`` have weighted sums within ``reach``, which also covers rounding
-    (``scale`` is the member's largest entry magnitude; a larger value only
-    widens the window).  So a member whose sorted sums are all more than
-    ``reach`` apart keeps every row: those members share one lexsort keyed
-    by (member, columns), and the others are merged one by one.
+    One stable ``lexsort`` keyed by (member, columns) puts every later
+    occurrence of a row (under ``==``, so 0.0 matches -0.0) right after its
+    first one, and it is dropped.  Members that lost no row share one group;
+    every other member is its own group.
     """
     g, r, d = stack.shape
-    # Irrational weights keep permuted rows apart; reach covers rounding.
-    # They sum to less than 1, so the sums of finite rows cannot overflow.
-    w = np.sqrt(np.arange(2.0, d + 2)) / (d + 2) ** 1.5
-    reach = w.sum() * (tol + 4 * (d + 1) * np.finfo(float).eps * scale)
-    ranked = np.sort(stack @ w, axis=1).T
-    clear = (ranked[1:] > ranked[:-1] + reach).all(axis=0)
-    groups = [(np.arange(g), stack)]
-    if not clear.all():
-        tol, reach = np.broadcast_to(tol, g), np.broadcast_to(reach, g)
-        groups = [(np.flatnonzero(clear), stack[clear])] + [
-            (np.array([i]), _merge_near(stack[i], w, tol[i], reach[i])[None])
-            for i in np.flatnonzero(~clear)]
-    for k, (members, rows) in enumerate(groups):
-        flat = rows.reshape(-1, d)
-        keys = flat.T[::-1]
-        if len(members) > 1:  # the member leads
-            keys = [*keys, np.arange(flat.shape[0]) // rows.shape[1]]
-        groups[k] = (members, flat[np.lexsort(keys)].reshape(rows.shape))
+    flat = stack.reshape(-1, d)
+    order = np.lexsort([*flat.T[::-1], np.arange(g * r) // r])
+    rows = flat[order].reshape(g, r, d)
+    fresh = np.ones((g, r), dtype=bool)
+    fresh[:, 1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=2)
+    if (clear := fresh.all(axis=1)).all():
+        return [(np.arange(g), rows)]
+    groups = [(np.flatnonzero(clear), rows[clear])] + [
+        (np.array([i]), rows[i, fresh[i]][None]) for i in np.flatnonzero(~clear)]
     return [group for group in groups if group[0].size]
-
-
-def _dedup_rows(flat: np.ndarray, tol: float, scale=None) -> np.ndarray:
-    """``_dedup_stack`` of one member; ``scale`` is computed when omitted."""
-    scale = _scale_tolerance(flat)[0] if scale is None else scale
-    return _dedup_stack(flat[None], tol, scale)[0][1][0]
 
 
 class RowSet:
@@ -191,11 +146,10 @@ class IruSet(SetExpr):
             by_shape.setdefault(arr.shape, []).append((i, arr))
         for members in by_shape.values():
             positions, stack = map(np.array, zip(*members))
-            scale, tol = _scale_tolerance(stack, (1, 2))
-            if not np.isfinite(scale).all():
+            if not math.isfinite(_magnitude(stack)):
                 raise DomainError("RowSet entries must be finite")
             self.groups += [(positions[at], rows)
-                            for at, rows in _dedup_stack(stack, tol, scale)]
+                            for at, rows in _dedup_stack(stack)]
         if len(dims := {rows.shape[2] for _, rows in self.groups}) != 1:
             raise DimensionMismatchError(
                 f"all row sets must share one row length, got {sorted(dims)}"
@@ -271,18 +225,17 @@ class _MemberStack(SetExpr):
         self.matrices = matrices
         self.matrices.setflags(write=False)
 
-    def _checked(self, matrices) -> tuple[np.ndarray, float, float]:
-        """``matrices`` checked, with its magnitude and merge tolerance."""
+    def _checked(self, matrices) -> np.ndarray:
+        """``matrices`` as a checked float stack."""
         arr = np.asarray(matrices, dtype=float)
         if arr.ndim != 3 or 0 in arr.shape:
             raise DimensionMismatchError(
                 f"{type(self).__name__} needs a nonempty list of nonempty "
                 f"matrices, got shape {arr.shape}"
             )
-        scale, tol = _scale_tolerance(arr)
-        if not math.isfinite(scale):
+        if not math.isfinite(_magnitude(arr)):
             raise DomainError(f"{type(self).__name__} entries must be finite")
-        return arr, scale, tol
+        return arr
 
     @property
     def size(self) -> int:
@@ -312,7 +265,7 @@ class OrderedChain(_MemberStack):
     """Entrywise-ordered finite list of nonnegative matrices."""
 
     def __init__(self, matrices):
-        arr = self._checked(matrices)[0]
+        arr = self._checked(matrices)
         if np.any(arr < 0):
             raise DomainError("OrderedChain matrices must be nonnegative")
         if np.any(arr[1:] < arr[:-1]):
@@ -327,13 +280,14 @@ class OrderedChain(_MemberStack):
 
 
 class ExplicitSet(_MemberStack):
-    """A finite set of equal-size matrices, deduplicated within a tolerance."""
+    """A finite set of equal-size matrices, exactly deduplicated and sorted
+    (``dedup=False`` keeps the given ones in order)."""
 
     def __init__(self, matrices, dedup: bool = True):
-        arr, scale, tol = self._checked(matrices)
+        arr = self._checked(matrices)
         if dedup:
             k, n, m = arr.shape
-            arr = _dedup_rows(arr.reshape(k, n * m), tol, scale).reshape(-1, n, m)
+            arr = _dedup_stack(arr.reshape(1, k, n * m))[0][1].reshape(-1, n, m)
         super().__init__(arr)
 
     def __iter__(self):
@@ -363,7 +317,7 @@ def set_equal(a, b, tol: float | None = None) -> bool:
 
 def contains_matrix(s, m) -> int | None:
     """Index of the member of ``as_explicit(s)`` matching ``m`` within the
-    dedup tolerance, if any."""
+    membership tolerance ``dedup_tolerance``, if any."""
     s, m = as_explicit(s), as_matrix(m)
     if tuple(s.shape) != m.shape:
         return None
@@ -375,9 +329,9 @@ def contains_matrix(s, m) -> int | None:
 def iru_enumerate(s: IruSet, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSet:
     """Materialize an IRU family as the full Cartesian-product set.
 
-    The result has exactly prod(|row_sets[i]|) members (row sets are
-    deduplicated at construction, so distinct choices give distinct
-    matrices); no further dedup pass runs.
+    The result has exactly prod(|row_sets[i]|) members (no row set holds
+    two equal rows, so distinct choices give distinct matrices); no further
+    dedup pass runs.
     """
     total = s.cardinality
     if total > size_guard:

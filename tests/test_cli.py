@@ -120,6 +120,18 @@ class TestCommands:
         assert code == EXIT_OK
         assert data["results"]["radii"] == [0.0, 0.0]
 
+    def test_radius_keeps_distinct_tiny_members(self, capsys, tmp_path):
+        # Deduplication is exact at any magnitude: only the repeat goes.
+        path = tmp_path / "tiny.json"
+        write_descriptor({"type": "explicit",
+                          "matrices": [[[1e-13]], [[2e-13]], [[2e-13]]]}, path)
+        code, data = _run_json(
+            capsys, ["radius", "--input", str(path), "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert data["results"]["count"] == 2
+        assert data["results"]["rho_max"] == 2e-13
+
     def test_finiteness_pass_and_fail(self, capsys, iru_file, nilp_pair):
         code, data = _run_json(
             capsys,

@@ -31,7 +31,7 @@ from hourglass.sets import (
     set_equal,
     transpose_set,
 )
-from hourglass.sets import _dedup_rows
+from hourglass.sets import _dedup_stack
 from hourglass.spectral import rho_extremal_exhaustive
 from test_spectral import any_family
 
@@ -74,129 +74,180 @@ def test_non_finite_entries_raise(bad):
         OrderedChain([[[0.0, 1.0]], [[1.0, bad]]])
 
 
-def _dedup_rows_pairwise(flat, tol):
-    """The grid pass plus a pairwise greedy refinement, one row at a time
-    (test oracle): row i survives iff no kept earlier row is within tol."""
-    if flat.shape[0] > 1:
-        _, first = np.unique(np.round(flat / tol), axis=0, return_index=True)
-        flat = flat[np.sort(first)]
-        kept = []
-        for i in range(flat.shape[0]):
-            if all(np.abs(flat[i] - flat[j]).max() > tol for j in kept):
-                kept.append(i)
-        flat = flat[kept]
-    return flat[np.lexsort(flat.T[::-1])]
+def _dedup_oracle(flat):
+    """The first occurrence, in index order, of each row under ``==``, sorted
+    lexicographically (test oracle, plain Python)."""
+    kept = []
+    for row in flat.tolist():
+        if row not in kept:
+            kept.append(row)
+    return np.array(sorted(kept)).reshape(-1, flat.shape[1])
+
+
+def _assert_same_rows(got, want):
+    """Equal values and equal signs of zero."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _dedup_members(stack):
+    """The rows ``_dedup_stack`` keeps for each member of ``stack``, with its
+    group contract checked: every member sits in one group, the members that
+    lost no row share one, and every other member is alone."""
+    kept = [None] * stack.shape[0]
+    full = []
+    for members, rows in _dedup_stack(stack):
+        assert rows.shape[0] == members.size
+        if rows.shape[1] == stack.shape[1]:
+            full.append(members)
+        else:
+            assert members.size == 1
+        for i, member_rows in zip(members.tolist(), rows):
+            assert kept[i] is None
+            kept[i] = member_rows
+    assert len(full) <= 1 and all(rows is not None for rows in kept)
+    return kept
 
 
 class TestDedupRows:
-    def _check(self, flat, tol):
-        np.testing.assert_array_equal(_dedup_rows(flat, tol),
-                                      _dedup_rows_pairwise(flat, tol))
+    def _check(self, flat):
+        got, = _dedup_members(flat[None])
+        _assert_same_rows(got, _dedup_oracle(flat))
+        return got
+
+    def _check_stack(self, stack):
+        for got, flat in zip(_dedup_members(stack), stack):
+            _assert_same_rows(got, _dedup_oracle(flat))
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
-            k, width = int(rng.integers(1, 120)), int(rng.integers(1, 10))
-            tol = 10.0 ** rng.uniform(-12, -1)
-            base = rng.uniform(-1.0, 1.0, size=(k, width))
-            # Clusters of rows within a few tol of each other, straddling
-            # grid lines, so the sequential resolution has chains to follow.
-            near = base[rng.integers(0, k, size=k)]
-            near += rng.uniform(-1.5, 1.5, size=near.shape) * tol
-            flat = np.concatenate([base, near])[rng.permutation(2 * k)]
-            self._check(flat, tol)
+            g, k = int(rng.integers(1, 6)), int(rng.integers(1, 60))
+            width = int(rng.integers(1, 10))
+            base = rng.uniform(-1.0, 1.0, size=(g, k, width))
+            # Exact repeats, rows with permuted coordinates and rows a few
+            # ulps away, shuffled within each member.
+            pick = rng.integers(0, k, size=(g, k))
+            copies = np.take_along_axis(base, pick[..., None], axis=1)
+            copies[:, ::3] = copies[:, ::3, rng.permutation(width)]
+            copies[:, 1::3] = np.nextafter(copies[:, 1::3], 2.0)
+            stack = np.concatenate([base, copies], axis=1)
+            stack = np.take_along_axis(
+                stack, rng.permuted(np.tile(np.arange(2 * k), (g, 1)), axis=1)
+                [..., None], axis=1)
+            self._check_stack(stack)
 
     def test_matches_pairwise_oracle_on_structured_rows(self):
-        # Permuted and integer rows share coordinate sums.
+        # Permuted and integer rows share coordinate sums and repeat.
         rng = np.random.default_rng(22)
         rows = np.array([rng.permutation([0.0, 1.0, 2.0, 3.0]) for _ in range(60)])
-        self._check(rows, 0.5)
-        self._check(rows + 0.4 * rng.uniform(size=rows.shape), 0.5)
-        self._check(np.round(rng.uniform(0, 3, size=(200, 3))), 1.0)
+        assert self._check(rows).shape[0] < 24
+        self._check(rows + 0.4 * rng.uniform(size=rows.shape))
+        self._check(np.round(rng.uniform(0, 3, size=(200, 3))))
 
-    def test_large_set_merges_pair_across_grid_line(self):
-        rng = np.random.default_rng(23)
-        flat = rng.uniform(0.0, 1.0, size=(1500, 4))
-        tol = dedup_tolerance(flat)
-        # Entry 0 of rows 10 and 1200 sits on either side of a grid line,
-        # 0.2 tol apart: different grid cells, within tol.
-        flat[10, 0] = 3001.49 * tol
-        flat[1200] = flat[10]
-        flat[1200, 0] = 3001.51 * tol
-        out = _dedup_rows(flat, tol)
-        assert out.shape[0] == 1499
-        assert any(np.array_equal(flat[10], r) for r in out)
-        assert not any(np.array_equal(flat[1200], r) for r in out)
-        members = ExplicitSet(flat.reshape(1500, 2, 2))
-        assert members.size == 1499
-
-    # Cases for the screen that runs before the grid and the window.
     def test_separated_rows_are_all_kept(self):
         rng = np.random.default_rng(24)
         flat = rng.uniform(0.0, 1.0, size=(500, 4))
-        tol = dedup_tolerance(flat)
-        self._check(flat, tol)
-        assert _dedup_rows(flat, tol).shape == flat.shape
+        (members, rows), = _dedup_stack(flat[None])
+        np.testing.assert_array_equal(members, [0])
+        np.testing.assert_array_equal(rows[0], flat[np.lexsort(flat.T[::-1])])
 
     def test_one_near_pair_among_separated_rows(self):
+        # A row within the membership tolerance of another is a distinct
+        # row; only its exact copy is dropped.
         rng = np.random.default_rng(25)
-        flat = rng.uniform(0.0, 1.0, size=(501, 4))
+        flat = rng.uniform(0.0, 1.0, size=(502, 4))
         tol = dedup_tolerance(flat)
-        flat[321] = flat[42] + rng.uniform(-0.9, 0.9, size=4) * tol
-        self._check(flat, tol)
-        assert _dedup_rows(flat, tol).shape[0] == 500
-
-    def test_equal_sums_far_apart_are_both_kept(self):
-        # b - a is orthogonal to the weights (sqrt 2, sqrt 3): the weighted
-        # sums agree to rounding, yet the rows are 1000 tol apart.
-        tol = 1e-6
-        a = np.array([0.5, 0.5])
-        b = a + 1e3 * tol * np.array([np.sqrt(3.0), -np.sqrt(2.0)])
-        flat = np.array([a, b, [0.9, 0.1]])
-        self._check(flat, tol)
-        assert _dedup_rows(flat, tol).shape[0] == 3
-
-    def test_cell_mates_and_pairs_across_a_grid_line(self):
-        rng = np.random.default_rng(26)
-        flat = rng.uniform(0.0, 1.0, size=(300, 3))
-        tol = dedup_tolerance(flat)
-        # Rows 5 and 200 share a grid cell; rows 6 and 250 sit on either
-        # side of a grid line, 0.1 tol apart.
-        flat[200], flat[250] = flat[5], flat[6]
-        flat[5, 0], flat[200, 0] = 1000.1 * tol, 1000.4 * tol
-        flat[6, 0], flat[250, 0] = 2000.45 * tol, 2000.55 * tol
-        self._check(flat, tol)
-        assert _dedup_rows(flat, tol).shape[0] == 298
+        flat[321] = flat[42] + rng.uniform(0.1, 0.9, size=4) * tol
+        flat[400] = flat[42]
+        assert self._check(flat).shape[0] == 501
 
     def test_pairs_exactly_tol_apart(self):
-        # b = a + tol in every coordinate, exactly: the weighted sums differ
-        # by the weight sum times tol up to rounding, which only the
-        # rounding allowance in reach covers.
         rng = np.random.default_rng(29)
         tol = 2.0 ** -20
         for _ in range(50):
             flat = rng.integers(0, 2 ** 10, size=(20, 3)) * 2.0 ** -10
             flat[7] = flat[3] + tol
-            self._check(flat, tol)
+            assert any(np.array_equal(flat[7], r) for r in self._check(flat))
 
     def test_single_column_rows(self):
         rng = np.random.default_rng(27)
         col = rng.uniform(0.0, 1.0, size=(400, 1))
-        tol = dedup_tolerance(col)
-        self._check(col, tol)
-        near = col[:10] + rng.uniform(-1.5, 1.5, size=(10, 1)) * tol
-        self._check(np.concatenate([col, near])[rng.permutation(410)], tol)
+        self._check(col)
+        tied = np.concatenate([col, col[:10], np.nextafter(col[10:20], 2.0)])
+        assert self._check(tied[rng.permutation(420)]).shape[0] == 410
 
-    def test_overflowing_sums_fall_through(self):
-        # The weighted sums of rows near 1e308 overflow to inf, so the
-        # screen cannot separate them and the full passes must run.
+    def test_rows_near_float_max(self):
         rng = np.random.default_rng(28)
         flat = rng.uniform(0.5, 1.7, size=(40, 3)) * 1e308
-        tol = dedup_tolerance(flat)
-        flat[30] = flat[4] + 0.5 * tol
-        with np.errstate(over="ignore"):
-            self._check(flat, tol)
-            assert _dedup_rows(flat, tol).shape[0] == 39
+        flat[30] = flat[4]
+        flat[31] = np.nextafter(flat[5], 0.0)
+        assert self._check(flat).shape[0] == 39
+        assert RowSet(flat).size == 39
+        assert ExplicitSet(flat.reshape(40, 3, 1)).size == 39
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_ties_keep_the_first_occurrence(self, first):
+        second = -first
+        flat = np.array([[1.0, first], [0.5, 2.0], [1.0, second], [first, 3.0],
+                         [second, 3.0]])
+        want = np.array([[first, 3.0], [0.5, 2.0], [1.0, first]])
+        _assert_same_rows(self._check(flat), want)
+        _assert_same_rows(RowSet(flat).rows, want)
+        _assert_same_rows(ExplicitSet(flat[:, None]).matrices[:, 0], want)
+
+    def test_some_members_lose_rows(self):
+        rng = np.random.default_rng(30)
+        stack = rng.uniform(0.1, 2.0, size=(6, 4, 3))
+        stack[1, 3] = stack[1, 0]
+        stack[4, 2] = stack[4, 1] = stack[4, 0]
+        self._check_stack(stack)
+        groups = [(m.tolist(), rows.shape) for m, rows in _dedup_stack(stack)]
+        assert groups == [([0, 2, 3, 5], (4, 4, 3)), ([1], (1, 3, 3)),
+                          ([4], (1, 2, 3))]
+        s = IruSet(list(stack))
+        assert [rs.size for rs in s.row_sets] == [4, 3, 4, 4, 2, 4]
+        assert [(p.tolist(), rows.shape) for p, rows in s.groups] == groups
+        w = rng.uniform(size=3)
+        table = s.row_images(w, fill=-1.0)
+        choice = [3, 2, 0, 1, 1, 3]
+        for i, rs in enumerate(s.row_sets):
+            want = _dedup_oracle(stack[i])
+            np.testing.assert_array_equal(rs.rows, want)
+            assert not rs.rows.flags.writeable
+            assert any(np.shares_memory(rs.rows, rows) for _, rows in s.groups)
+            np.testing.assert_array_equal(table[i, :rs.size], want @ w)
+            assert (table[i, rs.size:] == -1.0).all()
+        np.testing.assert_array_equal(
+            s.assemble(choice),
+            [_dedup_oracle(stack[i])[c] for i, c in enumerate(choice)])
+
+
+@pytest.mark.parametrize("t", [1e-12, 2.0 ** -40, 1e-6, 1.0, 1e6, 2.0 ** 40, 1e12])
+def test_dedup_is_scale_invariant(t):
+    # Exact dedup keeps every distinct row at any magnitude, and the scaled
+    # rows' order (positive t keeps it).
+    rows = np.random.default_rng(0).uniform(0.1, 2, (5, 3))
+    rows = np.concatenate([rows, rows[[1, 3]]])
+    mats = np.random.default_rng(1).uniform(0.1, 2, (6, 2, 2))
+    mats = np.concatenate([mats, mats[:2]])
+    scaled = t * rows
+    assert RowSet(scaled).size == RowSet(rows).size == 5
+    np.testing.assert_array_equal(RowSet(scaled).rows, _dedup_oracle(scaled))
+    np.testing.assert_array_equal(RowSet(scaled).rows, t * RowSet(rows).rows)
+    assert IruSet([scaled, t * rows[:4]]).cardinality == 20
+    assert ExplicitSet(t * mats).size == ExplicitSet(mats).size == 6
+
+
+def test_rounding_twins_are_distinct_members_yet_match():
+    # 0.1 + 0.2 != 0.3 in floats: deduplication is exact and keeps both,
+    # while membership matches within dedup_tolerance.
+    s = ExplicitSet([[[0.1 + 0.2]], [[0.3]]])
+    assert s.size == 2
+    assert contains_matrix(s, [[0.3]]) is not None
+    assert contains_matrix(ExplicitSet([[[0.1 + 0.2]]]), [[0.3]]) == 0
+    assert set_equal(s, ExplicitSet([[[0.3]]]))
+    assert not set_equal(s, ExplicitSet([[[0.3 + 1e-9]]]))
 
 
 class TestIruEnumerate:
