@@ -43,24 +43,10 @@ from .sets import (
 _CHUNK = 1 << 16
 
 
-def _totient(d: int) -> int:
-    out, x, p = d, d, 2
-    while p * p <= x:
-        if x % p == 0:
-            out -= out // p
-            while x % p == 0:
-                x //= p
-        p += 1
-    if x > 1:
-        out -= out // x
-    return out
-
-
 def necklace_count(m: int, n: int) -> int:
-    """Number of cyclic equivalence classes of length-n words over m symbols."""
-    return sum(
-        _totient(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0
-    ) // n
+    """Number of cyclic equivalence classes of length-n words over m symbols
+    (Burnside: rotation by k fixes m ** gcd(k, n) words)."""
+    return sum(m ** math.gcd(k, n) for k in range(n)) // n
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -115,37 +101,47 @@ def _best(vals: np.ndarray, ranks: np.ndarray, sign: float):
     return sign * float(vals[i]), -int(ranks[i])
 
 
+def _word(rank: int, m: int, n: int) -> tuple[int, ...]:
+    """The length-n word over m symbols that has the given rank."""
+    word = [0] * n
+    for k in reversed(range(n if m > 1 else 0)):  # one letter: all zeros
+        rank, word[k] = divmod(rank, m)
+    return tuple(word)
+
+
 def _least_rotations(ranks, n, m):
     """Mask of the length-n word ranks that are the least of their rotations."""
     keep = np.ones(len(ranks), dtype=bool)
-    for r in range(1, n):
+    for r in range(1, n if m > 1 else 1):  # one letter: no other word
         tail = m ** (n - r)
         keep &= ranks <= (ranks % tail) * m ** r + ranks // tail
     return keep
 
 
 def _scan(prods, logs, ranks, reps, norms, prune):
-    """Extremes over one block of normalised products with the given ranks.
+    """Norm extremes and radius candidates of one block of normalised products.
 
-    Radii run over ``reps``, the least rotation of each word (the radius is
-    rotation invariant).  For nonnegative sets eigvals skips every word whose
-    radius bracket lies strictly beyond a radius already attained in the block.
+    A normalised product's log l1 norm is its log scale up to O(d ulp), so
+    norms are taken only where the scale is within a slack of the block's
+    extremes.  Radii run over ``reps``, the least rotation of each word (the
+    radius is rotation invariant); for nonnegative sets, words whose radius
+    bracket lies strictly beyond a radius attained in the block are dropped.
+    Returns the norm max and min pairs and the candidates left for eigvals.
     """
-    out = [_MISSING] * 4
-    if norms:
-        nrm = _log(_l1_norms(prods)) + logs
-        out[2:] = _best(nrm, ranks, 1.0), _best(nrm, ranks, -1.0)
+    pairs = [_MISSING] * 2
+    if norms:  # -inf logs must leave the slack finite
+        hi, lo = float(logs.max()), float(logs.min())
+        slack = 1e-9 * max([1.0, *(abs(e) for e in (hi, lo) if e > -math.inf)])
+        near = np.flatnonzero((logs >= hi - slack) | (logs <= lo + slack))
+        nrm, nr = _log(_l1_norms(prods[near])) + logs[near], ranks[near]
+        pairs = [_best(nrm, nr, 1.0), _best(nrm, nr, -1.0)]
     q, ql, qr = prods[reps], logs[reps], ranks[reps]
-    if len(qr) == 0:
-        return out
-    if prune:
+    if prune and len(qr):
         lo, hi = (_log(b) + ql for b in _radius_bracket(q))
         cand = np.flatnonzero((hi >= lo.max() - _PRUNE_MARGIN)
                               | (lo <= hi.min() + _PRUNE_MARGIN))
         q, ql, qr = q[cand], ql[cand], qr[cand]
-    rho = _log(_reduce(np.maximum, np.abs(np.linalg.eigvals(q)), 1)) + ql
-    out[:2] = _best(rho, qr, 1.0), _best(rho, qr, -1.0)
-    return out
+    return pairs, (q, ql, qr)
 
 
 def _require_square_set(s: ExplicitSet):
@@ -163,32 +159,31 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
     all ``m ** n_max`` of them when norms are swept (norms are not rotation
     invariant), else one per cyclic class, ``necklace_count(m, n_max)``.
     Word (i1, ..., in) is the product A_{in} ... A_{i1} and has rank
-    i1 m^(n-1) + ... + in.  Level n comes from level n-1 in one batched
-    matmul, word (w, a) getting A_a P_w; without norms, level n_max holds
+    i1 m^(n-1) + ... + in.  Level n comes from level n-1 one prefix block
+    at a time, in one GEMM with the members stacked as an ``(m d, d)``
+    matrix, word (w, a) getting A_a P_w; without norms, level n_max holds
     only the least rotation of each word, the words the guard counts.
     Products are rescaled by their l1 operator norms with the log scales
-    accumulated, so long words cannot overflow.  Levels wider than
-    ``_CHUNK / 2`` run in prefix blocks, one after another, so that about
-    ``_CHUNK`` products are alive at once.
+    accumulated, so long words cannot overflow.  Blocks run depth first
+    from an explicit stack, about ``_CHUNK`` products alive at once at any
+    length.  Radius candidates wait across blocks and lengths for one
+    eigvals call, made at ``_CHUNK / 2`` of them and at the end.
     Returns per length the ``(log value, first word)`` pairs of radius max,
     radius min, norm max and norm min (norms None if off).  A member whose
     l1 norm exceeds the float range raises DomainError.
     """
     s = s if isinstance(s, ExplicitSet) else expr_expand(s, size_guard)
     _require_square_set(s)
-    m, mats = s.size, s.matrices
+    m, mats, d = s.size, s.matrices, s.shape[0]
     words = m ** n_max if norms else necklace_count(m, n_max)
     if words > size_guard:
         raise GuardExceededError(words, size_guard)
+    stacked = mats.reshape(m * d, d)  # row block a of stacked @ P is A_a P
+    found = [[_MISSING] * 4 for _ in range(n_max + 1)]
 
-    def descend(prods, logs, ranks, reps, n):
-        found = [_scan(prods, logs, ranks, reps, norms, s.is_nonnegative)
-                 if n >= first else None]
-        if n >= n_max:
-            return found
+    def children(prods, logs, ranks, n):  # level n + 1, block after block
         step = max(1, _CHUNK // 2 // m ** (n_max - n))
-
-        def extend(i):
+        for i in range(0, len(prods), step):
             block, block_logs = prods[i:i + step], logs[i:i + step]
             child_ranks = np.arange(ranks[i] * m, (ranks[i] + len(block)) * m)
             reps = _least_rotations(child_ranks, n + 1, m)
@@ -197,16 +192,13 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
                 at = child_ranks // m - ranks[i]
                 child = np.matmul(mats[child_ranks % m], block[at])
                 child_logs = block_logs[at]
-            else:
-                child = np.matmul(mats[None], block[:, None])
-                child = child.reshape(-1, *mats.shape[1:])
+            else:  # OpenBLAS rounds the one GEMM as the separate products
+                # up to order 16 (x86-64, AVX-512); beyond, it saves no time
+                child = (np.matmul(stacked, block) if d <= 16 else np.matmul(
+                    mats[None], block[:, None])).reshape(-1, d, d)
                 child_logs = np.repeat(block_logs, m)
-            return descend(child, _normalise(child, child_logs), child_ranks,
-                           reps, n + 1)
-
-        parts = [extend(i) for i in range(0, len(prods), step)]
-        return found + [None if lv[0] is None else [max(e) for e in zip(*lv)]
-                        for lv in zip(*parts)]
+            yield (child, _normalise(child, child_logs), child_ranks, reps,
+                   n + 1)
 
     prods = mats.astype(float, copy=True)
     # An overflowing l1 norm shows as an infinite log.  Later levels hold
@@ -215,13 +207,34 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
         logs = _normalise(prods, np.zeros(m))
     if float(logs.max()) == math.inf:
         raise DomainError("column sums exceed the float range; rescale the input")
-    levels = descend(prods, logs, np.arange(m), slice(None), 1)
-    return [
-        tuple(None if e == _MISSING else (sign * e[0], tuple(
-            int(i) for i in np.unravel_index(-e[1], (m,) * n)))
-              for e, sign in zip(found, _SIGNS))
-        for n, found in enumerate(levels[first - 1:n_max], first)
-    ]
+    stack = [iter([(prods, logs, np.arange(m), slice(None), 1)])]
+    pending, waiting = [], 0  # (length, products, logs, ranks) for eigvals
+    while stack:
+        level = next(stack[-1], None)
+        if level is None:
+            stack.pop()
+        else:
+            prods, logs, ranks, reps, n = level
+            if n < n_max:
+                stack.append(children(prods, logs, ranks, n))
+            if n >= first:
+                pairs, (q, ql, qr) = _scan(prods, logs, ranks, reps, norms,
+                                           s.is_nonnegative)
+                found[n][2:] = map(max, found[n][2:], pairs)
+                if len(q):
+                    pending.append((n, q, ql, qr))
+                    waiting += len(q)
+        if pending and (waiting >= _CHUNK // 2 or not stack):
+            rho = _log(_reduce(np.maximum, np.abs(np.linalg.eigvals(
+                np.concatenate([p[1] for p in pending]))), 1))
+            for n, q, ql, qr in pending:
+                r, rho = rho[:len(q)] + ql, rho[len(q):]
+                found[n][:2] = map(max, found[n][:2],
+                                   (_best(r, qr, 1.0), _best(r, qr, -1.0)))
+            pending, waiting = [], 0
+    return [tuple(None if e == _MISSING else (sign * e[0], _word(-e[1], m, n))
+                  for e, sign in zip(found[n], _SIGNS))
+            for n in range(first, n_max + 1)]
 
 
 def rho_extremal_exhaustive(s, direction: str,

@@ -248,6 +248,17 @@ class TestCommands:
         row2 = out[2].split(",")
         assert float(row2[1]) == pytest.approx(2.0)  # rho_hat at n = 2
 
+    def test_long_words_on_one_member(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        write_descriptor({"schema_version": 1, "type": "explicit",
+                          "matrices": [[[0.5, 1.2], [0.3, 0.9]]]}, path)
+        code = main(["jsr", "--input", str(path), "--n-max", "1000",
+                     "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (code, len(out.splitlines()), err) == (EXIT_OK, 1001, "")
+        assert main(["finiteness", "--input", str(path), "--n-max", "200"]) \
+            == EXIT_OK
+
     def test_hset_probe_pass_and_violation(self, capsys, iru_file, tmp_path):
         code, data = _run_json(
             capsys,

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hourglass import spectral
 from hourglass.alternative import certify_extremal
@@ -307,6 +309,27 @@ class TestRhoNBruteforce:
         assert trace.rho == pytest.approx(1.3, abs=1e-12)
         value, _ = rho_n_bruteforce(iru_enumerate(family), 3, "min")
         assert value == pytest.approx(0.7, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [
+        ExplicitSet([[[0.5, 1.2], [0.3, 0.9]]]),
+        IruSet([[[0.5, 1.2]], [[0.3, 0.9]]]),  # one row per position
+    ])
+    def test_long_words_on_one_member_families(self, family):
+        # Words longer than numpy's 64 dimensions decode; lengths in the
+        # hundreds descend without recursion.
+        member = expr_expand(family).matrices[0]
+        rho = float(np.abs(np.linalg.eigvals(member)).max())
+        value, word = rho_n_bruteforce(family, 80, "max")
+        assert (value, word) == (pytest.approx(rho, rel=1e-12), (0,) * 80)
+        summary = jsr_lsr_bounds(family, 400)
+        assert summary.argmin_words == tuple((0,) * n for n in range(1, 401))
+        assert summary.rho_hat == pytest.approx((rho,) * 400, rel=1e-12)
+        assert finiteness_verify(family, n_max=350).passed
+
+    def test_word_decoding(self):
+        for m, n in ((1, 3), (2, 5), (3, 4), (7, 2)):
+            words = list(itertools.product(range(m), repeat=n))
+            assert [spectral._word(r, m, n) for r in range(m ** n)] == words
 
     def test_necklace_count_matches_enumeration(self):
         for m, n in ((2, 4), (3, 3), (4, 2), (5, 1)):
@@ -727,3 +750,83 @@ class TestWordSweep:
                     summary.rho_hat[n - 1], summary.argmax_words[n - 1])
                 assert rho_n_bruteforce(s, n, "min") == (
                     summary.rho_check[n - 1], summary.argmin_words[n - 1])
+
+
+def _full_scan(mats, n_max):
+    """The word sweep's four extremes per length, from the plainest scan.
+
+    Every word of every length is multiplied out with one matmul per
+    (word, member) pair and normalised as the sweep does; every product's
+    l1 norm is taken, every least rotation gets its own eigvals call, and
+    ties go to the first word in lexicographic order."""
+    m = len(mats)
+    prods = mats.astype(float, copy=True)
+    logs = spectral._normalise(prods, np.zeros(m))
+    words = [(a,) for a in range(m)]
+    levels = []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            prods = np.array([np.matmul(mats[a], p) for p in prods
+                              for a in range(m)])
+            logs = spectral._normalise(prods, np.repeat(logs, m))
+            words = [w + (a,) for w in words for a in range(m)]
+        norms = spectral._log(spectral._l1_norms(prods)) + logs
+        reps = [i for i, w in enumerate(words)
+                if all(w <= w[r:] + w[:r] for r in range(1, n))]
+        radii = [spectral._log(np.abs(np.linalg.eigvals(prods[i])).max())
+                 + logs[i] for i in reps]
+        level = []
+        for vals, index in ((radii, reps), (list(norms), range(len(words)))):
+            for pick in (max, min):
+                first = vals.index(pick(vals))  # ties: the first word
+                level.append((float(vals[first]), words[index[first]]))
+        levels.append(tuple(level))
+    return levels
+
+
+class TestSweepOracle:
+    """``_sweep`` equals the plain full scan bit for bit: every extreme and
+    every word, at the default block size and at 4 (many prefix blocks)."""
+
+    @staticmethod
+    def _families():
+        rng = np.random.default_rng(120)
+        # Order 1, and order 17, past the stacked GEMM's orders.
+        for m, d in ((2, 3), (3, 2), (4, 4), (3, 1), (2, 17)):
+            mats = rng.uniform(0.1, 2.0, size=(m, d, d))
+            sparse = mats * (rng.uniform(size=mats.shape) > 0.4)
+            sparse[:, 0] = 0.0  # a zero row in every member
+            yield from (mats, sparse, rng.normal(size=(m, d, d)))
+        yield _fixture_set("nilpotent_pair").matrices  # -inf logs
+        # Every product is a permutation matrix: every norm ties at 1.
+        yield np.array([np.eye(3)[[1, 2, 0]], np.eye(3)[[1, 0, 2]]])
+
+    @pytest.mark.parametrize("chunk", [spectral._CHUNK, 4])
+    def test_sweep_equals_full_scan(self, monkeypatch, chunk):
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        for mats in self._families():
+            s = ExplicitSet(mats, dedup=False)
+            n_max = 5 if s.size <= 3 else 4
+            want = _full_scan(s.matrices, n_max)
+            assert spectral._sweep(s, n_max, DEFAULT_SIZE_GUARD) == want
+            for n in range(1, n_max + 1):
+                radii = spectral._sweep(s, n, DEFAULT_SIZE_GUARD, first=n,
+                                        norms=False)
+                assert radii == [want[n - 1][:2] + (None, None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 16), m=st.integers(1, 8), k=st.integers(1, 24),
+       signed=st.booleans(), exponent=st.integers(0, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_gemm_equals_products_one_by_one(d, m, k, signed, exponent,
+                                                 seed):
+    # The sweep multiplies a block of products by every member in one call,
+    # the members stacked as one (m d, d) matrix, at orders up to 16.
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(-1.0 if signed else 0.0, 1.0, size=(m, d, d))
+    mats *= 10.0 ** rng.integers(-exponent, exponent + 1, size=(m, 1, 1))
+    block = rng.uniform(-1.0 if signed else 0.0, 1.0, size=(k, d, d))
+    stacked = np.matmul(mats.reshape(m * d, d), block).reshape(-1, d, d)
+    one_by_one = np.matmul(mats[None], block[:, None]).reshape(-1, d, d)
+    assert np.array_equal(stacked, one_by_one)
