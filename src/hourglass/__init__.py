@@ -29,7 +29,6 @@ from .sets import (
     IruSet,
     OrderedChain,
     Product,
-    RowSet,
     Scale,
     SetExpr,
     Sum,

@@ -170,10 +170,7 @@ def _hourglass_iru(s: IruSet, a_tilde, u, sign: int) -> HourglassOutcome:
     if not np.all(u > 0):
         raise DomainError("u must be strictly positive")
     choice = tuple(a_tilde)
-    for i, (j, rs) in enumerate(zip(choice, s.row_sets)):
-        if not isinstance(j, (int, np.integer)) or j not in range(rs.size):
-            raise DomainError(f"a_tilde[{i}] = {j!r} is not a row index of row set {i}")
-    tilde = s.assemble(choice)  # checks the choice length
+    tilde = s.assemble(choice)  # checks the choice
     v = tilde @ u
     stol = strict_tolerance(v)
 
@@ -186,7 +183,7 @@ def _hourglass_iru(s: IruSet, a_tilde, u, sign: int) -> HourglassOutcome:
         return HourglassOutcome(direction=direction, verdict="all_on_side",
                                 slack=margins, ties=any(ties))
     i = int(np.argmax(offenders))  # first offending row position
-    rows = s.row_sets[i].rows
+    rows = s.row_sets[i]
     gaps = sign * (v[i] - rows @ u)  # positive where a row falls beyond v
     j = int(np.argmax(gaps > stol))  # its first offending row
     near = np.abs(gaps) <= stol

@@ -203,10 +203,7 @@ def parse_descriptor(path) -> SetExpr:
 
 def _serialize_node(e: SetExpr) -> dict:
     if isinstance(e, IruSet):
-        return {
-            "type": "iru",
-            "row_sets": [rs.rows.tolist() for rs in e.row_sets],
-        }
+        return {"type": "iru", "row_sets": [rs.tolist() for rs in e.row_sets]}
     if isinstance(e, OrderedChain):
         return {"type": "chain", "matrices": e.matrices.tolist()}
     if isinstance(e, ExplicitSet):

@@ -82,33 +82,6 @@ def _dedup_stack(stack: np.ndarray) -> list:
     return [group for group in groups if group[0].size]
 
 
-class RowSet:
-    """A finite nonempty set of admissible rows of a common length,
-    deduplicated and sorted: a one-row-set ``IruSet``'s."""
-
-    def __init__(self, rows):
-        self.rows = IruSet([rows]).row_sets[0].rows
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
-
-    @cached_property  # rows are read-only
-    def is_nonnegative(self) -> bool:
-        return bool(np.all(self.rows >= 0))
-
-    @cached_property
-    def is_positive(self) -> bool:
-        return bool(np.all(self.rows > 0))
-
-    def __repr__(self):
-        return f"RowSet({self.size} rows of length {self.dim})"
-
-
 class SetExpr:
     """Expression tree node with Minkowski semantics; the three set classes
     are its leaves."""
@@ -128,37 +101,37 @@ class IruSet(SetExpr):
     The represented set contains every matrix assembled by one choice per
     row position, hence exactly prod(|row_sets[i]|) matrices.  The rows
     live in ``groups``, ``(positions, rows)`` stacks of equal-size row sets
-    (``rows[k]`` is row set ``positions[k]``), and ``row_sets`` views them.
+    (``rows[k]`` is row set ``positions[k]``); ``row_sets`` is the tuple of
+    their read-only 2-D views, deduplicated and sorted.
     """
 
     def __init__(self, row_sets):
-        row_sets = list(row_sets)
-        if not row_sets:
-            raise DimensionMismatchError("IruSet needs at least one row set")
         # One pass per shape; errors: malformed, non-finite, unequal lengths.
-        by_shape, self.groups, self.row_sets = {}, [], row_sets
+        by_shape, self.groups = {}, []
         for i, rs in enumerate(row_sets):
-            arr = np.asarray(rs.rows if isinstance(rs, RowSet) else rs, dtype=float)
+            arr = np.asarray(rs, dtype=float)
             if arr.ndim != 2 or 0 in arr.shape:
                 raise DimensionMismatchError(
-                    f"RowSet needs a nonempty list of equal-length rows, got {arr.shape}"
+                    f"a row set needs nonempty equal-length rows, got {arr.shape}"
                 )
             by_shape.setdefault(arr.shape, []).append((i, arr))
+        if not by_shape:
+            raise DimensionMismatchError("IruSet needs at least one row set")
         for members in by_shape.values():
             positions, stack = map(np.array, zip(*members))
             if not math.isfinite(_magnitude(stack)):
-                raise DomainError("RowSet entries must be finite")
+                raise DomainError("row set entries must be finite")
             self.groups += [(positions[at], rows)
                             for at, rows in _dedup_stack(stack)]
         if len(dims := {rows.shape[2] for _, rows in self.groups}) != 1:
             raise DimensionMismatchError(
                 f"all row sets must share one row length, got {sorted(dims)}"
             )
+        views = {}
         for positions, rows in self.groups:
             rows.setflags(write=False)  # before its views are taken
-            for i, view in zip(positions.tolist(), rows):
-                row_sets[i] = object.__new__(RowSet)
-                row_sets[i].rows = view
+            views.update(zip(positions.tolist(), rows))
+        self.row_sets = tuple(views[i] for i in range(len(views)))
 
     @property
     def n_rows(self) -> int:
@@ -166,7 +139,7 @@ class IruSet(SetExpr):
 
     @property
     def n_cols(self) -> int:
-        return self.row_sets[0].dim
+        return self.row_sets[0].shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -174,7 +147,7 @@ class IruSet(SetExpr):
 
     @property
     def cardinality(self) -> int:
-        return math.prod(rs.size for rs in self.row_sets)
+        return math.prod(map(len, self.row_sets))
 
     def cardinality_bound(self) -> int:
         return self.cardinality
@@ -190,7 +163,7 @@ class IruSet(SetExpr):
     @cached_property
     def slots(self) -> np.ndarray:
         """The ``row_images`` entries that hold a row: row set i fills row i."""
-        sizes = np.array([rs.size for rs in self.row_sets])
+        sizes = np.array([len(rs) for rs in self.row_sets])
         return np.arange(sizes.max()) < sizes[:, None]
 
     def row_images(self, w: np.ndarray, fill: float = 0.0) -> np.ndarray:
@@ -203,18 +176,21 @@ class IruSet(SetExpr):
         return table
 
     def assemble(self, choice) -> np.ndarray:
-        """Matrix picked by one row index per position."""
+        """Matrix picked by one row index per position, each checked."""
         if len(choice) != self.n_rows:
             raise DimensionMismatchError(
                 f"choice length {len(choice)} != {self.n_rows} row positions"
             )
+        for i, (j, rs) in enumerate(zip(choice, self.row_sets)):
+            if not isinstance(j, (int, np.integer)) or not 0 <= j < len(rs):
+                raise DomainError(f"choice[{i}] = {j!r} names no row of row set {i}")
         choice, out = np.asarray(choice), np.empty(self.shape)
         for positions, rows in self.groups:
             out[positions] = rows[np.arange(positions.size), choice[positions]]
         return out
 
     def __repr__(self):
-        sizes = "x".join(str(rs.size) for rs in self.row_sets)
+        sizes = "x".join(str(len(rs)) for rs in self.row_sets)
         return f"IruSet({self.n_rows}x{self.n_cols}, row set sizes {sizes})"
 
 
@@ -336,16 +312,19 @@ def iru_enumerate(s: IruSet, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSe
     total = s.cardinality
     if total > size_guard:
         raise GuardExceededError(total, size_guard)
-    sizes = tuple(rs.size for rs in s.row_sets)
-    idx = np.unravel_index(np.arange(total), sizes)
+    idx = np.unravel_index(np.arange(total), tuple(map(len, s.row_sets)))
     out = np.empty((total, s.n_rows, s.n_cols))
     for i, rs in enumerate(s.row_sets):
-        out[:, i, :] = rs.rows[idx[i]]
+        out[:, i, :] = rs[idx[i]]
     return ExplicitSet(out, dedup=False)
 
 
 def chain_enumerate(c: OrderedChain) -> ExplicitSet:
-    return ExplicitSet(c.matrices, dedup=False)
+    """The members in order, each once: equal members of a nondecreasing
+    chain are adjacent, so each one equal to its predecessor goes."""
+    mats = c.matrices
+    fresh = np.concatenate([[True], (mats[1:] != mats[:-1]).any(axis=(1, 2))])
+    return ExplicitSet(mats[fresh], dedup=False)
 
 
 def _minkowski_set(stack: np.ndarray, op: str) -> ExplicitSet:
@@ -384,7 +363,7 @@ def scale_set(t: float, s):
     if not (np.isfinite(t) and t > 0):
         raise DomainError(f"scale factor must be positive and finite, got {t}")
     if isinstance(s, IruSet):
-        return IruSet([t * rs.rows for rs in s.row_sets])
+        return IruSet([t * rs for rs in s.row_sets])
     if isinstance(s, OrderedChain):
         return OrderedChain(t * s.matrices)
     if isinstance(s, ExplicitSet):
@@ -405,7 +384,7 @@ def epsilon_lift(s, eps: float):
     if isinstance(s, IruSet):
         if not s.is_nonnegative:
             raise DomainError("epsilon_lift expects a nonnegative IRU set")
-        return IruSet([rs.rows + eps for rs in s.row_sets])
+        return IruSet([rs + eps for rs in s.row_sets])
     if isinstance(s, OrderedChain):
         shifts = eps * np.arange(1, s.size + 1)[:, None, None]
         return OrderedChain(s.matrices + shifts)

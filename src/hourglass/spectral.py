@@ -304,7 +304,8 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
 
     Boundary (merely nonnegative) families are refused; lift them first and
     compare runs at a couple of lift sizes to audit the limit.  Row sums
-    beyond the float range raise DomainError before the first step.
+    beyond the float range raise DomainError before the first step, and a
+    rho not above the certificate tolerance after the last (rescale).
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -340,8 +341,11 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
         gain = float((sign * (image - a @ v)).max()) if choices != selection else 0.0
         steps.append(SimplexStep(selection, rho, gain, any(ties)))
         if choices == selection:
-            cert = _certify_margins(s, a, perron, direction,
-                                    max(tol, 1e-10 * (1.0 + rho)))
+            cert_tol = max(tol, 1e-10 * (1.0 + rho))
+            if cert_tol >= rho:  # every margin would pass: nothing certified
+                raise DomainError(f"certificate tolerance {cert_tol:.1e} is not "
+                                  f"below rho {rho:.3e}; rescale the input")
+            cert = _certify_margins(s, a, perron, direction, cert_tol)
             return SimplexTrace(direction, tuple(steps), cert)
         if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "
@@ -416,11 +420,6 @@ def jsr_lsr_bounds(s, n_max: int,
                            (max(hat), min(upper)), (0.0, min(check)))
 
 
-def n_adjusted_tol(n: int, rho_max: float, tol: float) -> float:
-    """Comparison tolerance for length-n product radii: grows linearly in n."""
-    return n * tol * max(1.0, rho_max)
-
-
 @dataclass(frozen=True)
 class FinitenessCheck:
     n: int
@@ -461,9 +460,10 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
                       size_guard: int = DEFAULT_SIZE_GUARD) -> FinitenessReport:
     """Check that extremal product radii collapse onto the length-1 extrema.
 
-    Expands ``s``, computes the exhaustive min/max member radii, then for
-    every n <= n_max compares the brute-force extremal length-n product
-    radii against them within ``n * tol * max(1, rho_max)``.  When
+    Expands ``s`` and sweeps its words: the length-1 extremes are the
+    family's min/max member radii, and for every n <= n_max the extremal
+    length-n product radii are compared against them within
+    ``n * tol * max(1, rho_max)``.  When
     ``sandwich_samples`` > 0, the same comparison (against the original
     extrema) reruns for n <= min(3, n_max) on the set enlarged by that many
     random convex combinations of members, exercising stability over
@@ -481,26 +481,26 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     _require_square_set(expanded)
     if not expanded.is_nonnegative:
         raise DomainError("finiteness check requires nonnegative matrices")
-    radii = spectral_radii(expanded.matrices)
-    rho_min, rho_max = float(radii.min()), float(radii.max())
 
-    def run(target: ExplicitSet, n_top: int, sandwich: bool):
-        for n, ((hv, hw), (cv, cw), _, _) in enumerate(
-                _sweep(target, n_top, size_guard, norms=False), 1):
+    def run(levels, sandwich: bool):
+        for n, ((hv, hw), (cv, cw), _, _) in enumerate(levels, 1):
             lo, hi = float(np.exp(cv / n)), float(np.exp(hv / n))
             yield FinitenessCheck(
                 n=n, sandwich=sandwich, rho_check_n=lo, rho_hat_n=hi,
                 dev_min=abs(lo - rho_min), dev_max=abs(hi - rho_max),
-                tol_n=n_adjusted_tol(n, rho_max, tol), word_min=cw, word_max=hw,
+                tol_n=n * tol * max(1.0, rho_max), word_min=cw, word_max=hw,
             )
 
-    checks = list(run(expanded, n_max, False))
+    levels = _sweep(expanded, n_max, size_guard, norms=False)
+    rho_max, rho_min = (float(np.exp(v)) for v, _ in levels[0][:2])  # length 1
+    checks = list(run(levels, False))
     if sandwich_samples > 0:
         rng = np.random.default_rng(seed)
         enlarged = ExplicitSet([*expanded.matrices, *(
             convex_combination(rng, expanded, expanded.size)
             for _ in range(sandwich_samples))])
-        checks += run(enlarged, min(3, n_max), True)
+        checks += run(_sweep(enlarged, min(3, n_max), size_guard,
+                             norms=False), True)
     failures = tuple(c for c in checks if not c.ok)
     return FinitenessReport(
         passed=not failures,

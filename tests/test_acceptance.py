@@ -181,7 +181,7 @@ def test_criterion_5_hourglass_exactness():
         mats = iru_enumerate(family).matrices
         for _ in range(20):
             choice = tuple(
-                int(rng.integers(rs.size)) for rs in family.row_sets
+                int(rng.integers(len(rs))) for rs in family.row_sets
             )
             u = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
             v = family.assemble(choice) @ u

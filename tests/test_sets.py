@@ -14,7 +14,6 @@ from hourglass.sets import (
     Leaf,
     OrderedChain,
     Product,
-    RowSet,
     Scale,
     SetExpr,
     Sum,
@@ -47,25 +46,35 @@ def _random_explicit(rng, n, count):
     return ExplicitSet(rng.uniform(0.0, 2.0, size=(count, n, n)))
 
 
+def _row_set(rows):
+    """The row set ``IruSet([rows])`` keeps: ``rows`` deduplicated, sorted."""
+    return IruSet([rows]).row_sets[0]
+
+
 class TestRowSet:
     def test_dedup(self):
-        rs = RowSet([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-        assert rs.size == 2
+        rs = _row_set([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(rs, [[1.0, 2.0], [3.0, 4.0]])
+        assert len(rs) == 2 and not rs.flags.writeable
 
     def test_flags(self):
-        assert RowSet([[1.0, 2.0]]).is_positive
-        assert not RowSet([[0.0, 2.0]]).is_positive
-        assert RowSet([[0.0, 2.0]]).is_nonnegative
+        assert IruSet([[[1.0, 2.0]]]).is_positive
+        assert not IruSet([[[0.0, 2.0]]]).is_positive
+        assert IruSet([[[0.0, 2.0]]]).is_nonnegative
+        assert not IruSet([[[1.0, 2.0]], [[-1.0, 2.0]]]).is_nonnegative
 
     def test_rejects_ragged(self):
         with pytest.raises((DimensionMismatchError, ValueError)):
-            RowSet([[1.0], [1.0, 2.0]])
+            _row_set([[1.0], [1.0, 2.0]])
+        with pytest.raises(DimensionMismatchError,
+                           match="^a row set needs nonempty equal-length rows"):
+            _row_set(np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_raise(bad):
-    with pytest.raises(DomainError, match="^RowSet entries must be finite$"):
-        RowSet([[1.0, 2.0], [bad, 0.0]])
+    with pytest.raises(DomainError, match="^row set entries must be finite$"):
+        _row_set([[1.0, 2.0], [bad, 0.0]])
     for dedup in (True, False):
         with pytest.raises(DomainError,
                            match="^ExplicitSet entries must be finite$"):
@@ -183,7 +192,7 @@ class TestDedupRows:
         flat[30] = flat[4]
         flat[31] = np.nextafter(flat[5], 0.0)
         assert self._check(flat).shape[0] == 39
-        assert RowSet(flat).size == 39
+        assert len(_row_set(flat)) == 39
         assert ExplicitSet(flat.reshape(40, 3, 1)).size == 39
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
@@ -193,7 +202,7 @@ class TestDedupRows:
                          [second, 3.0]])
         want = np.array([[first, 3.0], [0.5, 2.0], [1.0, first]])
         _assert_same_rows(self._check(flat), want)
-        _assert_same_rows(RowSet(flat).rows, want)
+        _assert_same_rows(_row_set(flat), want)
         _assert_same_rows(ExplicitSet(flat[:, None]).matrices[:, 0], want)
 
     def test_some_members_lose_rows(self):
@@ -206,18 +215,18 @@ class TestDedupRows:
         assert groups == [([0, 2, 3, 5], (4, 4, 3)), ([1], (1, 3, 3)),
                           ([4], (1, 2, 3))]
         s = IruSet(list(stack))
-        assert [rs.size for rs in s.row_sets] == [4, 3, 4, 4, 2, 4]
+        assert [len(rs) for rs in s.row_sets] == [4, 3, 4, 4, 2, 4]
         assert [(p.tolist(), rows.shape) for p, rows in s.groups] == groups
         w = rng.uniform(size=3)
         table = s.row_images(w, fill=-1.0)
         choice = [3, 2, 0, 1, 1, 3]
         for i, rs in enumerate(s.row_sets):
             want = _dedup_oracle(stack[i])
-            np.testing.assert_array_equal(rs.rows, want)
-            assert not rs.rows.flags.writeable
-            assert any(np.shares_memory(rs.rows, rows) for _, rows in s.groups)
-            np.testing.assert_array_equal(table[i, :rs.size], want @ w)
-            assert (table[i, rs.size:] == -1.0).all()
+            np.testing.assert_array_equal(rs, want)
+            assert not rs.flags.writeable
+            assert any(np.shares_memory(rs, rows) for _, rows in s.groups)
+            np.testing.assert_array_equal(table[i, :len(rs)], want @ w)
+            assert (table[i, len(rs):] == -1.0).all()
         np.testing.assert_array_equal(
             s.assemble(choice),
             [_dedup_oracle(stack[i])[c] for i, c in enumerate(choice)])
@@ -232,9 +241,9 @@ def test_dedup_is_scale_invariant(t):
     mats = np.random.default_rng(1).uniform(0.1, 2, (6, 2, 2))
     mats = np.concatenate([mats, mats[:2]])
     scaled = t * rows
-    assert RowSet(scaled).size == RowSet(rows).size == 5
-    np.testing.assert_array_equal(RowSet(scaled).rows, _dedup_oracle(scaled))
-    np.testing.assert_array_equal(RowSet(scaled).rows, t * RowSet(rows).rows)
+    assert len(_row_set(scaled)) == len(_row_set(rows)) == 5
+    np.testing.assert_array_equal(_row_set(scaled), _dedup_oracle(scaled))
+    np.testing.assert_array_equal(_row_set(scaled), t * _row_set(rows))
     assert IruSet([scaled, t * rows[:4]]).cardinality == 20
     assert ExplicitSet(t * mats).size == ExplicitSet(mats).size == 6
 
@@ -268,7 +277,7 @@ class TestIruEnumerate:
         assert out.size == 12
         for mat in out:
             for i, rs in enumerate(s.row_sets):
-                assert np.abs(rs.rows - mat[i]).max(axis=1).min() == 0.0
+                assert np.abs(rs - mat[i]).max(axis=1).min() == 0.0
 
     def test_guard(self):
         rng = np.random.default_rng(1)
@@ -375,7 +384,7 @@ class TestScaleSet:
         doubled = scale_set(2.0, s)
         assert isinstance(doubled, IruSet)
         for rs, rs2 in zip(s.row_sets, doubled.row_sets):
-            np.testing.assert_allclose(rs2.rows, 2.0 * rs.rows)
+            np.testing.assert_allclose(rs2, 2.0 * rs)
 
     def test_radius_homogeneity(self):
         rng = np.random.default_rng(10)
@@ -404,6 +413,16 @@ class TestExprExpand:
             assert Leaf(s) is s
         with pytest.raises(TypeError):
             Leaf(np.eye(2))
+
+    def test_chain_with_repeated_members_matches_its_explicit_twin(self):
+        mats = [np.eye(2), np.eye(2), 2 * np.eye(2), 2 * np.eye(2),
+                2 * np.eye(2), 3 * np.eye(2)]
+        chain = expr_expand(OrderedChain(mats))
+        twin = expr_expand(ExplicitSet(mats))
+        assert chain.size == twin.size == 3
+        np.testing.assert_array_equal(chain.matrices, twin.matrices)
+        one = expr_expand(OrderedChain([[[1.0]], [[1.0]], [[2.0]]]))
+        np.testing.assert_array_equal(one.matrices, [[[1.0]], [[2.0]]])
 
     def test_leaf(self):
         rng = np.random.default_rng(14)
@@ -478,7 +497,7 @@ class TestExprExpand:
         (ExplicitSet, (0, 2, 2)),
     ])
     def test_stacks_of_empty_matrices_are_refused(self, leaf, shape):
-        # As a RowSet refuses empty rows: a member needs a row and a column.
+        # As a row set refuses empty rows: a member needs a row and a column.
         with pytest.raises(DimensionMismatchError,
                            match=f"^{leaf.__name__} needs a nonempty list"):
             leaf(np.zeros(shape))

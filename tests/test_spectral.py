@@ -10,7 +10,8 @@ from hourglass import spectral
 from hourglass.alternative import certify_extremal
 from hourglass.descriptors import parse_descriptor
 from hourglass.generate import random_expr
-from hourglass.linalg import DomainError, perron_vector, spectral_radius_power
+from hourglass.linalg import (DomainError, perron_vector, spectral_radii,
+                              spectral_radius_power)
 from hourglass.sets import (
     DEFAULT_SIZE_GUARD,
     ExplicitSet,
@@ -134,11 +135,16 @@ class TestSpectralSimplex:
             np.testing.assert_array_equal(trace.certificate.extremal_matrix,
                                           s.assemble(trace.selection))
 
-    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("t", [1e-12, 1e2, 1e4, 1e6])
     def test_certifies_at_large_magnitude(self, t):
         rng = np.random.default_rng(6)
         s = _random_iru(rng, 8, (3,) * 8)
         scaled = scale_set(t, s)
+        if t < 1e-6:  # rho ~ 1e-11 lies below the certificate tolerance
+            for direction in ("min", "max"):
+                with pytest.raises(DomainError, match="rescale the input$"):
+                    spectral_simplex(scaled, direction)
+            return
         for direction in ("min", "max"):
             base = spectral_simplex(s, direction)
             trace = spectral_simplex(scaled, direction)
@@ -440,6 +446,25 @@ class TestFinitenessVerify:
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             finiteness_verify(ExplicitSet([-np.eye(2)]), n_max=1)
+
+    def test_member_extremes_come_from_the_sweep(self):
+        # rho_min/rho_max are the sweep's length-1 extremes, and they agree
+        # with the members' power-iteration radii (bracketed tighter than the
+        # default 1e-10, which alone leaves about 1e-12 relative).
+        rng = np.random.default_rng(15)
+        for family in (_random_iru(rng, 3, (2, 3, 2)),
+                       ExplicitSet(rng.uniform(0.0, 2.0, size=(7, 4, 4))),
+                       ExplicitSet([NILP_A, NILP_B, np.eye(2)])):
+            report = finiteness_verify(family, n_max=2, sandwich_samples=2)
+            first = report.checks[0]
+            assert (first.n, first.sandwich) == (1, False)
+            assert report.rho_max == first.rho_hat_n
+            assert report.rho_min == first.rho_check_n
+            assert first.dev_min == first.dev_max == 0.0
+            radii = spectral_radii(expr_expand(family).matrices, tol=1e-14)
+            assert report.rho_max == pytest.approx(radii.max(), rel=1e-12)
+            assert report.rho_min == pytest.approx(radii.min(), rel=1e-12,
+                                                   abs=1e-300)
 
     def test_bare_set_under_benchmark_tracer(self, monkeypatch):
         # The benchmark tracer sizes each expansion by the cardinality bound
