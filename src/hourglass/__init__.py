@@ -25,14 +25,12 @@ from .sets import (
     ExplicitSet,
     GuardExceededError,
     HausdorffReport,
-    IdentityElem,
     IruSet,
     OrderedChain,
     Product,
     Scale,
     SetExpr,
     Sum,
-    ZeroElem,
     convex_sample,
     dedup_tolerance,
     epsilon_lift,

@@ -45,12 +45,10 @@ from .linalg import (
 from .sets import (
     LEAVES,
     ExplicitSet,
-    IdentityElem,
     IruSet,
     Product,
     Scale,
     Sum,
-    ZeroElem,
     as_explicit,
     contains_matrix,
     dedup_tolerance,
@@ -124,10 +122,6 @@ def extremal_pick(e, w: np.ndarray, sign: float, keep, tol: float) -> tuple:
         matrix, image, choices, ties = extremal_pick(e.child, e.factor * w,
                                                      sign, keep, tol)
         return e.factor * matrix, image, choices, ties
-    if isinstance(e, ZeroElem):
-        return np.zeros(e.shape), np.zeros(e.n_rows), (), ()
-    if isinstance(e, IdentityElem):
-        return np.eye(e.n), w, (), ()
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
@@ -359,7 +353,8 @@ def certify_extremal(s, candidate, direction: str,
 
     Raises CertificationError naming the violating row or matrix if the
     margins fail, or if the candidate is not a member of the family, and
-    DomainError if the family has a negative entry.
+    DomainError if the family has a negative entry or if ``cert_tol`` is
+    not below the candidate's rho (every margin would pass).
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -392,6 +387,9 @@ def _certify_margins(s, candidate: np.ndarray, perron: PerronCertificate,
     if isinstance(s, LEAVES) and not s.is_nonnegative:
         # A v <= rho v bounds the radius of no member with a negative entry.
         raise DomainError("certificates require a nonnegative family")
+    if not cert_tol < perron.rho:  # every margin would pass: nothing certified
+        raise DomainError(f"certificate tolerance {cert_tol:.1e} is not "
+                          f"below rho {perron.rho:.3e}; rescale the input")
     if isinstance(s, IruSet):
         margins = (sign * (s.row_images(v) - perron.rho * v[:, None]))[s.slots]
     elif isinstance(s, ExplicitSet):

@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 from .alternative import CertificationError, hourglass_probe_explicit
 from .descriptors import (
@@ -94,36 +93,9 @@ def _render_text(obj, indent=0) -> str:
     return "\n".join(lines)
 
 
-_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
-             "None": "null", "True": "true", "False": "false"}
-
-
-def _json_text(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, nested at
-    the line break and indent ``pad``.  CPython encodes indented JSON item by
-    item in Python; here a list of numbers is joined in one pass."""
-    kind, inner = type(obj), pad + "  "
-    if kind in (float, int, bool, type(None)):
-        return _LITERALS.get(text := repr(obj), text)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is list and obj:
-        numbers = {*map(type, obj)} <= {float, int}
-        text = ("," + inner).join(map(repr, obj)) if numbers else "n"
-        if "n" in text:  # not all numbers, or a nan or inf (finite ones hold no n)
-            text = ("," + inner).join(_json_text(x, inner) for x in obj)
-        return f"[{inner}{text}{pad}]"
-    if kind is dict and obj and all(type(k) is str for k in obj):
-        text = ("," + inner).join(f"{encode_basestring_ascii(k)}: "
-                                  f"{_json_text(v, inner)}"
-                                  for k, v in sorted(obj.items()))
-        return f"{{{inner}{text}{pad}}}"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
-
-
 def _emit(data: dict, fmt: str) -> None:
     if fmt == "json":
-        print(_json_text(data))
+        print(json.dumps(data, sort_keys=True))
     elif fmt == "csv":  # offered by jsr/lsr only: one row per word length
         res = data["results"]
         writer = csv.writer(sys.stdout)

@@ -12,9 +12,11 @@ A descriptor is a JSON object with a ``type`` tag and a payload:
     {"type": "zero",     "n": N, "m": M}
     {"type": "identity", "n": N}
 
-The root object additionally carries ``schema_version``.  Numbers may be
-JSON numbers or decimal strings; serialization uses Python's shortest
-round-trip float text, so parse(serialize(e)) reproduces e exactly.
+``zero`` and ``identity`` read as the one-member explicit sets {0} and {I},
+as ``matrix`` reads as one.  The root object additionally carries
+``schema_version``.  Numbers may be JSON numbers or decimal strings;
+serialization uses Python's shortest round-trip float text, so
+parse(serialize(e)) reproduces e exactly.
 """
 
 from __future__ import annotations
@@ -30,14 +32,12 @@ import numpy as np
 from .linalg import DimensionMismatchError
 from .sets import (
     ExplicitSet,
-    IdentityElem,
     IruSet,
     OrderedChain,
     Product,
     Scale,
     SetExpr,
     Sum,
-    ZeroElem,
 )
 
 SCHEMA_VERSION = 1
@@ -71,9 +71,13 @@ def _number(value, path: str) -> float:
     return out
 
 
-def _integer(value, path: str) -> int:
+def _dimension(obj: dict, key: str, path: str) -> int:
+    """The positive integer ``obj[key]``: a dimension of {0} or {I}."""
+    value = _get(obj, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
+        _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
+    if value < 1:
+        raise DimensionMismatchError(f"{key} must be positive, got {value}")
     return value
 
 
@@ -166,11 +170,9 @@ def _parse_node(obj, path: str) -> SetExpr:
             child = _parse_node(_get(obj, "child", path), f"{path}.child")
             return Scale(factor, child)
         if kind == "zero":
-            return ZeroElem(
-                _integer(_get(obj, "n", path), f"{path}.n"),
-                _integer(_get(obj, "m", path), f"{path}.m"),
-            )
-        return IdentityElem(_integer(_get(obj, "n", path), f"{path}.n"))
+            n, m = _dimension(obj, "n", path), _dimension(obj, "m", path)
+            return ExplicitSet(np.zeros((1, n, m)), dedup=False)
+        return ExplicitSet(np.eye(_dimension(obj, "n", path))[None], dedup=False)
     except DimensionMismatchError as exc:
         raise DimensionMismatchError(f"{path}: {exc}") from exc
 
@@ -214,10 +216,6 @@ def _serialize_node(e: SetExpr) -> dict:
     if isinstance(e, Scale):
         return {"type": "scale", "factor": e.factor,
                 "child": _serialize_node(e.child)}
-    if isinstance(e, ZeroElem):
-        return {"type": "zero", "n": e.n_rows, "m": e.n_cols}
-    if isinstance(e, IdentityElem):
-        return {"type": "identity", "n": e.n}
     raise TypeError(f"cannot serialize {type(e).__name__}")
 
 

@@ -10,10 +10,11 @@ Three concrete set representations are provided:
 * ``ExplicitSet``: a plain list of matrices, exactly deduplicated.
 
 All three are ``SetExpr`` nodes: the leaves of expression trees (``Sum``,
-``Product``, ``Scale``, ``ZeroElem``, ``IdentityElem``) with Minkowski
-semantics: the sum of two sets is the set of all pairwise sums, the
-product the set of all pairwise products.  ``expr_expand`` materializes an
-expression into an ``ExplicitSet`` under a cardinality guard.
+``Product``, ``Scale``) with Minkowski semantics: the sum of two sets is
+the set of all pairwise sums, the product the set of all pairwise
+products.  The semiring's zero and one, {0} and {I}, are one-member
+explicit sets.  ``expr_expand`` materializes an expression into an
+``ExplicitSet`` under a cardinality guard.
 """
 
 from __future__ import annotations
@@ -547,39 +548,6 @@ class Scale(SetExpr):
         return self.child.cardinality_bound()
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroElem(SetExpr):
-    n_rows: int
-    n_cols: int
-
-    def __post_init__(self):
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise DimensionMismatchError("ZeroElem needs positive dimensions")
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
-
-    def cardinality_bound(self):
-        return 1
-
-
-@dataclass(frozen=True, eq=False)
-class IdentityElem(SetExpr):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatchError("IdentityElem needs a positive order")
-
-    @property
-    def shape(self):
-        return (self.n, self.n)
-
-    def cardinality_bound(self):
-        return 1
-
-
 def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSet:
     """Materialize an expression tree into an explicit matrix set.
 
@@ -610,8 +578,4 @@ def _materialize(e: SetExpr, guard: int) -> ExplicitSet:
         return reduce(minkowski_product, parts)
     if isinstance(e, Scale):
         return scale_set(e.factor, _materialize(e.child, guard))
-    if isinstance(e, ZeroElem):
-        return ExplicitSet(np.zeros((1, e.n_rows, e.n_cols)), dedup=False)
-    if isinstance(e, IdentityElem):
-        return ExplicitSet(np.eye(e.n)[None], dedup=False)
     raise TypeError(f"unknown expression node {type(e).__name__}")

@@ -341,11 +341,8 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
         gain = float((sign * (image - a @ v)).max()) if choices != selection else 0.0
         steps.append(SimplexStep(selection, rho, gain, any(ties)))
         if choices == selection:
-            cert_tol = max(tol, 1e-10 * (1.0 + rho))
-            if cert_tol >= rho:  # every margin would pass: nothing certified
-                raise DomainError(f"certificate tolerance {cert_tol:.1e} is not "
-                                  f"below rho {rho:.3e}; rescale the input")
-            cert = _certify_margins(s, a, perron, direction, cert_tol)
+            cert = _certify_margins(s, a, perron, direction,
+                                    max(tol, 1e-10 * (1.0 + rho)))
             return SimplexTrace(direction, tuple(steps), cert)
         if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "

@@ -16,6 +16,7 @@ from hourglass.alternative import (
     hourglass_h2_iru,
     hourglass_probe_explicit,
 )
+from hourglass.generate import random_iru
 from hourglass.linalg import (
     ROW_SUMS_OVERFLOW,
     DomainError,
@@ -36,6 +37,7 @@ from hourglass.sets import (
     minkowski_sum,
     OrderedChain,
     Sum,
+    scale_set,
 )
 from hourglass.spectral import rho_extremal_exhaustive, spectral_simplex
 from test_spectral import any_family
@@ -477,6 +479,19 @@ class TestCertifyExtremal:
         assert str(err.value) == message
         assert err.value.violator == violator
 
+    def test_refuses_a_tolerance_not_below_rho(self):
+        # At rho ~ 8e-12 a 1e-10 tolerance passes every margin, so it
+        # certifies nothing; the simplex refuses it with the same message.
+        s = scale_set(1e-12, random_iru(np.random.default_rng(5), 8, 8, 4, 0.1, 2))
+        candidate = s.assemble([0] * 8)
+        for direction in ("min", "max"):
+            with pytest.raises(DomainError) as err:
+                certify_extremal(s, candidate, direction, 1e-10)
+            assert str(err.value) == ("certificate tolerance 1.0e-10 is not "
+                                      "below rho 7.820e-12; rescale the input")
+            with pytest.raises(DomainError, match="rescale the input$"):
+                spectral_simplex(s, direction)
+
 
 @any_family
 @pytest.mark.parametrize("direction", ["min", "max"])
@@ -615,7 +630,10 @@ class TestGroupedScansMatchTheRowSetLoop:
         want, violator = _margins_loop(s, rho, v, sign, cert_tol)
         got = _outcome(lambda: _certify_margins(s, candidate, perron, direction,
                                                 cert_tol))
-        if violator is None:
+        if cert_tol >= rho:  # every margin would pass: refused
+            assert got == (DomainError, f"certificate tolerance {cert_tol:.1e} "
+                           f"is not below rho {rho:.3e}; rescale the input", None)
+        elif violator is None:
             assert got.margins.tobytes() == want.tobytes()
             assert got.worst_margin == float(want.min())
         else:

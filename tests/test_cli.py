@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -31,14 +33,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture(autouse=True)
 def emitted_json_matches_the_json_module(monkeypatch):
     # Every report a command here emits, whatever its --format, must encode
-    # as json.dumps(indent=2, sort_keys=True) does, byte for byte.
+    # with the json module; as JSON it prints json.dumps(sort_keys=True).
     reports = []
     emit = cli._emit
-    monkeypatch.setattr(cli, "_emit",
-                        lambda data, fmt: (reports.append(data), emit(data, fmt)))
+
+    def emit_and_record(data, fmt):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            emit(data, fmt)
+        sys.stdout.write(out.getvalue())
+        reports.append((data, fmt, out.getvalue()))
+
+    monkeypatch.setattr(cli, "_emit", emit_and_record)
     yield
-    for data in reports:
-        assert cli._json_text(data) == json.dumps(data, indent=2, sort_keys=True)
+    for data, fmt, text in reports:
+        want = json.dumps(data, sort_keys=True) + "\n"
+        assert fmt != "json" or text == want
 
 
 @pytest.mark.parametrize("payload", [
@@ -56,10 +66,8 @@ def emitted_json_matches_the_json_module(monkeypatch):
     {"tuple": (1, 2.0), "int_keys": {2: "a", 10: ["b"]}, "float_keys": {2.5: 1}},
 ])
 def test_emitter_matches_json_dumps(payload, capsys):
-    want = json.dumps(payload, indent=2, sort_keys=True)
-    assert cli._json_text(payload) == want
     cli._emit(payload, "json")
-    assert capsys.readouterr().out == want + "\n"
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 @pytest.fixture
@@ -161,6 +169,20 @@ class TestCommands:
         assert code == EXIT_OK
         cert = data["results"]["certificate"]
         assert cert["worst_margin"] >= -cert["cert_tol"]
+
+    def test_simplex_through_the_unit(self, capsys, iru_file, tmp_path):
+        # {I} is a one-member leaf: the rho is the bare family's, bit for
+        # bit, and the selection gains the unit's 0 first.
+        path = tmp_path / "unit.json"
+        iru = json.loads(Path(iru_file).read_text())
+        del iru["schema_version"]
+        path.write_text(json.dumps({"type": "product", "children": [
+            iru, {"type": "identity", "n": 2}]}))
+        argv = ["--direction", "max", "--format", "json"]
+        _, bare = _run_json(capsys, ["simplex", "--input", iru_file, *argv])
+        _, tree = _run_json(capsys, ["simplex", "--input", str(path), *argv])
+        assert tree["results"]["rho"] == bare["results"]["rho"]
+        assert tree["results"]["selection"] == [0, *bare["results"]["selection"]]
 
     def test_simplex_on_expression_tree(self, capsys, tmp_path):
         path = tmp_path / "expr.json"
@@ -497,6 +519,12 @@ class TestExitCodes:
             ],
         }))
         assert main(["radius", "--input", str(path)]) == EXIT_DIMENSION
+
+    def test_unit_order_below_one(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"type": "zero", "n": -1, "m": 2}))
+        assert main(["radius", "--input", str(path)]) == EXIT_DIMENSION
+        assert capsys.readouterr().err == "error: $: n must be positive, got -1\n"
 
     @pytest.mark.parametrize("text, message", [
         ('{"type": "matrix", "entries": [[1.0, true], [0.5, 2.0]]}',

@@ -23,12 +23,10 @@ from hourglass.generate import gen_instance
 from hourglass.linalg import DimensionMismatchError
 from hourglass.sets import (
     ExplicitSet,
-    IdentityElem,
     IruSet,
     Product,
     Scale,
     Sum,
-    ZeroElem,
     epsilon_lift,
     expr_expand,
     iru_enumerate,
@@ -43,8 +41,37 @@ from hourglass.spectral import (
 
 def test_identity_descriptor():
     expr = parse_descriptor_obj({"type": "identity", "n": 2})
-    assert isinstance(expr, IdentityElem)
-    assert expr.n == 2
+    assert isinstance(expr, ExplicitSet)
+    assert expr.matrices.tobytes() == np.eye(2)[None].tobytes()
+
+
+def test_units_are_one_member_explicit_sets():
+    # {0} and {I} parse as a matrix descriptor does, and serialize as the
+    # explicit sets they are.
+    zero = parse_descriptor_obj({"type": "zero", "n": 2, "m": 3})
+    assert isinstance(zero, ExplicitSet)
+    assert zero.matrices.tobytes() == np.zeros((1, 2, 3)).tobytes()
+    assert serialize_expr(zero) == {"type": "explicit", "schema_version": 1,
+                                    "matrices": [[[0.0] * 3] * 2]}
+    unit = parse_descriptor_obj({"type": "identity", "n": 2})
+    assert serialize_expr(unit) == {"type": "explicit", "schema_version": 1,
+                                    "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"type": "zero", "n": 0, "m": 2}, "n"),
+    ({"type": "zero", "n": -1, "m": 2}, "n"),
+    ({"type": "zero", "n": 2, "m": 0}, "m"),
+    ({"type": "zero", "n": 2, "m": -1}, "m"),
+    ({"type": "identity", "n": 0}, "n"),
+    ({"type": "identity", "n": -1}, "n"),
+])
+def test_unit_dimensions_below_one_are_dimension_errors(obj, key):
+    # Checked before any array is made: numpy would take 0 and raise a
+    # ValueError on -1.
+    with pytest.raises(DimensionMismatchError) as err:
+        parse_descriptor_obj(obj)
+    assert str(err.value) == f"$: {key} must be positive, got {obj[key]}"
 
 
 def test_explicit_pair_file(tmp_path):
@@ -88,9 +115,9 @@ def test_nested_sum_of_products_roundtrip(tmp_path):
     expr = Sum((
         Product((
             IruSet([[[1.0, 0.5]], [[0.25, 2.0], [1.0, 1.0]]]),
-            IdentityElem(2),
+            ExplicitSet(np.eye(2)[None]),
         )),
-        Scale(0.75, ZeroElem(2, 2)),
+        Scale(0.75, ExplicitSet(np.zeros((1, 2, 2)))),
     ))
     path = tmp_path / "expr.json"
     write_descriptor(expr, path)

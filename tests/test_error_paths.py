@@ -14,7 +14,6 @@ from hourglass.sets import (
     GuardExceededError,
     IruSet,
     Scale,
-    IdentityElem,
     iru_enumerate,
     scale_set,
     transpose_set,
@@ -70,7 +69,7 @@ def test_direction_validation():
 
 def test_scale_rejects_nonfinite():
     with pytest.raises(DomainError):
-        Scale(float("inf"), IdentityElem(2))
+        Scale(float("inf"), ExplicitSet(np.eye(2)[None]))
     with pytest.raises(DomainError):
         scale_set(float("nan"), ExplicitSet(np.eye(2)[None]))
 

@@ -9,7 +9,6 @@ from hourglass.sets import (
     dedup_tolerance,
     ExplicitSet,
     GuardExceededError,
-    IdentityElem,
     IruSet,
     Leaf,
     OrderedChain,
@@ -17,7 +16,6 @@ from hourglass.sets import (
     Scale,
     SetExpr,
     Sum,
-    ZeroElem,
     contains_matrix,
     convex_sample,
     epsilon_lift,
@@ -430,7 +428,7 @@ class TestExprExpand:
         assert set_equal(expr_expand(Leaf(s)), iru_enumerate(s))
 
     def test_scaled_identity(self):
-        out = expr_expand(Scale(2.0, IdentityElem(3)))
+        out = expr_expand(Scale(2.0, ExplicitSet(np.eye(3)[None])))
         assert out.size == 1
         np.testing.assert_array_equal(out.matrices[0], 2.0 * np.eye(3))
 
@@ -465,8 +463,9 @@ class TestExprExpand:
     def test_zero_and_identity_absorb(self):
         rng = np.random.default_rng(16)
         s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
-        assert set_equal(expr_expand(Sum((Leaf(s), ZeroElem(2, 2)))), s)
-        assert set_equal(expr_expand(Product((Leaf(s), IdentityElem(2)))), s)
+        zero, unit = ExplicitSet(np.zeros((1, 2, 2))), ExplicitSet(np.eye(2)[None])
+        assert set_equal(expr_expand(Sum((Leaf(s), zero))), s)
+        assert set_equal(expr_expand(Product((Leaf(s), unit))), s)
 
     def test_guard_reports_requirement(self):
         rng = np.random.default_rng(17)
@@ -477,16 +476,18 @@ class TestExprExpand:
         assert err.value.required == 9 ** 3
 
     def test_dimension_validation(self):
+        square = ExplicitSet(np.zeros((1, 2, 2)))
+        wide = ExplicitSet(np.zeros((1, 2, 3)))
         with pytest.raises(DimensionMismatchError):
-            Sum((ZeroElem(2, 2), ZeroElem(3, 3)))
+            Sum((square, ExplicitSet(np.zeros((1, 3, 3)))))
         with pytest.raises(DimensionMismatchError):
-            Product((ZeroElem(2, 3), ZeroElem(2, 3)))
+            Product((wide, wide))
         for node in (Sum, Product):
             with pytest.raises(DimensionMismatchError,
                                match=f"^{node.__name__} needs at least two children$"):
-                node([ZeroElem(2, 2)])
+                node([square])
         with pytest.raises(DomainError):
-            Scale(-1.0, IdentityElem(2))
+            Scale(-1.0, ExplicitSet(np.eye(2)[None]))
 
     @pytest.mark.parametrize("leaf, shape", [
         (ExplicitSet, (2, 0, 0)),

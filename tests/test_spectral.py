@@ -16,14 +16,12 @@ from hourglass.sets import (
     DEFAULT_SIZE_GUARD,
     ExplicitSet,
     GuardExceededError,
-    IdentityElem,
     IruSet,
     Leaf,
     OrderedChain,
     Product,
     Scale,
     Sum,
-    ZeroElem,
     epsilon_lift,
     expr_expand,
     iru_enumerate,
@@ -210,13 +208,38 @@ class TestSpectralSimplex:
         iru = _random_iru(rng, 3, (2, 3, 2))
         chain = OrderedChain(np.cumsum(rng.uniform(0.1, 1.0, size=(3, 3, 3)),
                                        axis=0))
-        e = Product((Sum((Leaf(iru), IdentityElem(3))),
-                     Sum((Leaf(chain), ZeroElem(3, 3))),
+        e = Product((Sum((Leaf(iru), ExplicitSet(np.eye(3)[None]))),
+                     Sum((Leaf(chain), ExplicitSet(np.zeros((1, 3, 3))))),
                      Scale(0.5, Leaf(iru_enumerate(_random_iru(rng, 3, (2, 2, 1)))))))
         for direction in ("min", "max"):
             trace = self._assert_solves(e, direction)
-            # product factors right to left: explicit, chain, then 3 IRU rows
-            assert len(trace.selection) == 5
+            # product factors right to left: explicit, chain, {0}, then
+            # 3 IRU rows and {I}
+            assert len(trace.selection) == 7
+            assert trace.selection[2] == trace.selection[6] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_units_act_as_units(self, seed):
+        # {I} and {0} are one-member leaves: each adds one 0 to the
+        # selection at its place in the visiting order (products right to
+        # left, sums left to right) and changes no value, bit for bit.
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(2, 6))
+        s = _random_iru(rng, n, rng.integers(1, 4, size=n))
+        unit = ExplicitSet(np.eye(n)[None])
+        zero = ExplicitSet(np.zeros((1, n, n)))
+        for direction in ("min", "max"):
+            base = spectral_simplex(s, direction)
+            for e, selection in ((Product((s, unit)), (0,) + base.selection),
+                                 (Sum((s, zero)), base.selection + (0,))):
+                trace = spectral_simplex(e, direction)
+                assert trace.rho == base.rho
+                assert trace.selection == selection
+                assert (trace.certificate.extremal_matrix.tobytes()
+                        == base.certificate.extremal_matrix.tobytes())
+                assert trace.certificate.rho == base.certificate.rho
+                assert (expr_expand(e).matrices.tobytes()
+                        == expr_expand(s).matrices.tobytes())
 
     def test_bare_chain(self):
         rng = np.random.default_rng(23)
@@ -598,7 +621,7 @@ class TestConvLsrCheck:
 any_family = pytest.mark.parametrize("make", [
     lambda rng: _random_iru(rng, 2, (2, 3)),
     lambda rng: OrderedChain(np.cumsum(rng.uniform(0.1, 1.0, size=(3, 2, 2)), axis=0)),
-    lambda rng: Sum((_random_iru(rng, 2, (2, 2)), Scale(0.5, IdentityElem(2)))),
+    lambda rng: Sum((_random_iru(rng, 2, (2, 2)), Scale(0.5, ExplicitSet(np.eye(2)[None])))),
 ], ids=["iru", "chain", "sum"])
 
 
