@@ -41,6 +41,7 @@ from .sets import (
 )
 
 SCHEMA_VERSION = 1
+MAX_UNIT_ORDER = 4096  # largest n or m of a {0} or {I}, checked before allocating
 
 
 class DescriptorSyntaxError(ValueError):
@@ -72,12 +73,15 @@ def _number(value, path: str) -> float:
 
 
 def _dimension(obj: dict, key: str, path: str) -> int:
-    """The positive integer ``obj[key]``: a dimension of {0} or {I}."""
+    """The integer ``obj[key]`` in [1, MAX_UNIT_ORDER]: an order of {0} or {I}."""
     value = _get(obj, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
     if value < 1:
         raise DimensionMismatchError(f"{key} must be positive, got {value}")
+    if value > MAX_UNIT_ORDER:
+        raise DimensionMismatchError(
+            f"{key} must be at most {MAX_UNIT_ORDER}, got {value}")
     return value
 
 
@@ -86,15 +90,15 @@ def _nested_lists(node, depth: int) -> bool:
         depth == 1 or all(_nested_lists(c, depth - 1) for c in node))
 
 
-def _numeric_array(value, path: str, depth: int) -> np.ndarray:
+def _numeric_array(value, path: str, depth: int, walk: bool = True):
     """Read a ``depth``-deep nested list of numbers as a float array.
 
     Nonempty nested lists whose leaves are all exact ``int`` or ``float``
     with finite values convert in one numpy pass, bit-identical to the
-    walker.  Any other block (decimal strings, booleans, ``None``,
-    non-finite or overflowing numbers, ragged, empty or tuple containers)
-    goes to the per-number walker, the one reader of decimal strings and
-    the one path whose errors name the offending entry.
+    walker.  Any other block (decimal strings, booleans, ``None``, non-finite
+    or overflowing numbers, ragged, empty or tuple containers) is None if
+    not ``walk``, else goes to the per-number walker, the one reader of
+    decimal strings and the one path whose errors name the offending entry.
     """
     try:
         arr = np.array(value, dtype=object)
@@ -105,7 +109,7 @@ def _numeric_array(value, path: str, depth: int) -> np.ndarray:
                 return out
     except (ValueError, OverflowError):
         pass  # the walker reports the fault with its path
-    return _walked_array(value, path, depth)
+    return _walked_array(value, path, depth) if walk else None
 
 
 def _walked_array(value, path: str, depth: int) -> np.ndarray:
@@ -152,8 +156,11 @@ def _parse_node(obj, path: str) -> SetExpr:
             raw = _get(obj, "row_sets", path)
             if not isinstance(raw, list) or not raw:
                 _fail(f"{path}.row_sets", "expected a nonempty array of row sets")
-            return IruSet([_numeric_array(rs, f"{path}.row_sets[{i}]", 2)
-                           for i, rs in enumerate(raw)])
+            rows = _numeric_array(raw, f"{path}.row_sets", 3, walk=False)
+            if rows is None:  # not one block of plain numbers: one read each
+                rows = [_numeric_array(rs, f"{path}.row_sets[{i}]", 2)
+                        for i, rs in enumerate(raw)]
+            return IruSet(rows)
         if kind == "chain":
             mats = _numeric_array(_get(obj, "matrices", path), f"{path}.matrices", 3)
             return OrderedChain(mats)
@@ -174,6 +181,8 @@ def _parse_node(obj, path: str) -> SetExpr:
             return ExplicitSet(np.zeros((1, n, m)), dedup=False)
         return ExplicitSet(np.eye(_dimension(obj, "n", path))[None], dedup=False)
     except DimensionMismatchError as exc:
+        if str(exc).startswith(path):  # a child's, tagged with its own path
+            raise
         raise DimensionMismatchError(f"{path}: {exc}") from exc
 
 

@@ -5,9 +5,9 @@ is no wrapper type.  The module provides two independent spectral-radius
 algorithms (a power iteration over the irreducible blocks found by a boolean
 reachability closure, and a norm-of-squared-powers scheme) so that each can
 serve as a cross-check for the other, plus Perron eigenvector certificates
-for positive matrices.  One Collatz-Wielandt power step, ``_cw_step``,
-drives the stacked loop behind the radii and ``perron_vector``'s own loop
-on 1-D arrays, its one-member case bit for bit.  The Collatz-Wielandt
+for positive matrices.  One Perron loop, ``_perron_loop``, serves both the
+blockwise radius and ``perron_vector``; ``spectral_radii`` takes positive
+members' radii from batched ``eigvals`` instead.  The Collatz-Wielandt
 comparison over a family lives in ``alternative`` (``_certify_margins``).
 """
 
@@ -108,58 +108,46 @@ def l1_operator_norm(a) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def _power_shift(a: np.ndarray):
-    # Diagonal shift per matrix, relative to its largest entry; adds exactly
-    # its value to a nonnegative radius.
-    return 1e-3 * a.max(axis=(-2, -1))
-
-
-def _cw_step(b: np.ndarray, x: np.ndarray, step: int) -> tuple:
-    """``y = B x`` and its Collatz-Wielandt bracket, the extremes of ``y / x``
-    along the last axis.  A first upper bound beyond the float range raises
-    DomainError; the brackets only narrow, so no later step can overflow."""
-    y = np.matmul(b, x[..., None])[..., 0]
+def _check_row_sums(y: np.ndarray, n: int) -> None:
+    """Raise DomainError if a row sum, ``n * y``, is beyond the float range."""
     # Python floats: an overflowing quotient is inf without a warning.
-    if step == 0 and (float(np.maximum.reduce(y, None)) / (1.0 / x.shape[-1])
-                      == math.inf):
+    if float(np.maximum.reduce(y, None)) / (1.0 / n) == math.inf:
         raise DomainError(ROW_SUMS_OVERFLOW)
-    ratios = y / x  # ufunc reductions: the array methods cost more per call
-    return y, np.minimum.reduce(ratios, -1), np.maximum.reduce(ratios, -1)
 
 
-def _bracketed_power(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
-    """Radii and Perron vectors of a stack of irreducible nonnegative matrices.
+def _perron_loop(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
+    """Radius and Perron vector of an irreducible nonnegative matrix.
 
-    Member i is shifted by eps_i * I, which adds exactly eps_i to its radius
-    and makes it primitive; the Collatz-Wielandt ratios (Bx)_j / x_j then
-    bracket rho(B) and contract (``_cw_step``), and a member stops once its
-    bracket is at most ``tol`` wide.  Returns the radii, the widths left
-    above ``tol`` (else 0), and each member's coordinate-sum-1 iterate at
-    its stopping step, where |A x - rho x| <= width / 2 componentwise.
+    ``a`` is shifted by eps * I (eps: 1e-3 times the largest entry of the
+    matrix it comes from), adding exactly eps to its radius and making it
+    primitive; the Collatz-Wielandt ratios (Bx)_j / x_j then bracket rho(B)
+    and contract until the bracket is at most ``tol`` wide.  A first upper
+    bound beyond the float range raises DomainError; brackets only narrow,
+    so no later step overflows.  Returns the radius, the width left above
+    ``tol`` (else 0), and the coordinate-sum-1 iterate at the stopping
+    step, where |A x - rho x| <= width / 2 componentwise.
     """
-    k, n, _ = a.shape
-    b = a + np.reshape(eps, (-1, 1, 1)) * np.eye(n)
-    lo, hi, live = np.zeros(k), np.full(k, np.inf), np.arange(k)
-    x, vecs = np.full((k, n), 1.0 / n), np.empty((k, n))
+    n = len(a)
+    b, lo, hi = a + eps * np.eye(n), 0.0, math.inf
+    x = np.full(n, 1.0 / n)
     for step in range(max_iter):
-        if live.size == 0:
+        y = b @ x
+        if step == 0:
+            _check_row_sums(y, n)
+        ratios = y / x  # ufunc reductions: the array methods cost more per call
+        lo, hi = np.minimum.reduce(ratios), np.maximum.reduce(ratios)
+        if hi - lo <= tol:
             break
-        y, step_lo, step_hi = _cw_step(b, x, step)
-        lo[live], hi[live] = step_lo, step_hi
-        done = step_hi - step_lo <= tol
-        if np.count_nonzero(done):
-            vecs[live[done]] = x[done]
-            live, b, y = live[~done], b[~done], y[~done]
-        x = y / np.add.reduce(y, 1, keepdims=True)
+        x = y / np.add.reduce(y)
     # Halve before adding: lo + hi overflows for radii above half the limit.
-    return (np.maximum(0.0, 0.5 * lo + 0.5 * hi - eps),
-            np.where(hi - lo <= tol, 0.0, hi - lo), vecs)
+    rho = np.maximum(0.0, 0.5 * lo + 0.5 * hi - eps)
+    return rho, (0.0 if hi - lo <= tol else hi - lo), x
 
 
-def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> tuple:
-    """Radius over the irreducible blocks (distinct rows of the mutual
-    reachability closure of ``a > 0``), and the widest unconverged bracket."""
-    eps = _power_shift(a)
+def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> float:
+    """Radius over the irreducible blocks (distinct rows of the mutual reachability
+    closure of ``a > 0``); ConvergenceError names the widest open bracket."""
+    eps = 1e-3 * a.max()
     reach = (a > 0) | np.eye(len(a), dtype=bool)
     for _ in range((len(a) - 1).bit_length()):
         reach = reach @ reach
@@ -169,10 +157,23 @@ def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> tuple:
         if idx.size == 1:
             best = max(best, float(a[idx[0], idx[0]]))
         else:
-            (rho_c,), (w,), _ = _bracketed_power(a[np.ix_(idx, idx)][None], eps,
-                                                 tol, max_iter)
+            rho_c, w, _ = _perron_loop(a[np.ix_(idx, idx)], eps, tol, max_iter)
             best, width = max(best, float(rho_c)), max(width, w)
-    return best, width
+    if width:
+        raise ConvergenceError(f"power iteration bracket still {width:.3e} "
+                               f"wide after {max_iter} steps", best)
+    return best
+
+
+def _nonnegative_stack(stack, tol: float) -> np.ndarray:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatchError(f"expected a nonempty (k, n, n) stack, "
+                                     f"got shape {stack.shape}")
+    if not np.all(np.isfinite(stack) & (stack >= 0)):
+        raise DomainError("spectral radii require finite nonnegative entries")
+    _check_tol(tol)
+    return stack
 
 
 def spectral_radius_power(a, tol: float = DEFAULT_TOL,
@@ -190,38 +191,36 @@ def spectral_radius_power(a, tol: float = DEFAULT_TOL,
     ConvergenceError (carrying the best estimate and the widest failing
     bracket) if some block misses ``tol`` within ``max_iter`` iterations.
     """
-    return float(spectral_radii(as_square(a)[None], tol, max_iter)[0])
+    a = _nonnegative_stack(as_square(a)[None], tol)[0]
+    return _blockwise_radius(a, tol, max_iter)
 
 
 def spectral_radii(stack, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """``spectral_radius_power`` of every member of a (k, n, n) stack.
+    """Spectral radius of every member of a nonnegative (k, n, n) stack.
 
-    Strictly positive members (one irreducible block each) iterate together,
-    ``BATCH_ENTRIES`` entries at a time; members with a zero entry are split
-    one by one.  ConvergenceError names the lowest-index member that fails.
+    Strictly positive members of order 2 and up take their largest
+    ``|eigvals|`` from one batched LAPACK call: their Perron root is simple,
+    found to a few ulp relative at any magnitude, and ``tol`` does not
+    apply.  The others take ``spectral_radius_power``'s kernel, since a
+    reducible member's Perron root can be defective (a Jordan block), where
+    ``eigvals`` loses half the digits.  Raises DomainError if a row sum
+    exceeds the float range, and ConvergenceError for the lowest-index
+    member that fails.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatchError(f"expected a nonempty (k, n, n) stack, "
-                                     f"got shape {stack.shape}")
-    if not np.all(np.isfinite(stack) & (stack >= 0)):
-        raise DomainError("spectral radii require finite nonnegative entries")
-    _check_tol(tol)
+    stack = _nonnegative_stack(stack, tol)
     k, n, _ = stack.shape
-    radii, widths = np.empty(k), np.empty(k)
-    step = max(1, BATCH_ENTRIES // (n * n))
-    for start in range(0, k, step):
-        block, at = stack[start:start + step], slice(start, start + step)
-        pos = (block > 0).all(axis=(1, 2)) & (n > 1)  # order 1: read off
-        radii[at][pos], widths[at][pos], _ = _bracketed_power(
-            block[pos], _power_shift(block[pos]), tol, max_iter)
-        for i in np.flatnonzero(~pos) + start:
-            radii[i], widths[i] = _blockwise_radius(stack[i], tol, max_iter)
-        if (failed := np.flatnonzero(widths[at]) + start).size:
-            i = failed[0]
-            raise ConvergenceError(f"power iteration bracket still {widths[i]:.3e} "
-                                   f"wide after {max_iter} steps", float(radii[i]))
+    radii = np.empty(k)
+    pos = (stack > 0).all(axis=(1, 2)) & (n > 1)  # order 1: read off
+    if pos.any():
+        members = stack[pos]
+        _check_row_sums(members @ np.full(n, 1.0 / n), n)
+        try:
+            radii[pos] = np.abs(np.linalg.eigvals(members)).max(-1)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigvals failed: {exc}", math.nan) from exc
+    for i in np.flatnonzero(~pos):
+        radii[i] = _blockwise_radius(stack[i], tol, max_iter)
     return radii
 
 
@@ -309,7 +308,7 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> PerronCertificate:
     """Perron eigenpair of a strictly positive square matrix.
 
-    The one-member case of the stacked power loop behind ``spectral_radii``:
+    The Perron loop behind ``spectral_radius_power``, on the whole matrix:
     the shifted iteration runs until the Collatz-Wielandt bracket is at most
     ``tol`` wide (order 1 is read off), so ``rho`` equals
     ``spectral_radius_power(a, tol)`` bit for bit and the returned iterate's
@@ -327,21 +326,12 @@ def perron_vector(a, tol: float = DEFAULT_TOL,
             "perron_vector requires strictly positive entries; lift the input first"
         )
     _check_tol(tol)
-    if len(a) == 1:  # as in spectral_radii: no shift to add and take off
+    if len(a) == 1:  # as in spectral_radius_power: no shift to add and take off
         return PerronCertificate(rho=float(a[0, 0]), eigenvector=np.ones(1),
                                  residual=0.0, tol=tol)
-    # The one-member case of _bracketed_power's loop, on 1-D arrays.
-    eps = _power_shift(a)
-    b, lo, hi = a + eps * np.eye(len(a)), 0.0, math.inf
-    x = np.full(len(a), 1.0 / len(a))
-    for step in range(max_iter):
-        y, lo, hi = _cw_step(b, x, step)
-        if hi - lo <= tol:
-            break
-        x = y / np.add.reduce(y)
-    rho = np.maximum(0.0, 0.5 * lo + 0.5 * hi - eps)
-    if not hi - lo <= tol:
-        raise ConvergenceError(f"Perron bracket still {hi - lo:.3e} wide after "
+    rho, width, x = _perron_loop(a, 1e-3 * a.max(), tol, max_iter)
+    if width:
+        raise ConvergenceError(f"Perron bracket still {width:.3e} wide after "
                                f"{max_iter} steps", float(rho))
     residual = float(np.abs(a @ x - rho * x).max())
     return PerronCertificate(rho=float(rho), eigenvector=x, residual=residual,

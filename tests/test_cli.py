@@ -526,6 +526,21 @@ class TestExitCodes:
         assert main(["radius", "--input", str(path)]) == EXIT_DIMENSION
         assert capsys.readouterr().err == "error: $: n must be positive, got -1\n"
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"type": "sum", "children": [{"type": "identity", "n": 2},
+                                      {"type": "identity", "n": -1}]},
+         "$.children[1]: n must be positive, got -1"),
+        ({"type": "identity", "n": 10**30},
+         f"$: n must be at most 4096, got {10**30}"),
+        ({"type": "zero", "n": 2, "m": 10**5}, "$: m must be at most 4096, got 100000"),
+    ])
+    def test_unit_faults_are_one_tagged_line(self, tmp_path, capsys, obj,
+                                             message):
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps(obj))
+        assert main(["radius", "--input", str(path)]) == EXIT_DIMENSION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("text, message", [
         ('{"type": "matrix", "entries": [[1.0, true], [0.5, 2.0]]}',
          "$.entries[0][1]: expected a number, got a boolean"),

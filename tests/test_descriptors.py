@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hourglass.alternative import certify_extremal, hourglass_h1_iru
 from hourglass.descriptors import (
+    MAX_UNIT_ORDER,
     DescriptorSchemaError,
     DescriptorSyntaxError,
     _numeric_array,
@@ -72,6 +73,63 @@ def test_unit_dimensions_below_one_are_dimension_errors(obj, key):
     with pytest.raises(DimensionMismatchError) as err:
         parse_descriptor_obj(obj)
     assert str(err.value) == f"$: {key} must be positive, got {obj[key]}"
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"type": "zero", "n": 10**5, "m": 2}, "n"),
+    ({"type": "zero", "n": 2, "m": 10**30}, "m"),
+    ({"type": "identity", "n": 10**5}, "n"),
+    ({"type": "identity", "n": 10**30}, "n"),
+])
+def test_unit_dimensions_above_the_bound_are_dimension_errors(obj, key):
+    # Refused before any array is made: numpy would try to allocate it.
+    with pytest.raises(DimensionMismatchError) as err:
+        parse_descriptor_obj(obj)
+    assert str(err.value) == (f"$: {key} must be at most {MAX_UNIT_ORDER}, "
+                              f"got {obj[key]}")
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "sum", "children": [{"type": "identity", "n": 2},
+                                  {"type": "identity", "n": -1}]},
+     "$.children[1]: n must be positive, got -1"),
+    ({"type": "scale", "factor": 2, "child": {
+        "type": "product", "children": [{"type": "identity", "n": 2},
+                                        {"type": "zero", "n": 2, "m": 0}]}},
+     "$.child.children[1]: m must be positive, got 0"),
+    ({"type": "sum", "children": [
+        {"type": "identity", "n": 2},
+        {"type": "product", "children": [{"type": "identity", "n": 2},
+                                         {"type": "identity", "n": 3}]}]},
+     "$.children[1]: "),
+])
+def test_a_fault_is_tagged_with_its_own_path_only(obj, message):
+    with pytest.raises(DimensionMismatchError) as err:
+        parse_descriptor_obj(obj)
+    assert str(err.value).startswith(message)
+    assert str(err.value).count("$") == 1
+
+
+def test_iru_row_sets_of_one_shape_are_read_at_once(monkeypatch):
+    # Row sets of one shape take one depth-3 read, the per-row-set reader
+    # only the others; the rows are the same either way.
+    from hourglass import descriptors
+
+    calls = []
+    real = descriptors._numeric_array
+    monkeypatch.setattr(descriptors, "_numeric_array", lambda *args, **kw: (
+        calls.append(args[1]), real(*args, **kw))[1])
+    same = [[[1.0, 0.5], [0.5, 1]], [[0.25, 2], [1.0, 3.0]]]
+    mixed = [[[1.0, 0.5], [0.5, 1]], [[0.25, 2]]]
+    for row_sets, paths in (
+            (same, ["$.row_sets"]),
+            (mixed, ["$.row_sets", "$.row_sets[0]", "$.row_sets[1]"])):
+        calls.clear()
+        got = parse_descriptor_obj({"type": "iru", "row_sets": row_sets})
+        assert calls == paths
+        want = IruSet([np.array(rs, dtype=float) for rs in row_sets])
+        assert [rs.tobytes() for rs in got.row_sets] == [
+            rs.tobytes() for rs in want.row_sets]
 
 
 def test_explicit_pair_file(tmp_path):

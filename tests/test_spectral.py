@@ -63,7 +63,8 @@ class TestExhaustive:
         m = np.array([[0.3, 0.7], [0.2, 0.9]])
         value, idx = rho_extremal_exhaustive(ExplicitSet([m]), "min")
         assert idx == 0
-        assert value == pytest.approx(spectral_radius_power(m), abs=1e-12)
+        want = 0.5 * (1.2 + np.sqrt(0.6 ** 2 + 4 * 0.7 * 0.2))  # (tr + sqrt(disc)) / 2
+        assert value == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestSpectralSimplex:
