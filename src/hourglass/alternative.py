@@ -36,7 +36,6 @@ from .linalg import (
     ROW_SUMS_OVERFLOW,
     PerronCertificate,
     _perron_tol,
-    _reduce,
     as_matrix,
     as_vector,
     perron_vector,
@@ -287,27 +286,34 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
     if float(np.matmul(mats, np.full(n, 1.0 / n)).max()) * 10 * n == math.inf:
         raise DomainError(ROW_SUMS_OVERFLOW)
     centers, us = _probe_draws(seed, s.size, n, trials)
+    # Members on the contiguous last axis, so that every elementwise op and
+    # every row max/min spans the whole set rather than a member's rows.
+    cols = np.ascontiguousarray(mats.transpose(2, 1, 0))  # column, row, member
+    # Every image is summed column by column in one order, the centers'
+    # (row, trial) included, so a center's image equals its member's.
+    v = cols[0][:, centers] * us[:, 0]
+    for j in range(1, n):
+        v += cols[j][:, centers] * us[:, j]
+    stol = (strict_tolerance(v.T)[:, None] if strict_tol is None
+            else np.full((trials, 1), strict_tol))
     step = max(1, BATCH_ENTRIES // mats[..., 0].size)  # trials per batch
-    violations = []
+    flags = np.empty((trials, 2), dtype=bool)  # H1, H2 violated
     for start in range(0, trials, step):
         at = slice(start, start + step)
-        u = us[at, None, None, :]  # trial, -, -, column
-        # Column by column: matmul costs a BLAS call per (trial, member).
-        images = mats[..., 0] * u[..., 0]  # trial, member, row
-        for j in range(1, mats.shape[2]):
-            images += mats[..., j] * u[..., j]
-        v = images[np.arange(len(images)), centers[at]]
-        stol = strict_tolerance(v)[:, None] if strict_tol is None else strict_tol
-        diff = np.subtract(v[:, None], images, out=images)
-        above = _reduce(np.maximum, diff, 2) > stol  # trial, member
-        below = _reduce(np.minimum, diff, 2) < -stol
-        h1 = above.any(axis=1) & ~(above & ~below).any(axis=1)
-        h2 = below.any(axis=1) & ~(below & ~above).any(axis=1)
-        violations += [ProbeViolation(int(t), ("H1", "H2")[d], int(centers[t]), us[t])
-                       for t, d in np.argwhere(np.stack([h1, h2], axis=1)) + (start, 0)]
-    return ProbeReport(
-        passed=not violations, trials=trials, violations=tuple(violations)
-    )
+        u = us[at].T[:, :, None]  # column, trial, -
+        images = cols[0][:, None] * u[0]  # row, trial, member
+        for j in range(1, n):
+            images += cols[j][:, None] * u[j]
+        diff = np.subtract(v[:, at, None], images, out=images)
+        above = diff.max(axis=0) > stol[at]  # trial, member
+        below = diff.min(axis=0) < -stol[at]
+        flags[at, 0] = above.any(axis=1) & ~(above & ~below).any(axis=1)
+        flags[at, 1] = below.any(axis=1) & ~(below & ~above).any(axis=1)
+    violations = tuple(
+        ProbeViolation(int(t), ("H1", "H2")[d], int(centers[t]), us[t])
+        for t, d in np.argwhere(flags))
+    return ProbeReport(passed=not violations, trials=trials,
+                       violations=violations)
 
 
 @dataclass(frozen=True)

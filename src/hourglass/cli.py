@@ -4,7 +4,8 @@ Every command reads a JSON set descriptor, runs one library operation, and
 emits a run report carrying the input digest, every flag the command reads,
 the results, and the wall time.  Exit codes: 0 success / check passed, 2 check
 failed (finiteness, probe, convex-hull), 1 usage or runtime errors, and
-3 / 4 / 5 for malformed JSON / schema violations / dimension mismatches in
+3 / 4 / 5 for malformed JSON / schema violations (nodes nested deeper than
+``descriptors.MAX_NESTING`` among them) / dimension mismatches in
 descriptor files.
 """
 
@@ -24,7 +25,7 @@ from .descriptors import (
     DescriptorSyntaxError,
     descriptor_digest,
     jsonable,
-    parse_descriptor,
+    load_descriptor,
     write_descriptor,
 )
 from .generate import gen_instance
@@ -180,11 +181,11 @@ def cmd_hset_probe(args, expr):
 
 
 def cmd_hausdorff(args, expr) -> dict:
-    other = parse_descriptor(args.other)
+    other, other_digest = load_descriptor(args.other)
     report = hausdorff_distance(expr_expand(expr, args.guard),
                                 expr_expand(other, args.guard),
                                 norm=args.norm)
-    return {**jsonable(report), "other_digest": descriptor_digest(args.other)}
+    return {**jsonable(report), "other_digest": other_digest}
 
 
 def cmd_conv_check(args, expr) -> dict:
@@ -291,15 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Time one command: parse and digest its input (gen: digest its
-    output), report the results with the flags it read, emit the report."""
+    """Time one command: parse and digest its input from one read (gen:
+    digest its output), report the results with the flags it read, emit
+    the report."""
     started = time.perf_counter()
     source = vars(args).get("input")
-    expr = None if source is None else parse_descriptor(source)
+    expr, digest = (None, None) if source is None else load_descriptor(source)
     results = args.func(args, expr)  # gen writes the file digested below
     data = jsonable(RunReport(
         command=args.command,
-        input_digest=descriptor_digest(source or args.out),
+        input_digest=digest or descriptor_digest(args.out),
         parameters={key: value for key, value in vars(args).items()
                     if key not in _NOT_PARAMETERS},
         results=results,

@@ -42,6 +42,10 @@ from .sets import (
 
 SCHEMA_VERSION = 1
 MAX_UNIT_ORDER = 4096  # largest n or m of a {0} or {I}, checked before allocating
+# Deepest node nesting of a descriptor.  A chain of sums or products this
+# deep decodes, parses and runs under Python's default recursion limit; the
+# workloads and fixtures nest at most about 4.
+MAX_NESTING = 256
 
 
 class DescriptorSyntaxError(ValueError):
@@ -139,7 +143,17 @@ _NODE_TYPES = (
 )
 
 
-def _parse_node(obj, path: str) -> SetExpr:
+def _short(path: str) -> str:
+    """A long JSON path cut to its last whole components."""
+    if len(path) <= 80:
+        return path
+    tail = path[-60:]
+    return "$..." + tail[tail.index(".") + 1:]
+
+
+def _parse_node(obj, path: str, depth: int = 1) -> SetExpr:
+    if depth > MAX_NESTING:
+        _fail(_short(path), f"nodes nest deeper than {MAX_NESTING}")
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
     kind = _get(obj, "type", path)
@@ -169,12 +183,14 @@ def _parse_node(obj, path: str) -> SetExpr:
             if not isinstance(raw, list) or len(raw) < 2:
                 _fail(f"{path}.children", "expected an array of >= 2 children")
             children = tuple(
-                _parse_node(c, f"{path}.children[{i}]") for i, c in enumerate(raw)
+                _parse_node(c, f"{path}.children[{i}]", depth + 1)
+                for i, c in enumerate(raw)
             )
             return Sum(children) if kind == "sum" else Product(children)
         if kind == "scale":
             factor = _number(_get(obj, "factor", path), f"{path}.factor")
-            child = _parse_node(_get(obj, "child", path), f"{path}.child")
+            child = _parse_node(_get(obj, "child", path), f"{path}.child",
+                                depth + 1)
             return Scale(factor, child)
         if kind == "zero":
             n, m = _dimension(obj, "n", path), _dimension(obj, "m", path)
@@ -201,15 +217,29 @@ def parse_descriptor(path) -> SetExpr:
 
     Raises DescriptorSyntaxError for bytes that are not UTF-8 and for
     malformed JSON (and for an integer literal beyond Python's 4300-digit
-    limit), DescriptorSchemaError for schema violations, and
-    DimensionMismatchError (tagged with the JSON path) for admissibility
-    failures.
+    limit), DescriptorSchemaError for schema violations (nodes nested
+    deeper than ``MAX_NESTING`` among them), and DimensionMismatchError
+    (tagged with the JSON path) for admissibility failures.
     """
+    return load_descriptor(path)[0]
+
+
+def load_descriptor(path) -> tuple[SetExpr, str]:
+    """``(parse_descriptor(path), descriptor_digest(path))`` from one read:
+    the bytes are hashed, then decoded as UTF-8 with universal newlines, as
+    a file read in text mode is, and parsed."""
+    data = Path(path).read_bytes()
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text)
     except ValueError as exc:  # UnicodeDecodeError is one
         raise DescriptorSyntaxError(f"{path}: {exc}") from exc
-    return parse_descriptor_obj(obj)
+    except RecursionError:
+        _fail("$", f"nested too deeply to decode; nodes nest at most "
+                   f"{MAX_NESTING} deep")
+    return parse_descriptor_obj(obj), hashlib.sha256(data).hexdigest()
 
 
 def _serialize_node(e: SetExpr) -> dict:

@@ -331,6 +331,11 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
     seen = {selection}
     steps: list[SimplexStep] = []
     for _ in range(max_iter):
+        if not (a > 0).all():  # a tree of boundary leaves can reach one
+            raise DomainError(
+                f"spectral_simplex requires a strictly positive family; the "
+                f"member at selection {list(selection)} has a zero entry: "
+                f"lift the family's leaves first")
         perron = perron_vector(a, tol=_perron_tol(a))
         v = perron.eigenvector
         rho = perron.rho

@@ -16,7 +16,7 @@ from hourglass.alternative import (
     hourglass_h2_iru,
     hourglass_probe_explicit,
 )
-from hourglass.generate import random_iru
+from hourglass.generate import random_chain, random_iru
 from hourglass.linalg import (
     ROW_SUMS_OVERFLOW,
     DomainError,
@@ -36,6 +36,7 @@ from hourglass.sets import (
     minkowski_product,
     minkowski_sum,
     OrderedChain,
+    Product,
     Sum,
     scale_set,
 )
@@ -50,26 +51,37 @@ def _random_iru(rng, n, sizes, lo=0.1, hi=2.0):
     return IruSet([rng.uniform(lo, hi, size=(k, n)) for k in sizes])
 
 
-def _scan_side(mats, u, v, stol, sign):
-    """Exhaustive dichotomy scan over an explicit family (test oracle)."""
-    gaps = sign * (v[None, :] - mats @ u)
+def _scan_side(images, v, stol, sign):
+    """Exhaustive dichotomy scan over a family's images (test oracle)."""
+    gaps = sign * (v[None, :] - images)
     if (gaps <= stol).all():
         return "all_on_side"
     witness = (gaps >= -stol).all(axis=1) & (gaps.max(axis=1) > stol)
     return "witness" if witness.any() else "violation"
 
 
-def _probe_per_trial(s, trials, seed, strict_tol=None):
-    """One trial at a time, each scanning the whole set (test oracle)."""
+def _columnwise(mats, u):
+    """Images ``mats @ u`` summed column by column, left to right."""
+    images = mats[..., 0] * u[0]
+    for j in range(1, mats.shape[-1]):
+        images = images + mats[..., j] * u[j]
+    return images
+
+
+def _probe_per_trial(s, trials, seed, strict_tol=None, image=np.matmul):
+    """One trial at a time, each scanning the whole set (test oracle).
+    ``image=_columnwise`` sums as the probe does, so that the oracle's
+    floats, and so its decisions, equal the probe's by construction."""
     rng = np.random.default_rng(seed)
     out = []
     for t in range(trials):
         center = int(rng.integers(0, s.size))
         u = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=s.shape[1]))
-        v = s.matrices[center] @ u
+        images = image(s.matrices, u)
+        v = images[center]
         stol = strict_tolerance(v) if strict_tol is None else strict_tol
         for sign, direction in ((+1, "H1"), (-1, "H2")):
-            if _scan_side(s.matrices, u, v, stol, sign) == "violation":
+            if _scan_side(images, v, stol, sign) == "violation":
                 out.append((t, direction, center, u))
     return out
 
@@ -177,7 +189,7 @@ class TestHourglassH1:
             stol = strict_tolerance(v)
             for fn, sign in ((hourglass_h1_iru, +1), (hourglass_h2_iru, -1)):
                 out = fn(s, choice, u)
-                want = _scan_side(mats, u, v, stol, sign)
+                want = _scan_side(mats @ u, v, stol, sign)
                 assert want != "violation"
                 assert out.verdict == want
                 # The witness swaps in the lexicographically first offender.
@@ -238,17 +250,59 @@ class TestProbe:
             assert hourglass_probe_explicit(combo, trials=150, seed=8).passed
 
     @staticmethod
-    def _assert_matches_oracle(s, trials, seed, strict_tol=None):
+    def _assert_matches_oracle(s, trials, seed, strict_tol=None,
+                               image=np.matmul):
         report = hourglass_probe_explicit(s, trials, seed, strict_tol)
-        want = _probe_per_trial(s, trials, seed, strict_tol)
+        want = _probe_per_trial(s, trials, seed, strict_tol, image)
         got = [(v.trial, v.direction, v.center_index, v.u)
                for v in report.violations]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[:3] == w[:3]
-            np.testing.assert_array_equal(g[3], w[3])
+            assert g[3].tobytes() == w[3].tobytes()
         assert report.passed == (not want)
         return len(want)
+
+    @staticmethod
+    def _partial_last_batch(s, trials):
+        import hourglass.alternative as alternative
+
+        step = alternative.BATCH_ENTRIES // (s.size * s.shape[0])
+        return 1 < step < trials and trials % step
+
+    def test_matches_columnwise_oracle_on_the_closure_product(self):
+        # Shaped like the closure workload's largest probe: 16 x (5 + 16).
+        rng = np.random.default_rng(41)
+        s = expr_expand(Product((
+            random_iru(rng, 2, 2, 4, 0.1, 2.0),
+            Sum((random_chain(rng, 5, 2, 2, 0.1, 2.0),
+                 random_iru(rng, 2, 2, 4, 0.1, 2.0))))))
+        assert s.size == 1280
+        assert self._partial_last_batch(s, 100)
+        # The product lies in the class: neither side finds a violation.
+        for strict_tol in (None, 0.0, 1e-3):
+            assert not self._assert_matches_oracle(s, 100, seed=9,
+                                                   strict_tol=strict_tol,
+                                                   image=_columnwise)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_columnwise_oracle_on_hundreds_of_members(self, n):
+        rng = np.random.default_rng(50 + n)
+        k, trials = 240, 121
+        integer = rng.integers(1, 4, size=(k, n, n)).astype(float)
+        for mats in (rng.uniform(0.05, 2.0, size=(k, n, n)),
+                     integer + 1e-3 * rng.integers(0, 2, size=(k, n, n)),
+                     rng.uniform(0.5, 2.0, size=(k, n, n))
+                     * 10.0 ** rng.integers(-6, 7, size=(k, 1, 1))):
+            s = ExplicitSet(mats, dedup=False)
+            assert self._partial_last_batch(s, trials)
+            found = self._assert_matches_oracle(s, trials, seed=n,
+                                                image=_columnwise)
+            gap = float(np.median(np.abs(mats - mats[:1]).sum(axis=2)))
+            found += self._assert_matches_oracle(s, trials, seed=10 + n,
+                                                 strict_tol=gap,
+                                                 image=_columnwise)
+            assert found > 0  # the set does violate
 
     def test_matches_per_trial_oracle(self, monkeypatch):
         import hourglass.alternative as alternative

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -562,6 +563,48 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["radius", "--input", str(path)]) == EXIT_SCHEMA
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_deep_nesting_is_one_schema_line(self, tmp_path, capsys):
+        depth = 3000  # deeper than the JSON decoder follows
+        path = tmp_path / "deep.json"
+        path.write_text('{"type": "scale", "factor": 1, "child": ' * depth
+                        + '{"type": "identity", "n": 2}' + "}" * depth)
+        for argv in (["radius", "--input", str(path)],
+                     ["simplex", "--input", str(path), "--direction", "max"]):
+            assert main(argv) == EXIT_SCHEMA
+            err = capsys.readouterr().err
+            assert err.startswith("error: $") and err.count("\n") == 1
+
+    def test_simplex_refuses_a_boundary_tree_in_its_own_words(self, tmp_path,
+                                                              capsys):
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps({"type": "sum", "children": [
+            {"type": "iru", "row_sets": [[[0, 1], [1, 0]], [[1, 0], [0, 2]]]},
+            {"type": "chain", "matrices": [[[0, 1], [1, 0]],
+                                           [[0, 2], [1, 0]]]}]}))
+        assert main(["simplex", "--input", str(path), "--direction",
+                     "max"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: spectral_simplex requires")
+        assert err.count("\n") == 1 and "perron_vector" not in err
+
+    def test_each_descriptor_is_read_once(self, tmp_path, capsys,
+                                          monkeypatch, diag_pair, nilp_pair):
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(str(self))
+                            or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", None)  # no second reader
+        _, radius = _run_json(capsys, ["radius", "--input", diag_pair,
+                                       "--format", "json"])
+        _, other = _run_json(capsys, ["hausdorff", "--input", diag_pair,
+                                      "--other", nilp_pair, "--format",
+                                      "json"])
+        assert reads == [diag_pair, diag_pair, nilp_pair]
+        assert radius["input_digest"] == other["input_digest"] == (
+            hashlib.sha256(read_bytes(Path(diag_pair))).hexdigest())
+        assert other["results"]["other_digest"] == (
+            hashlib.sha256(read_bytes(Path(nilp_pair))).hexdigest())
 
     def test_usage_error(self):
         assert main(["radius", "--no-such-flag"]) == EXIT_USAGE

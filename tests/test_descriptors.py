@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hourglass.alternative import certify_extremal, hourglass_h1_iru
+import hourglass.descriptors as descriptors
 from hourglass.descriptors import (
+    MAX_NESTING,
     MAX_UNIT_ORDER,
     DescriptorSchemaError,
     DescriptorSyntaxError,
@@ -15,6 +18,7 @@ from hourglass.descriptors import (
     _walked_array,
     descriptor_digest,
     jsonable,
+    load_descriptor,
     parse_descriptor,
     parse_descriptor_obj,
     serialize_expr,
@@ -272,6 +276,86 @@ def test_digest_tracks_content(tmp_path):
     assert descriptor_digest(p1) == descriptor_digest(p2)
     write_descriptor({"type": "identity", "n": 3, "schema_version": 1}, p2)
     assert descriptor_digest(p1) != descriptor_digest(p2)
+
+
+def test_load_reads_once_for_the_tree_and_the_digest(tmp_path, monkeypatch):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{"type": "explicit",\r\n "matrices": [[[1, 2],\r [3, 4]]]}')
+    want = serialize_expr(parse_descriptor(path)), descriptor_digest(path)
+    reads, read_bytes = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda self: reads.append(self) or read_bytes(self))
+    expr, digest = load_descriptor(path)
+    assert (serialize_expr(expr), digest) == want
+    assert reads == [path]
+
+
+@pytest.mark.parametrize("data", [
+    b'{"type": "matrix",\r\n "entries": [[1, 2]],\r "x": tru}',
+    b'{\r\n"type": "mat\rrix"}',
+    b'{"type": "matrix", "entries": [[1\xff]]}',
+    b'{\r\n"type": "matrix", "entries": [[1]]\r\n}\xc3',
+    b'\xef\xbb\xbf{"type": "identity", "n": 1}',
+], ids=["crlf", "cr-in-string", "bad-byte", "truncated", "bom"])
+def test_syntax_errors_read_as_in_text_mode(tmp_path, data):
+    # The bytes decode as UTF-8 with universal newlines, as a file read in
+    # text mode does, so every message and position is the same.
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as text_mode:
+        json.loads(path.read_text(encoding="utf-8"))
+    for read in (parse_descriptor, load_descriptor):
+        with pytest.raises(DescriptorSyntaxError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: {text_mode.value}"
+
+
+def _scale_chain(depth: int) -> str:
+    """A descriptor of ``depth`` nested nodes, as text: scalings by 2
+    around a 1x1 matrix."""
+    return ('{"type": "scale", "factor": 2, "child": ' * (depth - 1)
+            + '{"type": "matrix", "entries": [[1]]}' + "}" * (depth - 1))
+
+
+def test_nesting_up_to_the_bound_parses(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_scale_chain(MAX_NESTING))
+    member = expr_expand(parse_descriptor(path)).matrices
+    assert member.tolist() == [[[2.0 ** (MAX_NESTING - 1)]]]
+
+
+def test_nesting_past_the_bound_is_a_schema_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_scale_chain(MAX_NESTING + 1))
+    with pytest.raises(DescriptorSchemaError, match=(
+            rf"^\$\.\.\.child(\.child)+: nodes nest deeper than "
+            rf"{MAX_NESTING}$")):
+        parse_descriptor(path)
+    obj = {"type": "matrix", "entries": [[1]]}
+    for _ in range(MAX_NESTING):
+        obj = {"type": "sum", "children": [{"type": "identity", "n": 1}, obj]}
+    with pytest.raises(DescriptorSchemaError, match=(
+            rf"^\$\.\.\.children\[1\](\.children\[1\])+\.children\[0\]: "
+            rf"nodes nest deeper than "
+            rf"{MAX_NESTING}$")):
+        parse_descriptor_obj(obj)
+    # Deeper than the decoder can follow: refused before any node is read.
+    path.write_text(_scale_chain(3000))
+    with pytest.raises(DescriptorSchemaError, match="nest"):
+        parse_descriptor(path)
+
+
+def test_decoder_recursion_is_a_schema_error(tmp_path, monkeypatch):
+    def recurse(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    path = tmp_path / "deep.json"
+    path.write_text(_scale_chain(3))
+    monkeypatch.setattr(descriptors.json, "loads", recurse)
+    with pytest.raises(DescriptorSchemaError) as err:
+        parse_descriptor(path)
+    assert str(err.value) == (f"$: nested too deeply to decode; nodes nest "
+                              f"at most {MAX_NESTING} deep")
 
 
 def test_jsonable_handles_numpy():

@@ -179,6 +179,19 @@ class TestSpectralSimplex:
         with pytest.raises(DomainError):
             spectral_simplex(s, "max")
 
+    def test_refuses_boundary_tree_in_its_own_words(self):
+        # Every member of this sum has a zero entry: the refusal names the
+        # family, as for a bare leaf, not the Perron kernel.
+        tree = Sum((IruSet([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]]]),
+                    OrderedChain([[[0.0, 1.0], [1.0, 0.0]],
+                                  [[0.0, 2.0], [1.0, 0.0]]])))
+        for direction in ("min", "max"):
+            with pytest.raises(DomainError, match=(
+                    r"^spectral_simplex requires a strictly positive family; "
+                    r"the member at selection \[.*\] has a zero entry: lift "
+                    r"the family's leaves first$")):
+                spectral_simplex(tree, direction)
+
     @staticmethod
     def _assert_solves(e, direction):
         # rho is the eigvals extremum over the expansion, and the terminal
