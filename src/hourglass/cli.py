@@ -2,7 +2,8 @@
 
 Every command reads a JSON set descriptor, runs one library operation, and
 emits a run report carrying the input digest, every flag the command reads,
-the results, and the wall time.  Exit codes: 0 success / check passed, 2 check
+the results, and the wall time; ``_plain`` encodes it for ``json.dumps`` and
+the text and csv writers alike.  Exit codes: 0 success / check passed, 2 check
 failed (finiteness, probe, convex-hull), 1 usage or runtime errors, and
 3 / 4 / 5 for malformed JSON / schema violations (nodes nested deeper than
 ``descriptors.MAX_NESTING`` among them) / dimension mismatches in
@@ -13,18 +14,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+
+import numpy as np
 
 from .alternative import CertificationError, hourglass_probe_explicit
 from .descriptors import (
     DescriptorSchemaError,
     DescriptorSyntaxError,
     descriptor_digest,
-    jsonable,
     load_descriptor,
     write_descriptor,
 )
@@ -61,15 +63,6 @@ EXIT_SCHEMA = 4
 EXIT_DIMENSION = 5
 
 
-@dataclass
-class RunReport:
-    command: str
-    input_digest: str
-    parameters: dict
-    results: object  # a dict or a library report
-    wall_time_s: float
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default, which collides with the
     # check-failed code; route usage problems to exit 1 instead.
@@ -79,26 +72,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _plain(obj):
+    """One level of a report in JSON types, as ``json.dumps``' ``default``:
+    a dataclass as its fields in field order, an array as a list, a numpy
+    scalar (np.float64 too, a float subclass) as its Python value."""
+    if type(obj) in (dict, list, tuple, str, int, float, bool, type(None)):
+        return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _render_text(obj, indent=0) -> str:
     pad = "  " * indent
-    if not isinstance(obj, (dict, list)):
-        return f"{pad}{obj}"
-    labelled = (((f"{key}:", val) for key, val in obj.items())
-                if isinstance(obj, dict) else (("-", val) for val in obj))
-    lines = []
-    for label, val in labelled:
-        if isinstance(val, (dict, list)):
-            lines += [f"{pad}{label}", _render_text(val, indent + 1)]
-        else:
-            lines.append(f"{pad}{label} {val}")
-    return "\n".join(lines)
+    pairs = (((f"{key}:", _plain(val)) for key, val in obj.items())
+             if isinstance(obj, dict) else (("-", _plain(val)) for val in obj))
+    return "\n".join(
+        f"{pad}{label}\n{_render_text(val, indent + 1)}"
+        if isinstance(val, (dict, list, tuple)) else f"{pad}{label} {val}"
+        for label, val in pairs)
 
 
-def _emit(data: dict, fmt: str) -> None:
+def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(data, sort_keys=True))
+        print(json.dumps(report, sort_keys=True, default=_plain))
     elif fmt == "csv":  # offered by jsr/lsr only: one row per word length
-        res = data["results"]
+        res = _plain(report["results"])
         writer = csv.writer(sys.stdout)
         writer.writerow(("n", "rho_hat_n", "rho_check_n",
                          "norm_upper_n", "norm_lower_n"))
@@ -106,7 +107,7 @@ def _emit(data: dict, fmt: str) -> None:
                              res["rho_check"], res["norm_upper"],
                              res["norm_lower"]))
     else:
-        print(_render_text(data))
+        print(_render_text(report))
 
 
 def cmd_radius(args, expr) -> dict:
@@ -137,7 +138,7 @@ def cmd_simplex(args, expr) -> dict:
         if not isinstance(expr, (IruSet, OrderedChain)):
             raise DomainError("--epsilon lifts only a bare iru or chain")
         family = epsilon_lift(expr, args.epsilon)
-    trace = spectral_simplex(family, args.direction, tol=args.tol)
+    trace = spectral_simplex(family, args.direction)
     return {
         "direction": args.direction,
         "rho": trace.rho,
@@ -183,9 +184,8 @@ def cmd_hset_probe(args, expr):
 def cmd_hausdorff(args, expr) -> dict:
     other, other_digest = load_descriptor(args.other)
     report = hausdorff_distance(expr_expand(expr, args.guard),
-                                expr_expand(other, args.guard),
-                                norm=args.norm)
-    return {**jsonable(report), "other_digest": other_digest}
+                                expr_expand(other, args.guard))
+    return {**_plain(report), "other_digest": other_digest}
 
 
 def cmd_conv_check(args, expr) -> dict:
@@ -237,7 +237,7 @@ _COMMANDS = (
     ("extremal", (), "exhaustive extremal radius", cmd_extremal,
      (_INPUT, _DIRECTION, _TOL, _GUARD, _FORMAT)),
     ("simplex", (), "greedy certified extremal radius", cmd_simplex,
-     (_INPUT, _DIRECTION, _TOL, _FORMAT,
+     (_INPUT, _DIRECTION, _FORMAT,
       _flag("--epsilon", type=float, default=None,
             help="lift a boundary family into positivity first"))),
     ("jsr", ("lsr",), "joint / lower spectral radius bound sequences",
@@ -255,8 +255,7 @@ _COMMANDS = (
       _flag("--trials", type=int, default=500))),
     ("hausdorff", (), "distance between two sets", cmd_hausdorff,
      (_INPUT, _GUARD, _FORMAT,
-      _flag("--other", required=True, help="second descriptor file"),
-      _flag("--norm", choices=("max", "l1op"), default="max"))),
+      _flag("--other", required=True, help="second descriptor file"))),
     ("conv-check", (), "convex-hull norm lower bound suite", cmd_conv_check,
      (_INPUT, _flag("--tol", type=float, default=1e-9), _SEED, _GUARD,
       _FORMAT, _flag("--n-max", type=int, default=3),
@@ -299,16 +298,17 @@ def _run(args) -> int:
     source = vars(args).get("input")
     expr, digest = (None, None) if source is None else load_descriptor(source)
     results = args.func(args, expr)  # gen writes the file digested below
-    data = jsonable(RunReport(
-        command=args.command,
-        input_digest=digest or descriptor_digest(args.out),
-        parameters={key: value for key, value in vars(args).items()
-                    if key not in _NOT_PARAMETERS},
-        results=results,
-        wall_time_s=time.perf_counter() - started,
-    ))
-    _emit(data, args.format)
-    return EXIT_CHECK_FAILED if data["results"].get("passed") is False else EXIT_OK
+    report = {
+        "command": args.command,
+        "input_digest": digest or descriptor_digest(args.out),
+        "parameters": {key: value for key, value in vars(args).items()
+                       if key not in _NOT_PARAMETERS},
+        "results": results,
+        "wall_time_s": time.perf_counter() - started,
+    }
+    _emit(report, args.format)
+    return (EXIT_CHECK_FAILED if _plain(results).get("passed") is False
+            else EXIT_OK)
 
 
 # One parser per process: building one costs milliseconds, parsing does not.

@@ -21,7 +21,6 @@ parse(serialize(e)) reproduces e exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -264,19 +263,15 @@ def serialize_expr(e: SetExpr) -> dict:
     return out
 
 
-def descriptor_text(obj: dict) -> str:
-    """Canonical descriptor text: sorted keys, fixed layout, one per file."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def write_descriptor(e, path) -> str:
-    """Write an expression (or a raw descriptor dict) to ``path``.
+    """Write an expression (or a raw descriptor dict) to ``path`` as canonical
+    text: sorted keys, fixed layout, one descriptor per file.
 
     The file appears atomically: the text lands in a sibling temp file that
     is renamed over the target.
     """
     obj = e if isinstance(e, dict) else serialize_expr(e)
-    text = descriptor_text(obj)
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_text(text)
@@ -288,23 +283,3 @@ def descriptor_digest(path) -> str:
     """Content hash of a descriptor file (sha256 hex)."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-
-def jsonable(obj):
-    """Recursively convert reports (dataclasses, numpy data) to JSON types."""
-    # The exact type: np.float64 subclasses float but must go through .item()
-    if type(obj) in (float, int, str, bool, type(None)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .descriptors import serialize_expr
+from .descriptors import MAX_NESTING, serialize_expr
 from .linalg import DomainError
 from .sets import (
     IruSet,
@@ -52,25 +52,37 @@ def random_chain(rng: np.random.Generator, length: int, n_rows: int,
     return OrderedChain(mats)
 
 
+class _TooLarge(Exception):
+    """A draw's bound passed ``max_matrices`` before the draw was done."""
+
+
 def random_expr(rng: np.random.Generator, depth: int, dim: int,
                 lo: float, hi: float, max_matrices: int = 200) -> SetExpr:
     """Random square expression over IRU and chain leaves.
 
     Samples trees up to ``depth`` over sum/product/scale nodes, rejecting
     draws whose projected expansion exceeds ``max_matrices``, for at most
-    1000 draws.
+    1000 draws; a draw's bound is the product of its leaves' bounds, so it
+    stops at the first leaf that takes the product past the limit.
     """
     if lo <= 0:
         raise DomainError("random_expr needs a strictly positive entry range")
     if depth < 0:
         raise DomainError(f"expression depth must be >= 0, got {depth}")
+    if depth >= MAX_NESTING:  # its trees would not read back
+        raise DomainError(
+            f"expression depth must be < {MAX_NESTING}, got {depth}")
 
     def leaf() -> SetExpr:
+        nonlocal bound
         if rng.integers(2) == 0:
-            size = int(rng.integers(1, 3))
-            return random_iru(rng, dim, dim, size, lo, hi)
-        length = int(rng.integers(2, 4))
-        return random_chain(rng, length, dim, dim, lo, hi)
+            out = random_iru(rng, dim, dim, int(rng.integers(1, 3)), lo, hi)
+        else:
+            out = random_chain(rng, int(rng.integers(2, 4)), dim, dim, lo, hi)
+        bound *= out.cardinality_bound()
+        if bound > max_matrices:
+            raise _TooLarge
+        return out
 
     def node(d: int) -> SetExpr:
         if d == 0:
@@ -85,9 +97,11 @@ def random_expr(rng: np.random.Generator, depth: int, dim: int,
         return Scale(float(rng.uniform(0.5, 2.0)), node(d - 1))
 
     for _ in range(1000):
-        candidate = node(depth)
-        if candidate.cardinality_bound() <= max_matrices:
-            return candidate
+        bound = 1
+        try:
+            return node(depth)
+        except _TooLarge:
+            pass
     raise DomainError(
         f"no expression within {max_matrices} matrices after 1000 draws"
     )

@@ -405,23 +405,14 @@ class HausdorffReport:
     witness_b_to_a: tuple[int, float]
 
 
-_NORMS = ("max", "l1op")
-
-
-def hausdorff_distance(a, b, norm: str = "max") -> HausdorffReport:
-    """Exact Hausdorff distance between two finite sets of matrices.
-
-    ``norm`` selects the underlying matrix metric: "max" for the entrywise
-    max norm, "l1op" for the l1-induced operator norm of the difference.
-    Any family is taken, through ``as_explicit``; witness indices refer to
-    the explicit members.
-    """
+def hausdorff_distance(a, b) -> HausdorffReport:
+    """Exact Hausdorff distance between two finite sets of matrices in the
+    entrywise max norm; any family is taken, through ``as_explicit``, and
+    witness indices refer to the explicit members."""
     if a.shape != b.shape:
         raise DimensionMismatchError(
             f"cannot compare sets of shapes {a.shape} and {b.shape}"
         )
-    if norm not in _NORMS:
-        raise DomainError(f"unknown norm {norm!r}; choose from {_NORMS}")
     a, b = as_explicit(a), as_explicit(b)
     # Rows of A in blocks of about BATCH_ENTRIES difference entries, so
     # memory stays bounded; the B -> A side keeps a running minimum.
@@ -430,10 +421,7 @@ def hausdorff_distance(a, b, norm: str = "max") -> HausdorffReport:
     nearest_ba = np.full(b.size, np.inf)
     for start in range(0, a.size, step):
         diff = np.abs(a.matrices[start:start + step, None] - b.matrices[None, :])
-        if norm == "max":
-            dists = diff.max(axis=(2, 3))
-        else:
-            dists = diff.sum(axis=2).max(axis=2)
+        dists = diff.max(axis=(2, 3))
         nearest_ab[start:start + step] = dists.min(axis=1)
         np.minimum(nearest_ba, dists.min(axis=0), out=nearest_ba)
     ia = int(nearest_ab.argmax())

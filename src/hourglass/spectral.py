@@ -290,8 +290,7 @@ class SimplexTrace:
         return self.iterations[-1].selection
 
 
-def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
-                     max_iter: int = 10_000) -> SimplexTrace:
+def spectral_simplex(s, direction: str, max_iter: int = 10_000) -> SimplexTrace:
     """Greedy extremal-radius search on a positive set or expression tree.
 
     From the member of first choices, each step moves to the member with
@@ -302,15 +301,12 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
     local optimality condition is global: the terminal member is certified
     extremal over the whole family.
 
-    Boundary (merely nonnegative) families are refused; lift them first and
-    compare runs at a couple of lift sizes to audit the limit.  Row sums
-    beyond the float range raise DomainError before the first step, and a
-    rho not above the certificate tolerance after the last (rescale).
+    Boundary (merely nonnegative) families are refused: lift them first.  Row
+    sums beyond the float range raise DomainError before the first step, and
+    a rho not above the certificate tolerance 1e-10 (1 + rho) after the last.
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
-    if not math.isfinite(tol):  # NaN or inf would certify nothing
-        raise DomainError(f"tol must be finite, got {tol}")
     n, m = s.shape
     if n != m:
         raise DomainError(f"need a square family, got {n}x{m}")
@@ -347,7 +343,7 @@ def spectral_simplex(s, direction: str, tol: float = DEFAULT_TOL,
         steps.append(SimplexStep(selection, rho, gain, any(ties)))
         if choices == selection:
             cert = _certify_margins(s, a, perron, direction,
-                                    max(tol, 1e-10 * (1.0 + rho)))
+                                    1e-10 * (1.0 + rho))
             return SimplexTrace(direction, tuple(steps), cert)
         if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "

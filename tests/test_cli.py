@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from hourglass.cli import (
     build_parser,
     main,
 )
-from hourglass.descriptors import jsonable, parse_descriptor, write_descriptor
+from hourglass.descriptors import parse_descriptor, write_descriptor
 from hourglass.generate import gen_instance
 from hourglass.linalg import DomainError
 from hourglass.sets import OrderedChain, expr_expand
@@ -30,11 +31,16 @@ from hourglass.spectral import finiteness_verify, jsr_lsr_bounds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# No command warns: a numpy warning here fails the test (the nilpotent
+# pair's vanishing products among them).
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(autouse=True)
 def emitted_json_matches_the_json_module(monkeypatch):
     # Every report a command here emits, whatever its --format, must encode
-    # with the json module; as JSON it prints json.dumps(sort_keys=True).
+    # with the json module; as JSON it prints json.dumps(sort_keys=True)
+    # with the report encoder as its default.
     reports = []
     emit = cli._emit
 
@@ -48,7 +54,7 @@ def emitted_json_matches_the_json_module(monkeypatch):
     monkeypatch.setattr(cli, "_emit", emit_and_record)
     yield
     for data, fmt, text in reports:
-        want = json.dumps(data, sort_keys=True) + "\n"
+        want = json.dumps(data, sort_keys=True, default=cli._plain) + "\n"
         assert fmt != "json" or text == want
 
 
@@ -69,6 +75,42 @@ def emitted_json_matches_the_json_module(monkeypatch):
 def test_emitter_matches_json_dumps(payload, capsys):
     cli._emit(payload, "json")
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Step:
+    rho: object
+    word: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class _Trace:
+    step: _Step
+    flags: tuple
+
+
+def test_numpy_reports_print_as_python_ones(capsys):
+    # numpy scalars, arrays, tuples and dataclasses, at any depth, print in
+    # JSON and as text just as the same report built from Python types.
+    nan, inf = float("nan"), float("inf")
+    numpy_report = {"results": {
+        "rho": np.float64(1.5), "count": np.int64(2), "passed": np.bool_(True),
+        "odd": (np.float64(nan), np.float64(inf), np.float64(-inf)),
+        "matrix": np.array([[0.25, inf], [-inf, 1e16]]),
+        "trace": _Trace(_Step(np.float64(0.5), (np.int64(3), np.int32(1))),
+                        (np.bool_(False), np.float32(0.5))),
+    }}
+    python_report = {"results": {
+        "rho": 1.5, "count": 2, "passed": True, "odd": [nan, inf, -inf],
+        "matrix": [[0.25, inf], [-inf, 1e16]],
+        "trace": {"step": {"rho": 0.5, "word": [3, 1]},
+                  "flags": [False, 0.5]},
+    }}
+    for fmt in ("json", "text"):
+        cli._emit(numpy_report, fmt)
+        got = capsys.readouterr().out
+        cli._emit(python_report, fmt)
+        assert got == capsys.readouterr().out
 
 
 @pytest.fixture
@@ -240,20 +282,21 @@ class TestCommands:
 
     def test_simplex_epsilon_lifts_boundary_family(self, capsys, tmp_path):
         path = tmp_path / "boundary.json"
-        write_descriptor({
-            "schema_version": 1,
-            "type": "iru",
-            "row_sets": [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]]],
-        }, path)
-        assert main(["simplex", "--input", str(path),
-                     "--direction", "max"]) == EXIT_USAGE
-        code, data = _run_json(
-            capsys,
-            ["simplex", "--input", str(path), "--direction", "max",
-             "--epsilon", "1e-4", "--format", "json"],
-        )
-        assert code == EXIT_OK
-        assert data["parameters"]["epsilon"] == 1e-4
+        for family, direction in (
+                ({"type": "iru",
+                  "row_sets": [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]]]}, "max"),
+                ({"type": "chain",
+                  "matrices": [[[0, 1], [1, 0]], [[0, 2], [1, 0]]]}, "min")):
+            write_descriptor({"schema_version": 1, **family}, path)
+            assert main(["simplex", "--input", str(path),
+                         "--direction", direction]) == EXIT_USAGE
+            code, data = _run_json(
+                capsys,
+                ["simplex", "--input", str(path), "--direction", direction,
+                 "--epsilon", "1e-4", "--format", "json"],
+            )
+            assert code == EXIT_OK
+            assert data["parameters"]["epsilon"] == 1e-4
 
     def test_csv_only_for_sequence_commands(self, diag_pair):
         code = main(["extremal", "--input", diag_pair, "--direction", "min",
@@ -330,12 +373,12 @@ class TestCommands:
 DECLARED = {
     "radius": ({"tol", "guard"}, []),
     "extremal": ({"direction", "tol", "guard"}, ["--direction", "min"]),
-    "simplex": ({"direction", "tol", "epsilon"}, ["--direction", "max"]),
+    "simplex": ({"direction", "epsilon"}, ["--direction", "max"]),
     "jsr": ({"n_max", "guard"}, []),
     "lsr": ({"n_max", "guard"}, []),
     "finiteness": ({"n_max", "sandwich_samples", "tol", "seed", "guard"}, []),
     "hset-probe": ({"trials", "seed", "guard"}, []),
-    "hausdorff": ({"other", "norm", "guard"}, ["--other", "{s}"]),
+    "hausdorff": ({"other", "guard"}, ["--other", "{s}"]),
     "conv-check": ({"n_max", "samples", "tol", "seed", "guard"}, []),
     "gen": ({"kind", "out", "seed", "lo", "hi", "rows", "cols",
              "row_set_size", "length", "depth", "max_matrices",
@@ -349,7 +392,8 @@ UNREAD = [
     ("hausdorff", "--seed", "1"), ("jsr", "--tol", "1e-9"),
     ("hset-probe", "--tol", "1e-9"), ("hausdorff", "--tol", "1e-9"),
     ("gen", "--tol", "1"), ("simplex", "--guard", "5"),
-    ("gen", "--guard", "5"),
+    ("gen", "--guard", "5"), ("simplex", "--tol", "1e-9"),
+    ("hausdorff", "--norm", "max"),
 ]
 
 
@@ -363,7 +407,8 @@ class TestPrintedReports:
                                         "--n-max", "3", "--format", "json"])
         assert code == EXIT_OK
         want = jsr_lsr_bounds(expr_expand(parse_descriptor(iru_file)), 3)
-        assert data["results"] == jsonable(want)
+        assert data["results"] == json.loads(json.dumps(want,
+                                                        default=cli._plain))
 
     @pytest.mark.parametrize("fixture, exit_code", [
         ("iru_file", EXIT_OK), ("nilp_pair", EXIT_CHECK_FAILED)])
@@ -375,7 +420,8 @@ class TestPrintedReports:
                                         "--format", "json"])
         assert code == exit_code
         want = finiteness_verify(parse_descriptor(path), n_max=3, seed=2)
-        assert data["results"] == jsonable(want)
+        assert data["results"] == json.loads(json.dumps(want,
+                                                        default=cli._plain))
 
     @pytest.mark.parametrize("command, labels", [
         ("jsr", ["n_max", "rho_hat", "rho_check", "norm_upper", "norm_lower",
@@ -539,8 +585,8 @@ class TestExitCodes:
                                              message):
         path = tmp_path / "unit.json"
         path.write_text(json.dumps(obj))
-        assert main(["radius", "--input", str(path)]) == EXIT_DIMENSION
-        assert capsys.readouterr().err == f"error: {message}\n"
+        self._refused_by_every_reader(tmp_path, capsys, path, EXIT_DIMENSION,
+                                      message)
 
     @pytest.mark.parametrize("text, message", [
         ('{"type": "matrix", "entries": [[1.0, true], [0.5, 2.0]]}',
@@ -561,8 +607,16 @@ class TestExitCodes:
                                                 text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert main(["radius", "--input", str(path)]) == EXIT_SCHEMA
-        assert capsys.readouterr().err == f"error: {message}\n"
+        self._refused_by_every_reader(tmp_path, capsys, path, EXIT_SCHEMA,
+                                      message)
+
+    @staticmethod
+    def _refused_by_every_reader(tmp_path, capsys, path, exit_code, message):
+        # Each command that reads --input refuses the file as it parses it,
+        # before allocating anything: one tagged line, no traceback.
+        for command in sorted(set(DECLARED) - {"gen"}):
+            assert main(_argv(command, str(path), tmp_path)) == exit_code
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_deep_nesting_is_one_schema_line(self, tmp_path, capsys):
         depth = 3000  # deeper than the JSON decoder follows
@@ -621,21 +675,21 @@ class TestExitCodes:
         (["radius", "--tol", "inf"], "tol must be finite, got inf"),
         (["extremal", "--direction", "max", "--tol", "inf"],
          "tol must be finite, got inf"),
-        (["simplex", "--direction", "max", "--tol", "nan"],
-         "tol must be finite, got nan"),
-        (["simplex", "--direction", "min", "--tol", "inf"],
-         "tol must be finite, got inf"),
         (["conv-check", "--tol", "nan"], "tol must be finite, got nan"),
         (["finiteness", "--tol", "inf"], "tol must be finite, got inf"),
+        (["finiteness", "--guard", "3"],
+         "materialization needs 4 matrices, guard is 3"),
         (["gen", "--kind", "chain", "--length", "0"],
          "chain length must be >= 1, got 0"),
         (["gen", "--kind", "expr", "--depth", "-1"],
          "expression depth must be >= 0, got -1"),
+        # A tree this deep would not read back.
+        (["gen", "--kind", "expr", "--depth", "300"],
+         "expression depth must be < 256, got 300"),
     ], ids=["finiteness-n-max", "conv-check-n-max", "sandwich-samples",
             "radius-tol-nan", "extremal-tol-nan", "radius-tol-inf",
-            "extremal-tol-inf", "simplex-tol-nan",
-            "simplex-tol-inf", "conv-check-tol-nan", "finiteness-tol-inf",
-            "gen-chain-length", "gen-expr-depth"])
+            "extremal-tol-inf", "conv-check-tol-nan", "finiteness-tol-inf",
+            "finiteness-guard", "gen-chain-length", "gen-expr-depth", "gen-expr-too-deep"])
     def test_refuses_values_that_make_a_check_vacuous(self, tmp_path, capsys,
                                                       iru_file, argv, message):
         where = (["--out", str(tmp_path / "g.json")] if argv[0] == "gen"
@@ -696,14 +750,16 @@ class TestExitCodes:
 
 class TestGen:
     def test_seed_reproducibility(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for out in (a, b):
-            code = main([
-                "gen", "--kind", "expr", "--seed", "3", "--out", str(out),
-                "--rows", "2", "--depth", "2",
-            ])
-            assert code == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+        # Depth 60: a draw stops growing once its bound passes the limit.
+        for depth in ("2", "60"):
+            a, b = tmp_path / "a.json", tmp_path / "b.json"
+            for out in (a, b):
+                code = main([
+                    "gen", "--kind", "expr", "--seed", "3", "--out", str(out),
+                    "--rows", "2", "--depth", depth,
+                ])
+                assert code == EXIT_OK
+            assert a.read_bytes() == b.read_bytes()
 
     def test_generated_chain_is_ordered(self, tmp_path):
         out = tmp_path / "chain.json"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -17,7 +16,6 @@ from hourglass.descriptors import (
     _numeric_array,
     _walked_array,
     descriptor_digest,
-    jsonable,
     load_descriptor,
     parse_descriptor,
     parse_descriptor_obj,
@@ -356,29 +354,6 @@ def test_decoder_recursion_is_a_schema_error(tmp_path, monkeypatch):
         parse_descriptor(path)
     assert str(err.value) == (f"$: nested too deeply to decode; nodes nest "
                               f"at most {MAX_NESTING} deep")
-
-
-def test_jsonable_handles_numpy():
-    @dataclasses.dataclass(frozen=True)
-    class Report:
-        value: object
-        pair: tuple
-
-    out = jsonable({
-        "arr": np.arange(3.0),
-        "num": np.float64(1.5),
-        "nested": (np.int64(2), [np.bool_(True)]),
-        "report": Report(np.float64(0.5), (np.int32(3), np.bool_(False))),
-    })
-    assert out == {"arr": [0.0, 1.0, 2.0], "num": 1.5, "nested": [2, [True]],
-                   "report": {"value": 0.5, "pair": [3, False]}}
-    assert json.dumps(out)
-    # numpy scalars become Python's own types, wherever they are nested
-    assert type(out["num"]) is float
-    assert type(out["nested"][0]) is int and type(out["nested"][1][0]) is bool
-    assert type(out["report"]["value"]) is float
-    assert type(out["report"]["pair"][0]) is int
-    assert type(out["report"]["pair"][1]) is bool
 
 
 # Plain JSON numbers, which the one-pass conversion reads, and leaves that

@@ -556,13 +556,12 @@ class TestHausdorff:
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(21)
-        for norm in ("max", "l1op"):
-            for _ in range(10):
-                a, b, c = (_random_explicit(rng, 2, 3) for _ in range(3))
-                hab = hausdorff_distance(a, b, norm).distance
-                hbc = hausdorff_distance(b, c, norm).distance
-                hac = hausdorff_distance(a, c, norm).distance
-                assert hac <= hab + hbc + 1e-12
+        for _ in range(10):
+            a, b, c = (_random_explicit(rng, 2, 3) for _ in range(3))
+            hab = hausdorff_distance(a, b).distance
+            hbc = hausdorff_distance(b, c).distance
+            hac = hausdorff_distance(a, c).distance
+            assert hac <= hab + hbc + 1e-12
 
     def test_witness_realizes_distance(self):
         rng = np.random.default_rng(22)
@@ -588,15 +587,14 @@ class TestHausdorff:
             draw = ((lambda k: rng.integers(0, 3, size=(k, n, m))) if trial % 2
                     else (lambda k: rng.uniform(0.0, 2.0, size=(k, n, m))))
             a, b = ExplicitSet(draw(ka)), ExplicitSet(draw(kb))
-            diff = np.abs(a.matrices[:, None] - b.matrices[None, :])
-            for norm, dists in (("max", diff.max(axis=(2, 3))),
-                                ("l1op", diff.sum(axis=2).max(axis=2))):
-                near_a, near_b = dists.min(axis=1), dists.min(axis=0)
-                ia, ib = int(near_a.argmax()), int(near_b.argmax())
-                rep = hausdorff_distance(a, b, norm)
-                assert rep.witness_a_to_b == (ia, near_a[ia])
-                assert rep.witness_b_to_a == (ib, near_b[ib])
-                assert rep.distance == max(near_a[ia], near_b[ib])
+            dists = np.abs(a.matrices[:, None] - b.matrices[None, :]).max(
+                axis=(2, 3))
+            near_a, near_b = dists.min(axis=1), dists.min(axis=0)
+            ia, ib = int(near_a.argmax()), int(near_b.argmax())
+            rep = hausdorff_distance(a, b)
+            assert rep.witness_a_to_b == (ia, near_a[ia])
+            assert rep.witness_b_to_a == (ib, near_b[ib])
+            assert rep.distance == max(near_a[ia], near_b[ib])
 
     def test_memory_bounded(self):
         rng = np.random.default_rng(26)

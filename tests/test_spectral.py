@@ -636,7 +636,8 @@ any_family = pytest.mark.parametrize("make", [
     lambda rng: _random_iru(rng, 2, (2, 3)),
     lambda rng: OrderedChain(np.cumsum(rng.uniform(0.1, 1.0, size=(3, 2, 2)), axis=0)),
     lambda rng: Sum((_random_iru(rng, 2, (2, 2)), Scale(0.5, ExplicitSet(np.eye(2)[None])))),
-], ids=["iru", "chain", "sum"])
+    lambda rng: random_expr(rng, 3, 2, 0.1, 2.0, max_matrices=24),
+], ids=["iru", "chain", "sum", "expr"])
 
 
 @any_family
