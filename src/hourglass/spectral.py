@@ -90,15 +90,16 @@ def _radius_bracket(q: np.ndarray):
 # Log-space slack on the radius brackets for rounding in them and in eigvals
 # (near-defective products lose up to about the root of machine epsilon).
 _PRUNE_MARGIN = 1e-6
-# Extrema are kept as (sign * log value, -rank): the larger pair has the
-# better value, then the earlier word.  Radius max, min; norm max, min.
-_SIGNS = (1.0, -1.0, 1.0, -1.0)
+# Extrema are kept as (sign * log value, -rank): the larger pair has the better
+# value, then the earlier word.  Radius, norm, inner radius: max, min each.
+_SIGNS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
 _MISSING = (-math.inf, -math.inf)
 
 
-def _best(vals: np.ndarray, ranks: np.ndarray, sign: float):
-    i = int(np.argmax(sign * vals))
-    return sign * float(vals[i]), -int(ranks[i])
+def _extremes(vals: np.ndarray, ranks: np.ndarray):
+    """The max and the min pair of ``vals``, each at its first word."""
+    i, j = int(np.argmax(vals)), int(np.argmin(vals))
+    return (float(vals[i]), -int(ranks[i])), (-float(vals[j]), -int(ranks[j]))
 
 
 def _word(rank: int, m: int, n: int) -> tuple[int, ...]:
@@ -118,14 +119,15 @@ def _least_rotations(ranks, n, m):
     return keep
 
 
-def _scan(prods, logs, ranks, reps, norms, prune):
+def _scan(prods, logs, ranks, inside, reps, norms, prune):
     """Norm extremes and radius candidates of one block of normalised products.
 
     A normalised product's log l1 norm is its log scale up to O(d ulp), so
     norms are taken only where the scale is within a slack of the block's
     extremes.  Radii run over ``reps``, the least rotation of each word (the
     radius is rotation invariant); for nonnegative sets, words whose radius
-    bracket lies strictly beyond a radius attained in the block are dropped.
+    bracket lies strictly beyond a radius attained in the block are dropped;
+    ``inside`` words (if given) are kept by the same rule among themselves.
     Returns the norm max and min pairs and the candidates left for eigvals.
     """
     pairs = [_MISSING] * 2
@@ -134,14 +136,20 @@ def _scan(prods, logs, ranks, reps, norms, prune):
         slack = 1e-9 * max([1.0, *(abs(e) for e in (hi, lo) if e > -math.inf)])
         near = np.flatnonzero((logs >= hi - slack) | (logs <= lo + slack))
         nrm, nr = _log(_l1_norms(prods[near])) + logs[near], ranks[near]
-        pairs = [_best(nrm, nr, 1.0), _best(nrm, nr, -1.0)]
+        pairs = _extremes(nrm, nr)
     q, ql, qr = prods[reps], logs[reps], ranks[reps]
+    qi = None if inside is None else inside[reps]
     if prune and len(qr):
         lo, hi = (_log(b) + ql for b in _radius_bracket(q))
-        cand = np.flatnonzero((hi >= lo.max() - _PRUNE_MARGIN)
-                              | (lo <= hi.min() + _PRUNE_MARGIN))
+        keep = ((hi >= lo.max() - _PRUNE_MARGIN)
+                | (lo <= hi.min() + _PRUNE_MARGIN))
+        if qi is not None and qi.any():
+            keep |= qi & ((hi >= lo[qi].max() - _PRUNE_MARGIN)
+                          | (lo <= hi[qi].min() + _PRUNE_MARGIN))
+        cand = np.flatnonzero(keep)
         q, ql, qr = q[cand], ql[cand], qr[cand]
-    return pairs, (q, ql, qr)
+        qi = None if qi is None else qi[cand]
+    return pairs, (q, ql, qr, qi)
 
 
 def _require_square_set(s: ExplicitSet):
@@ -151,7 +159,7 @@ def _require_square_set(s: ExplicitSet):
 
 
 def _sweep(s, n_max: int, size_guard: int, first: int = 1,
-           norms: bool = True):
+           norms: bool = True, inner=None):
     """Extremal log radii and log norms of the words of lengths first..n_max.
 
     ``s`` is expanded under ``size_guard`` unless it is an explicit set.
@@ -169,8 +177,9 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
     length.  Radius candidates wait across blocks and lengths for one
     eigvals call, made at ``_CHUNK / 2`` of them and at the end.
     Returns per length the ``(log value, first word)`` pairs of radius max,
-    radius min, norm max and norm min (norms None if off).  A member whose
-    l1 norm exceeds the float range raises DomainError.
+    radius min, norm max and norm min (norms None if off), then with an
+    ``inner`` mask of members, radius max and min over words of inner
+    letters.  Members whose l1 norm exceeds the float range raise DomainError.
     """
     s = s if isinstance(s, ExplicitSet) else expr_expand(s, size_guard)
     _require_square_set(s)
@@ -179,9 +188,9 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
     if words > size_guard:
         raise GuardExceededError(words, size_guard)
     stacked = mats.reshape(m * d, d)  # row block a of stacked @ P is A_a P
-    found = [[_MISSING] * 4 for _ in range(n_max + 1)]
+    found = [[_MISSING] * 6 for _ in range(n_max + 1)]
 
-    def children(prods, logs, ranks, n):  # level n + 1, block after block
+    def children(prods, logs, ranks, inside, n):  # level n + 1, block by block
         step = max(1, _CHUNK // 2 // m ** (n_max - n))
         for i in range(0, len(prods), step):
             block, block_logs = prods[i:i + step], logs[i:i + step]
@@ -189,16 +198,20 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
             reps = _least_rotations(child_ranks, n + 1, m)
             if n + 1 == n_max and not norms:  # one word per cyclic class
                 child_ranks, reps = child_ranks[reps], slice(None)
-                at = child_ranks // m - ranks[i]
-                child = np.matmul(mats[child_ranks % m], block[at])
+                at, last = child_ranks // m - ranks[i], child_ranks % m
+                child = np.matmul(mats[last], block[at])
                 child_logs = block_logs[at]
+                child_in = None if inner is None else (  # prefix, last letter
+                    inside[i:i + step][at] & inner[last])
             else:  # OpenBLAS rounds the one GEMM as the separate products
                 # up to order 16 (x86-64, AVX-512); beyond, it saves no time
                 child = (np.matmul(stacked, block) if d <= 16 else np.matmul(
                     mats[None], block[:, None])).reshape(-1, d, d)
                 child_logs = np.repeat(block_logs, m)
-            yield (child, _normalise(child, child_logs), child_ranks, reps,
-                   n + 1)
+                child_in = None if inner is None else (
+                    inside[i:i + step, None] & inner).ravel()
+            yield (child, _normalise(child, child_logs), child_ranks, child_in,
+                   reps, n + 1)
 
     prods = mats.astype(float, copy=True)
     # An overflowing l1 norm shows as an infinite log.  Later levels hold
@@ -207,33 +220,36 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
         logs = _normalise(prods, np.zeros(m))
     if float(logs.max()) == math.inf:
         raise DomainError("column sums exceed the float range; rescale the input")
-    stack = [iter([(prods, logs, np.arange(m), slice(None), 1)])]
-    pending, waiting = [], 0  # (length, products, logs, ranks) for eigvals
+    stack = [iter([(prods, logs, np.arange(m), inner, slice(None), 1)])]
+    pending, waiting = [], 0  # (length, products, logs, ranks, inside)
     while stack:
         level = next(stack[-1], None)
         if level is None:
             stack.pop()
         else:
-            prods, logs, ranks, reps, n = level
+            prods, logs, ranks, inside, reps, n = level
             if n < n_max:
-                stack.append(children(prods, logs, ranks, n))
+                stack.append(children(prods, logs, ranks, inside, n))
             if n >= first:
-                pairs, (q, ql, qr) = _scan(prods, logs, ranks, reps, norms,
-                                           s.is_nonnegative)
-                found[n][2:] = map(max, found[n][2:], pairs)
-                if len(q):
-                    pending.append((n, q, ql, qr))
-                    waiting += len(q)
+                pairs, cand = _scan(prods, logs, ranks, inside, reps, norms,
+                                    s.is_nonnegative)
+                found[n][2:4] = map(max, found[n][2:4], pairs)
+                if len(cand[0]):
+                    pending.append((n, *cand))
+                    waiting += len(cand[0])
         if pending and (waiting >= _CHUNK // 2 or not stack):
             rho = _log(_reduce(np.maximum, np.abs(np.linalg.eigvals(
                 np.concatenate([p[1] for p in pending]))), 1))
-            for n, q, ql, qr in pending:
+            for n, q, ql, qr, qi in pending:
                 r, rho = rho[:len(q)] + ql, rho[len(q):]
-                found[n][:2] = map(max, found[n][:2],
-                                   (_best(r, qr, 1.0), _best(r, qr, -1.0)))
+                found[n][:2] = map(max, found[n][:2], _extremes(r, qr))
+                if qi is not None and qi.any():
+                    found[n][4:] = map(max, found[n][4:],
+                                       _extremes(r[qi], qr[qi]))
             pending, waiting = [], 0
     return [tuple(None if e == _MISSING else (sign * e[0], _word(-e[1], m, n))
-                  for e, sign in zip(found[n], _SIGNS))
+                  for e, sign in zip(found[n][:4 if inner is None else 6],
+                                     _SIGNS))
             for n in range(first, n_max + 1)]
 
 
@@ -467,7 +483,9 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     random convex combinations of members, exercising stability over
     intermediate sets between the family and its convex hull.  Each run
     counts ``necklace_count(m, n)`` words against the guard, for its m
-    members and its longest length n.
+    members and its longest length n, both before any draw.  One sweep of
+    the enlarged set yields its checks and, from its member-only words, the
+    family's up to length 3, unless the members are out of sorted order.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -481,7 +499,7 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
         raise DomainError("finiteness check requires nonnegative matrices")
 
     def run(levels, sandwich: bool):
-        for n, ((hv, hw), (cv, cw), _, _) in enumerate(levels, 1):
+        for n, ((hv, hw), (cv, cw), *_) in enumerate(levels, 1):
             lo, hi = float(np.exp(cv / n)), float(np.exp(hv / n))
             yield FinitenessCheck(
                 n=n, sandwich=sandwich, rho_check_n=lo, rho_hat_n=hi,
@@ -489,16 +507,31 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
                 tol_n=n * tol * max(1.0, rho_max), word_min=cw, word_max=hw,
             )
 
-    levels = _sweep(expanded, n_max, size_guard, norms=False)
-    rho_max, rho_min = (float(np.exp(v)) for v, _ in levels[0][:2])  # length 1
-    checks = list(run(levels, False))
-    if sandwich_samples > 0:
+    m, k, short = expanded.size, sandwich_samples, min(3, n_max)
+    for words in (necklace_count(m, n_max), k and necklace_count(m + k, short)):
+        if words > size_guard:
+            raise GuardExceededError(words, size_guard)
+    levels, sandwich = [], []
+    if k > 0:
         rng = np.random.default_rng(seed)
-        enlarged = ExplicitSet([*expanded.matrices, *(
-            convex_combination(rng, expanded, expanded.size)
-            for _ in range(sandwich_samples))])
-        checks += run(_sweep(enlarged, min(3, n_max), size_guard,
-                             norms=False), True)
+        stack = np.array([*expanded.matrices, *(convex_combination(
+            rng, expanded, m) for _ in range(k))])
+        flat = stack.reshape(len(stack), -1)  # deduplicated as ExplicitSet is
+        order = np.lexsort(flat.T[::-1])  # stable: repeats follow the first
+        keep = order[np.r_[True, (flat[order[1:]] != flat[order[:-1]]).any(1)]]
+        inner = keep < m  # members in order share the family's word order
+        inner = inner if np.array_equal(keep[inner], np.arange(m)) else None
+        sandwich = _sweep(ExplicitSet(stack[keep], dedup=False), short,
+                          size_guard, norms=False, inner=inner)
+        if inner is not None:
+            letter = (np.cumsum(inner) - 1).tolist()
+            levels = [tuple((v, tuple(letter[a] for a in w)) for v, w in lv[4:])
+                      for lv in sandwich]
+    if len(levels) < n_max:
+        levels += _sweep(expanded, n_max, size_guard, first=len(levels) + 1,
+                         norms=False)
+    rho_max, rho_min = (float(np.exp(v)) for v, _ in levels[0][:2])  # length 1
+    checks = [*run(levels, False), *run(sandwich, True)]
     failures = tuple(c for c in checks if not c.ok)
     return FinitenessReport(
         passed=not failures,

@@ -679,6 +679,9 @@ class TestExitCodes:
         (["finiteness", "--tol", "inf"], "tol must be finite, got inf"),
         (["finiteness", "--guard", "3"],
          "materialization needs 4 matrices, guard is 3"),
+        # Refused before any sample is drawn: necklace_count(4 + 10**5, 3).
+        (["finiteness", "--sandwich-samples", "100000"],
+         "materialization needs 333373335000024 matrices, guard is 100000"),
         (["gen", "--kind", "chain", "--length", "0"],
          "chain length must be >= 1, got 0"),
         (["gen", "--kind", "expr", "--depth", "-1"],
@@ -689,7 +692,7 @@ class TestExitCodes:
     ], ids=["finiteness-n-max", "conv-check-n-max", "sandwich-samples",
             "radius-tol-nan", "extremal-tol-nan", "radius-tol-inf",
             "extremal-tol-inf", "conv-check-tol-nan", "finiteness-tol-inf",
-            "finiteness-guard", "gen-chain-length", "gen-expr-depth", "gen-expr-too-deep"])
+            "finiteness-guard", "finiteness-sandwich-guard", "gen-chain-length", "gen-expr-depth", "gen-expr-too-deep"])
     def test_refuses_values_that_make_a_check_vacuous(self, tmp_path, capsys,
                                                       iru_file, argv, message):
         where = (["--out", str(tmp_path / "g.json")] if argv[0] == "gen"

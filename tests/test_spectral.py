@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hourglass import spectral
@@ -595,6 +595,118 @@ class TestWordBudget:
         self._at_budget(lambda guard: finiteness_verify(
             s, n_max=2, sandwich_samples=2, seed=1, size_guard=guard),
             necklace_count(5, 2))
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_finiteness_sandwich_guard_comes_before_drawing(self, monkeypatch,
+                                                            m):
+        # A million samples would take seconds and k d^2 floats to draw.
+        # One member counts too, though each draw equals it.
+        draws = []
+        monkeypatch.setattr(spectral, "convex_combination",
+                            lambda *args: draws.append(args))
+        s = ExplicitSet(np.random.default_rng(66).uniform(0.1, 2.0, (m, 2, 2)))
+        with pytest.raises(GuardExceededError) as info:
+            finiteness_verify(s, n_max=4, sandwich_samples=10 ** 6)
+        assert info.value.required == necklace_count(m + 10 ** 6, 3)
+        assert draws == []
+
+    @pytest.mark.parametrize("m, k, n_max", [(1, 2, 3), (3, 2, 1), (3, 2, 2),
+                                             (4, 3, 3), (27, 3, 3), (3, 2, 4),
+                                             (2, 1, 5)])
+    def test_finiteness_sandwich_builds_member_words_once(self, monkeypatch,
+                                                          m, k, n_max):
+        # One sweep of the enlarged set serves both runs up to length 3, so
+        # up to n_max = 3 every member word is built once.  Beyond, the
+        # family's own sweep scans from length 4 on, rebuilding the shorter
+        # lengths only as the prefixes of its longer words.
+        built = []
+        normalise = spectral._normalise
+
+        def spy(prods, logs):
+            built.append(len(prods))
+            return normalise(prods, logs)
+
+        monkeypatch.setattr(spectral, "_normalise", spy)
+        s = ExplicitSet(np.random.default_rng(67).uniform(0.1, 2.0, (m, 2, 2)))
+        short, e = min(3, n_max), m + (k if m > 1 else 0)  # draws dedup at m=1
+        want = sum(e ** n for n in range(1, short)) + necklace_count(e, short)
+        if n_max > 3:
+            want += (sum(m ** n for n in range(1, n_max))
+                     + necklace_count(m, n_max))
+        report = finiteness_verify(s, n_max, sandwich_samples=k)
+        assert sum(built) == want
+        assert [(c.n, c.sandwich) for c in report.checks] == (
+            [(n, False) for n in range(1, n_max + 1)]
+            + [(n, True) for n in range(1, short + 1)])
+
+
+def _finiteness_by_two_sweeps(s, n_max, k, tol, seed, guard):
+    """``finiteness_verify`` composed as two separate sweeps: the family's
+    over every length, then the enlarged set's up to length 3, after the
+    family's and the sandwich's word counts are checked against the guard."""
+    family = expr_expand(s, guard)
+    m, short = family.size, min(3, n_max)
+    for words in (necklace_count(m, n_max), k and necklace_count(m + k, short)):
+        if words > guard:
+            raise GuardExceededError(words, guard)
+    runs = [(spectral._sweep(family, n_max, guard, norms=False), False)]
+    if k:
+        rng = np.random.default_rng(seed)
+        enlarged = ExplicitSet([*family.matrices, *(
+            spectral.convex_combination(rng, family, m) for _ in range(k))])
+        runs.append((spectral._sweep(enlarged, short, guard, norms=False),
+                     True))
+    rho_max, rho_min = (float(np.exp(v)) for v, _ in runs[0][0][0][:2])
+    checks = []
+    for levels, sandwich in runs:
+        for n, ((hv, hw), (cv, cw), *_) in enumerate(levels, 1):
+            lo, hi = float(np.exp(cv / n)), float(np.exp(hv / n))
+            checks.append(spectral.FinitenessCheck(
+                n, sandwich, lo, hi, abs(lo - rho_min), abs(hi - rho_max),
+                n * tol * max(1.0, rho_max), cw, hw))
+    failures = tuple(c for c in checks if not c.ok)
+    return spectral.FinitenessReport(not failures, rho_min, rho_max,
+                                     tuple(checks), failures)
+
+
+def _finiteness_family(kind, rng):
+    d = int(rng.integers(1, 4))
+    if kind == "iru":
+        return _random_iru(rng, d, [int(rng.integers(1, 3)) for _ in range(d)])
+    if kind == "tree":
+        return random_expr(rng, 2, d, 0.1, 2.0, max_matrices=8)
+    mats = rng.uniform(0.0, 2.0, size=(int(rng.integers(1, 6)), d, d))
+    if kind == "one":  # every draw equals the member and dedups into it
+        return ExplicitSet(mats[:1])
+    if kind == "transposed":  # members out of sorted order
+        return transpose_set(ExplicitSet(mats.round()))
+    mats *= rng.uniform(size=mats.shape) > 0.4  # zero entries, zero members
+    mats[rng.uniform(size=mats.shape) < 0.2] = -0.0
+    return ExplicitSet(mats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["explicit", "one", "iru", "tree", "transposed"]),
+       seed=st.integers(0, 2**32 - 1), n_max=st.integers(1, 5),
+       k=st.integers(0, 4), guard=st.sampled_from([12, 60, DEFAULT_SIZE_GUARD,
+                                                   DEFAULT_SIZE_GUARD]))
+# A draw ends a word more extreme than any member word: the sandwich's
+# extremes are not the family's.
+@example(kind="explicit", seed=1, n_max=3, k=2, guard=DEFAULT_SIZE_GUARD)
+@example(kind="one", seed=0, n_max=3, k=4, guard=DEFAULT_SIZE_GUARD)
+@example(kind="one", seed=0, n_max=3, k=4, guard=12)  # 5 members: 45 words
+@example(kind="transposed", seed=1, n_max=4, k=2, guard=DEFAULT_SIZE_GUARD)
+def test_finiteness_equals_two_sweeps(kind, seed, n_max, k, guard):
+    # One sweep of the enlarged set serves both runs, yet every check,
+    # word, failure, verdict and guard error is the two sweeps' own.
+    def outcome(verify):
+        try:
+            return verify(_finiteness_family(kind, np.random.default_rng(seed)),
+                          n_max, k, 1e-7, seed, guard)
+        except GuardExceededError as exc:
+            return exc.required, exc.guard
+
+    assert outcome(finiteness_verify) == outcome(_finiteness_by_two_sweeps)
 
 
 class TestConvLsrCheck:
