@@ -6,7 +6,8 @@ images A u land relative to v.  For arbitrary sets of positive matrices the
 images can be incomparable with v; for row-independent families they never
 are: either every image lies above v, or one member (differing from A~ in a
 single row) lies weakly below it.  That dichotomy is decided exactly here,
-and refuted by sampling where it fails.
+answered by the theorem on a structured family, and refuted by sampling
+where it fails.
 """
 
 import numpy as np
@@ -14,8 +15,10 @@ import numpy as np
 from hourglass import (
     ExplicitSet,
     IruSet,
+    Product,
     hourglass_h1_iru,
     hourglass_h2_iru,
+    hourglass_probe,
     hourglass_probe_explicit,
     iru_enumerate,
 )
@@ -55,6 +58,8 @@ report = hourglass_probe_explicit(members, trials=500, seed=0)
 print(f"\nenumerated family, 500 trials: "
       f"{'no violation found' if report.passed else 'VIOLATION'}")
 print("  note:", report.note)
+print("product tree S S, unexpanded:",
+      hourglass_probe(Product((family, family)), 500, 0).note)
 
 # Two positive matrices whose images are incomparable for many u: the
 # dichotomy fails, so this pair lies outside the closed class.

@@ -11,8 +11,8 @@ positive vector ``u`` with ``v = A~ u``, the family passes the dichotomy
 when the images ``A u`` either all lie componentwise above ``v``, or some
 member lies weakly below ``v`` with a genuine gap somewhere (and the mirror
 statement with the directions swapped).  The member with the extremal image
-at ``u`` decides this exactly; for arbitrary explicit sets only a sampled
-refutation is possible.
+at ``u`` decides this exactly, so every family in the class passes (the
+paper's theorem); for other sets only a sampled refutation is possible.
 
 The same images yield checkable certificates of spectral extremality: if
 the Perron vector of a candidate member dominates (or is dominated by)
@@ -42,6 +42,7 @@ from .linalg import (
     strict_tolerance,
 )
 from .sets import (
+    DEFAULT_SIZE_GUARD,
     LEAVES,
     ExplicitSet,
     IruSet,
@@ -51,6 +52,8 @@ from .sets import (
     as_explicit,
     contains_matrix,
     dedup_tolerance,
+    expr_expand,
+    in_class,
 )
 
 
@@ -220,11 +223,11 @@ class ProbeViolation:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of a sampled dichotomy probe on a positive family.
+    """Outcome of a dichotomy probe on a positive family; ``note`` says
+    whether sampling or the theorem (``hourglass_probe``) answered.
 
-    A pass means no sampled (center, u) pair violated either statement; it
-    is evidence only, never a proof, since the probe samples finitely many
-    of the uncountably many admissible pairs.  Violations are conclusive
+    A sampled pass means no sampled (center, u) pair violated either
+    statement: evidence only, never a proof.  Violations are conclusive
     refutations and are listed in trial order.
     """
 
@@ -314,6 +317,43 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
         for t, d in np.argwhere(flags))
     return ProbeReport(passed=not violations, trials=trials,
                        violations=violations)
+
+
+THEOREM_NOTE = ("answered by the theorem: the family is in the class, so no "
+                "(center, u) pair violates the dichotomy")
+
+
+def hourglass_probe(e, trials: int, seed: int,
+                    size_guard: int = DEFAULT_SIZE_GUARD) -> ProbeReport:
+    """The dichotomy probe; input outside the class (``in_class``) is
+    expanded under ``size_guard`` and sampled (``hourglass_probe_explicit``).
+
+    In the class the theorem answers, unexpanded: the member with the
+    smallest image at u lies weakly below every center's image, so it is a
+    witness unless all images are on the H1 side (H2 mirrors this).  The
+    sampled probe's refusals stay: row-sum overflow from the largest image
+    at u = 1/n, positivity from the smallest at each e_j (the columns of
+    the family's entrywise minimum).
+    """
+    if not in_class(e):
+        return hourglass_probe_explicit(expr_expand(e, size_guard), trials,
+                                        seed)
+
+    def image(w, sign):  # the images are exact extrema whatever is picked
+        return extremal_pick(e, w, sign, itertools.repeat(None), math.inf)[1]
+
+    n = e.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        means = image(np.full(n, 1.0 / n), 1.0)
+        columns = [image(w, -1.0) for w in np.eye(n)]
+    if not float(means.max()) * 10 * n < math.inf:  # inf or NaN
+        raise DomainError(ROW_SUMS_OVERFLOW)
+    if not all((c > 0).all() for c in columns):
+        raise DomainError("the dichotomy probe requires a positive set")
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    return ProbeReport(passed=True, trials=trials, violations=(),
+                       note=THEOREM_NOTE)
 
 
 @dataclass(frozen=True)

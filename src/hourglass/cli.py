@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .alternative import CertificationError, hourglass_probe_explicit
+from .alternative import CertificationError, hourglass_probe
 from .descriptors import (
     DescriptorSchemaError,
     DescriptorSyntaxError,
@@ -177,8 +177,8 @@ def cmd_finiteness(args, expr):
 
 
 def cmd_hset_probe(args, expr):
-    return hourglass_probe_explicit(
-        expr_expand(expr, args.guard), trials=args.trials, seed=args.seed)
+    return hourglass_probe(expr, trials=args.trials, seed=args.seed,
+                           size_guard=args.guard)
 
 
 def cmd_hausdorff(args, expr) -> dict:
@@ -249,7 +249,8 @@ _COMMANDS = (
      (_INPUT, _flag("--tol", type=float, default=1e-7), _SEED, _GUARD,
       _FORMAT, _flag("--n-max", type=int, default=4),
       _flag("--sandwich-samples", type=int, default=5))),
-    ("hset-probe", (), "sampled order-dichotomy refutation probe",
+    ("hset-probe", (), "order-dichotomy probe: the theorem answers in the "
+     "class, sampling refutes outside it",
      cmd_hset_probe,
      (_INPUT, _SEED, _GUARD, _FORMAT,
       _flag("--trials", type=int, default=500))),

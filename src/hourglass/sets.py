@@ -536,6 +536,18 @@ class Scale(SetExpr):
         return self.child.cardinality_bound()
 
 
+def in_class(e) -> bool:
+    """Whether ``e`` is in the paper's class: nonnegative IRU families, chains
+    and one-member explicit sets under sums, products and scalings.  At each
+    w >= 0 it has members with the smallest and largest image."""
+    if isinstance(e, LEAVES):
+        return e.is_nonnegative and not (isinstance(e, ExplicitSet)
+                                         and e.size > 1)
+    if isinstance(e, Scale):
+        return in_class(e.child)
+    return isinstance(e, _Nary) and all(map(in_class, e.children))
+
+
 def expr_expand(e, size_guard: int = DEFAULT_SIZE_GUARD) -> ExplicitSet:
     """Materialize an expression tree into an explicit matrix set.
 

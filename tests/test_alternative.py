@@ -1,12 +1,15 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hourglass.alternative as alternative
 from hourglass.alternative import (
+    THEOREM_NOTE,
     CertificationError,
     _certify_margins,
     extremal_pick,
@@ -14,9 +17,10 @@ from hourglass.alternative import (
     certify_extremal,
     hourglass_h1_iru,
     hourglass_h2_iru,
+    hourglass_probe,
     hourglass_probe_explicit,
 )
-from hourglass.generate import random_chain, random_iru
+from hourglass.generate import random_chain, random_expr, random_iru
 from hourglass.linalg import (
     ROW_SUMS_OVERFLOW,
     DomainError,
@@ -32,11 +36,13 @@ from hourglass.sets import (
     convex_sample,
     epsilon_lift,
     expr_expand,
+    in_class,
     iru_enumerate,
     minkowski_product,
     minkowski_sum,
     OrderedChain,
     Product,
+    Scale,
     Sum,
     scale_set,
 )
@@ -392,6 +398,116 @@ def test_probe_takes_any_family(make):
     report = hourglass_probe_explicit(s, trials=100, seed=3)
     assert report.passed  # every family here lies in the dichotomy class
     assert report == hourglass_probe_explicit(expr_expand(s), trials=100, seed=3)
+
+
+def _violations(report):
+    return [(v.trial, v.direction, v.center_index, v.u.tolist())
+            for v in report.violations]
+
+
+def _masked(rng, shape, lo=0.1, hi=2.0):
+    """Entries from [lo, hi], about one in six of them zero."""
+    return rng.uniform(lo, hi, size=shape) * (rng.random(shape) > 1 / 6)
+
+
+def _sparse_tree(rng, depth, n):
+    """A nonnegative tree in the class whose leaves have zero entries."""
+    kind = int(rng.integers(6 if depth else 3))
+    if kind == 0:
+        return IruSet([_masked(rng, (int(rng.integers(1, 3)), n))
+                       for _ in range(n)])
+    if kind == 1:  # zero increments keep some zeros up the chain
+        return OrderedChain(np.cumsum(_masked(rng, (int(rng.integers(1, 4)),
+                                                    n, n)), axis=0))
+    if kind == 2:
+        return ExplicitSet(_masked(rng, (1, n, n)))
+    if kind == 5:
+        return Scale(float(rng.uniform(0.5, 2.0)),
+                     _sparse_tree(rng, depth - 1, n))
+    return (Sum, Product)[kind - 3]((_sparse_tree(rng, depth - 1, n),
+                                     _sparse_tree(rng, depth - 1, n)))
+
+
+class TestTheoremProbe:
+    """``hourglass_probe`` answers input in the class from the theorem and
+    samples the rest exactly as ``hourglass_probe_explicit`` does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 3),
+           dim=st.integers(2, 4), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           probe_seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 100))
+    def test_sampling_agrees_with_the_theorem(self, seed, depth, dim, scale,
+                                              probe_seed, trials):
+        e = Scale(scale, random_expr(np.random.default_rng(seed), depth, dim,
+                                     0.1, 2.0))
+        sampled = hourglass_probe_explicit(expr_expand(e), trials, probe_seed)
+        report = hourglass_probe(e, trials, probe_seed)
+        assert sampled.passed and report.note == THEOREM_NOTE
+        assert ((report.passed, report.trials, report.violations)
+                == (sampled.passed, sampled.trials, sampled.violations))
+
+    def test_positivity_is_exact(self):
+        verdicts = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            e = _sparse_tree(rng, int(rng.integers(4)), int(rng.integers(1, 4)))
+            if e.cardinality_bound() > 2000:
+                continue
+            assert in_class(e)
+            flat = expr_expand(e)
+            verdicts.add(flat.is_positive)
+            if flat.is_positive:
+                assert hourglass_probe(e, 10, seed).note == THEOREM_NOTE
+                continue
+            with pytest.raises(DomainError) as sampled:
+                hourglass_probe_explicit(flat, 10, seed)
+            with pytest.raises(DomainError) as structural:
+                hourglass_probe(e, 10, seed)
+            assert str(structural.value) == str(sampled.value) == (
+                "the dichotomy probe requires a positive set")
+        assert verdicts == {True, False}
+
+    def test_refusals_keep_their_order_and_text(self):
+        e = Sum((_random_iru(np.random.default_rng(1), 2, (2, 2)),
+                 OrderedChain([[[1.0, 2.0], [3.0, 4.0]]])))
+        with pytest.raises(DomainError, match="^trials must be at least 1$"):
+            hourglass_probe(e, 0, 0)
+        # Finite leaves whose row means, ten times over, leave the float range.
+        big = Scale(1e307, OrderedChain([[[1.0, 2.0], [3.0, 4.0]]]))
+        with pytest.raises(DomainError, match=f"^{ROW_SUMS_OVERFLOW}$"):
+            hourglass_probe(Sum((big, big)), 10, 0)
+        with pytest.raises(DomainError, match=f"^{ROW_SUMS_OVERFLOW}$"):
+            hourglass_probe_explicit(expr_expand(Sum((big, big))), 10, 0)
+
+    def test_beyond_the_guard_without_expanding(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        e = Product(tuple(_random_iru(rng, 4, (4, 4, 4, 4)) for _ in range(5)))
+        assert e.cardinality_bound() >= 10**12
+        monkeypatch.setattr(alternative, "expr_expand", None)  # never called
+        started = time.perf_counter()
+        report = hourglass_probe(e, 300, 7)
+        assert time.perf_counter() - started < 0.5
+        assert (report.passed, report.trials, report.violations, report.note) \
+            == (True, 300, (), THEOREM_NOTE)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: ExplicitSet([[[1.0, 1.0], [1.0, 1.0]],
+                                 [[2.0, 1.0], [0.2, 0.2]]]),
+        lambda rng: Sum((_random_iru(rng, 2, (2, 2)),
+                         ExplicitSet([[[1.0, 1.0], [1.0, 1.0]],
+                                      [[2.0, 1.0], [0.2, 0.2]]]))),
+        # A negative leaf leaves the class, though the sum is positive.
+        lambda rng: Sum((IruSet([[[-0.1, 1.0]], [[1.0, 1.0], [2.0, 0.5]]]),
+                         OrderedChain([J2, 2 * J2]))),
+    ], ids=["pair", "sum-with-pair", "negative-leaf"])
+    def test_outside_the_class_samples(self, make):
+        e = make(np.random.default_rng(3))
+        assert not in_class(e)
+        report = hourglass_probe(e, 200, 0)
+        sampled = hourglass_probe_explicit(expr_expand(e), 200, 0)
+        assert (report.passed, report.trials, report.note) \
+            == (sampled.passed, sampled.trials, sampled.note)
+        assert _violations(report) == _violations(sampled)
 
 
 class TestCertifyExtremal:

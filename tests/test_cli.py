@@ -22,11 +22,15 @@ from hourglass.cli import (
     build_parser,
     main,
 )
-from hourglass.descriptors import parse_descriptor, write_descriptor
-from hourglass.generate import gen_instance
+from hourglass.descriptors import (
+    parse_descriptor,
+    serialize_expr,
+    write_descriptor,
+)
+from hourglass.generate import gen_instance, random_iru
 from hourglass.linalg import DomainError
-from hourglass.sets import OrderedChain, expr_expand
-from hourglass.alternative import hourglass_probe_explicit
+from hourglass.sets import OrderedChain, Product, expr_expand
+from hourglass.alternative import THEOREM_NOTE, hourglass_probe_explicit
 from hourglass.spectral import finiteness_verify, jsr_lsr_bounds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -333,6 +337,7 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert data["results"]["passed"] is True
+        assert data["results"]["note"] == THEOREM_NOTE
 
         bad = tmp_path / "incomparable.json"
         write_descriptor({
@@ -347,6 +352,26 @@ class TestCommands:
         )
         assert code == EXIT_CHECK_FAILED
         assert data["results"]["violations"]
+        # Outside the class the report is the sampled probe's, as before.
+        sampled = hourglass_probe_explicit(parse_descriptor(bad), 200, 0)
+        assert data["results"] == json.loads(json.dumps(sampled,
+                                                        default=cli._plain))
+
+    def test_hset_probe_beyond_the_guard(self, capsys, tmp_path):
+        # 256**5 members: the theorem answers, and the guard never trips.
+        rng = np.random.default_rng(2)
+        tree = Product(tuple(random_iru(rng, 4, 4, 4, 0.1, 2.0)
+                             for _ in range(5)))
+        assert tree.cardinality_bound() >= 10**12
+        path = tmp_path / "huge.json"
+        write_descriptor(serialize_expr(tree), path)
+        code, data = _run_json(capsys, ["hset-probe", "--input", str(path),
+                                        "--format", "json"])
+        assert code == EXIT_OK
+        assert data["parameters"]["guard"] < 10**12
+        assert data["results"] == {"passed": True, "trials": 500,
+                                   "violations": [], "note": THEOREM_NOTE}
+        assert data["wall_time_s"] < 0.5
 
     def test_hausdorff(self, capsys, diag_pair, nilp_pair):
         code, data = _run_json(
@@ -801,6 +826,50 @@ def test_import_loads_numpy_only():
     probe = ("import sys, hourglass.cli; "
              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
              " or m == 'concurrent.futures'])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+# Every name the package exported when it imported its modules eagerly.
+EXPORTED = """
+    ConvergenceError DEFAULT_MAX_ITER DEFAULT_TOL DimensionMismatchError
+    DomainError PerronCertificate l1_operator_norm perron_vector
+    spectral_radius_gelfand spectral_radii spectral_radius_power
+    strict_tolerance DEFAULT_SIZE_GUARD ExplicitSet GuardExceededError
+    HausdorffReport IruSet OrderedChain Product Scale SetExpr Sum
+    convex_sample dedup_tolerance epsilon_lift expr_expand hausdorff_distance
+    iru_enumerate minkowski_product minkowski_sum scale_set set_equal
+    transpose_set CertificationError ExtremalCertificate HourglassOutcome
+    ProbeReport certify_extremal hourglass_h1_iru hourglass_h2_iru
+    hourglass_probe_explicit ConvexHullReport FinitenessReport SimplexTrace
+    SpectralSummary conv_lsr_check finiteness_verify jsr_lsr_bounds
+    rho_extremal_exhaustive rho_n_bruteforce spectral_simplex
+    parse_descriptor serialize_expr write_descriptor __version__
+""".split()
+
+
+def test_every_exported_name_still_imports():
+    import hourglass
+    import hourglass.alternative
+    import hourglass.sets
+
+    for name in EXPORTED:  # what `from hourglass import name` looks up
+        assert getattr(hourglass, name) is not None
+        assert name in dir(hourglass)
+    assert hourglass.hourglass_probe is hourglass.alternative.hourglass_probe
+    assert hourglass.in_class is hourglass.sets.in_class
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        hourglass.nothing
+
+
+def test_generate_loads_no_engine():
+    # Writing descriptors needs neither the word engines nor the oracle.
+    probe = ("import sys, hourglass.generate; "
+             "print(sorted(m for m in sys.modules if m in "
+             "('hourglass.spectral', 'hourglass.alternative', 'hourglass.cli')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))

@@ -21,6 +21,7 @@ from hourglass.sets import (
     epsilon_lift,
     expr_expand,
     hausdorff_distance,
+    in_class,
     iru_enumerate,
     minkowski_product,
     minkowski_sum,
@@ -695,3 +696,24 @@ class TestTransposeSet:
     def test_singleton(self):
         out = transpose_set(ExplicitSet([NILP_A]))
         np.testing.assert_array_equal(out.matrices[0], NILP_A.T)
+
+
+class TestInClass:
+    CHAIN = OrderedChain([np.eye(2), 2 * np.eye(2)])
+    PAIR = ExplicitSet([NILP_A, NILP_B])
+
+    @pytest.mark.parametrize("e, want", [
+        (IruSet([[[0.0, 1.0], [2.0, 1.0]], [[1.0, 0.0]]]), True),
+        (CHAIN, True),
+        (ExplicitSet([NILP_A]), True),  # {0} and {I} among them
+        (Sum((Product((CHAIN, ExplicitSet([NILP_A]))),
+              Scale(0.5, IruSet([[[1.0, 2.0]], [[3.0, 4.0]]])))), True),
+        (PAIR, False),
+        (Sum((CHAIN, Scale(2.0, PAIR))), False),
+        (IruSet([[[-1.0, 1.0]], [[1.0, 1.0]]]), False),
+        (ExplicitSet([-NILP_A]), False),
+        (Product((CHAIN, Sum((CHAIN, ExplicitSet([-NILP_A]))))), False),
+    ], ids=["iru", "chain", "singleton", "tree", "pair", "tree-with-pair",
+            "negative-iru", "negative-singleton", "tree-with-negative"])
+    def test_structure_and_sign_decide(self, e, want):
+        assert in_class(e) is want
