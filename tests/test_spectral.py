@@ -484,6 +484,16 @@ class TestFinitenessVerify:
         with pytest.raises(DomainError):
             finiteness_verify(ExplicitSet([-np.eye(2)]), n_max=1)
 
+    def test_zero_tolerance_is_exact_and_negative_is_refused(self):
+        # Every power of the identity has radius 1 exactly.
+        s = ExplicitSet(np.eye(2)[None])
+        assert finiteness_verify(s, n_max=3, tol=0.0).passed
+        assert conv_lsr_check(s, 2, 5, seed=0, tol=0.0).passed
+        for run in (lambda tol: finiteness_verify(s, n_max=3, tol=tol),
+                    lambda tol: conv_lsr_check(s, 2, 5, seed=0, tol=tol)):
+            with pytest.raises(DomainError, match="tol must be >= 0"):
+                run(-1e-300)
+
     def test_member_extremes_come_from_the_sweep(self):
         # rho_min/rho_max are the sweep's length-1 extremes, and they agree
         # with the members' power-iteration radii (bracketed tighter than the
@@ -525,10 +535,17 @@ class TestFinitenessVerify:
         assert expands and expands[0] == {"bound": 4, "size": 4}
 
 
+def _built(m, n_max, last):
+    """Products a sweep over m members builds: every word shorter than
+    n_max (each is a prefix), then ``last`` words of length n_max."""
+    return sum(m ** n for n in range(1, n_max)) + last
+
+
 class TestWordBudget:
     """One rule for every word sweep: with m members the guard must cover
-    all m ** n_max words when norms are swept, else one word per cyclic
-    class of length n_max; beyond it the error names that count."""
+    every product built, each word shorter than n_max and then all m **
+    n_max words when norms are swept, else one word per cyclic class of
+    length n_max; beyond it the error names that count."""
 
     @staticmethod
     def _at_budget(run, required):
@@ -542,36 +559,38 @@ class TestWordBudget:
     def test_rho_n_bruteforce_counts_necklaces(self, m, n):
         s = ExplicitSet(np.random.default_rng(60).uniform(0.1, 2.0, (m, 2, 2)))
         self._at_budget(lambda guard: rho_n_bruteforce(s, n, "max", guard),
-                        necklace_count(m, n))
+                        _built(m, n, necklace_count(m, n)))
 
     def test_rho_n_bruteforce_on_a_tree(self):
         s = _random_iru(np.random.default_rng(61), 2, (2, 2))  # 4 members
         self._at_budget(lambda guard: rho_n_bruteforce(s, 3, "min", guard),
-                        necklace_count(4, 3))
+                        _built(4, 3, necklace_count(4, 3)))
 
     @pytest.mark.parametrize("m, n_max", [(3, 3), (2, 5)])
     def test_jsr_counts_every_word(self, m, n_max):
         s = ExplicitSet(np.random.default_rng(62).uniform(0.1, 2.0, (m, 2, 2)))
         self._at_budget(lambda guard: jsr_lsr_bounds(s, n_max, guard),
-                        m ** n_max)
+                        _built(m, n_max, m ** n_max))
 
     def test_finiteness_main_run_counts_its_longest_length(self):
-        # 10 members at n_max = 4: the count for length 4, not the first
-        # length whose count exceeds the guard.
+        # 10 members at n_max = 4: the count up to length 4, not up to the
+        # first length whose count exceeds the guard.
         s = ExplicitSet(np.random.default_rng(63).uniform(0.1, 2.0, (10, 2, 2)))
         with pytest.raises(GuardExceededError) as info:
             finiteness_verify(s, n_max=4, sandwich_samples=0, size_guard=100)
-        assert info.value.required == necklace_count(10, 4) == 2530
+        assert info.value.required == 10 + 100 + 1000 + 2530 == _built(
+            10, 4, necklace_count(10, 4))
         self._at_budget(lambda guard: finiteness_verify(
             s, n_max=3, sandwich_samples=0, size_guard=guard),
-            necklace_count(10, 3))
+            _built(10, 3, necklace_count(10, 3)))
 
     @pytest.mark.parametrize("m, n_max", [(1, 4), (2, 5), (3, 4), (4, 3),
                                           (27, 3)])
     def test_radius_only_sweeps_build_what_the_guard_counts(self, monkeypatch,
                                                            m, n_max):
         # Shorter lengths are built whole (they are prefixes); the last one
-        # holds exactly one product per cyclic class.
+        # holds exactly one product per cyclic class.  The guard counts
+        # exactly those.
         built = []
         normalise = spectral._normalise
 
@@ -582,19 +601,21 @@ class TestWordBudget:
         monkeypatch.setattr(spectral, "_normalise", spy)
         s = ExplicitSet(np.random.default_rng(65).uniform(0.1, 2.0, (m, 2, 2)))
         want = sum(m ** n for n in range(1, n_max)) + necklace_count(m, n_max)
-        for run in (lambda: rho_n_bruteforce(s, n_max, "max"),
-                    lambda: finiteness_verify(s, n_max, sandwich_samples=0)):
+        for run in (lambda guard: rho_n_bruteforce(s, n_max, "max", guard),
+                    lambda guard: finiteness_verify(
+                        s, n_max, sandwich_samples=0, size_guard=guard)):
             built.clear()
-            run()
+            run(DEFAULT_SIZE_GUARD)
             assert sum(built) == want
+            self._at_budget(run, want)
 
     def test_finiteness_sandwich_run_counts_the_enlarged_set(self):
-        # Three members need 6 words at length 2; with two convex
-        # combinations added the sandwich run needs necklace_count(5, 2).
+        # Three members need 3 + 6 words up to length 2; with two convex
+        # combinations added the sandwich run needs 5 + necklace_count(5, 2).
         s = ExplicitSet(np.random.default_rng(64).uniform(0.1, 2.0, (3, 2, 2)))
         self._at_budget(lambda guard: finiteness_verify(
             s, n_max=2, sandwich_samples=2, seed=1, size_guard=guard),
-            necklace_count(5, 2))
+            _built(5, 2, necklace_count(5, 2)))
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_finiteness_sandwich_guard_comes_before_drawing(self, monkeypatch,
@@ -607,7 +628,8 @@ class TestWordBudget:
         s = ExplicitSet(np.random.default_rng(66).uniform(0.1, 2.0, (m, 2, 2)))
         with pytest.raises(GuardExceededError) as info:
             finiteness_verify(s, n_max=4, sandwich_samples=10 ** 6)
-        assert info.value.required == necklace_count(m + 10 ** 6, 3)
+        assert info.value.required == _built(m + 10 ** 6, 3,
+                                             necklace_count(m + 10 ** 6, 3))
         assert draws == []
 
     @pytest.mark.parametrize("m, k, n_max", [(1, 2, 3), (3, 2, 1), (3, 2, 2),
@@ -643,10 +665,12 @@ class TestWordBudget:
 def _finiteness_by_two_sweeps(s, n_max, k, tol, seed, guard):
     """``finiteness_verify`` composed as two separate sweeps: the family's
     over every length, then the enlarged set's up to length 3, after the
-    family's and the sandwich's word counts are checked against the guard."""
+    family's and the sandwich's product counts are checked against the
+    guard."""
     family = expr_expand(s, guard)
     m, short = family.size, min(3, n_max)
-    for words in (necklace_count(m, n_max), k and necklace_count(m + k, short)):
+    for words in (_built(m, n_max, necklace_count(m, n_max)),
+                  k and _built(m + k, short, necklace_count(m + k, short))):
         if words > guard:
             raise GuardExceededError(words, guard)
     runs = [(spectral._sweep(family, n_max, guard, norms=False), False)]
@@ -891,10 +915,11 @@ class TestWordSweep:
         s = ExplicitSet(rng.uniform(0.0, 1.5, size=(2, 2, 2)))
         n_max = 18
         assert s.size ** n_max > 2 * spectral._CHUNK
-        blocks = jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max)
+        guard = _built(s.size, n_max, s.size ** n_max)
+        blocks = jsr_lsr_bounds(s, n_max, size_guard=guard)
         monkeypatch.setattr(spectral, "_CHUNK", 1 << 20)
         assert s.size ** n_max <= spectral._CHUNK // 2
-        assert jsr_lsr_bounds(s, n_max, size_guard=s.size ** n_max) == blocks
+        assert jsr_lsr_bounds(s, n_max, size_guard=guard) == blocks
 
     @staticmethod
     def _families():
@@ -966,8 +991,9 @@ class TestSweepOracle:
     @staticmethod
     def _families():
         rng = np.random.default_rng(120)
-        # Order 1, and order 17, past the stacked GEMM's orders.
-        for m, d in ((2, 3), (3, 2), (4, 4), (3, 1), (2, 17)):
+        # Order 1; order 17, past the stacked GEMM's orders; orders 5 and 8,
+        # past the orders whose l1 norms are summed by entry.
+        for m, d in ((2, 3), (3, 2), (4, 4), (3, 1), (2, 17), (2, 5), (3, 8)):
             mats = rng.uniform(0.1, 2.0, size=(m, d, d))
             sparse = mats * (rng.uniform(size=mats.shape) > 0.4)
             sparse[:, 0] = 0.0  # a zero row in every member
@@ -1005,3 +1031,19 @@ def test_stacked_gemm_equals_products_one_by_one(d, m, k, signed, exponent,
     stacked = np.matmul(mats.reshape(m * d, d), block).reshape(-1, d, d)
     one_by_one = np.matmul(mats[None], block[:, None]).reshape(-1, d, d)
     assert np.array_equal(stacked, one_by_one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 6), k=st.integers(1, 40), exponent=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_l1_norms_by_entry_equal_row_passes(d, k, exponent, seed):
+    # Up to order 4 each column is summed as one pass along the words; its
+    # rows are added in the order the row passes add them, so bit for bit.
+    rng = np.random.default_rng(seed)
+    prods = rng.normal(size=(k, d, d)) * 10.0 ** rng.integers(
+        -exponent, exponent + 1, size=(k, d, d))
+    prods[rng.uniform(size=prods.shape) < 0.3] = 0.0
+    sums = np.abs(prods[:, 0])
+    for i in range(1, d):
+        sums += np.abs(prods[:, i])
+    assert np.array_equal(spectral._l1_norms(prods), sums.max(axis=1))
