@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import json
+import re
 import sys
 import time
 
@@ -33,7 +34,6 @@ from .descriptors import (
 from .generate import gen_instance
 from .linalg import (
     ConvergenceError,
-    DEFAULT_TOL,
     DimensionMismatchError,
     DomainError,
     spectral_radii,
@@ -64,6 +64,10 @@ EXIT_DIMENSION = 5
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # argparse took -1e-9 for a flag
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on usage errors by default, which collides with the
     # check-failed code; route usage problems to exit 1 instead.
     def error(self, message):
@@ -112,7 +116,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def cmd_radius(args, expr) -> dict:
     expanded = expr_expand(expr, args.guard)
-    radii = spectral_radii(expanded.matrices, args.tol).tolist()
+    radii = spectral_radii(expanded.matrices).tolist()
     return {
         "count": expanded.size,
         "radii": radii,
@@ -123,7 +127,7 @@ def cmd_radius(args, expr) -> dict:
 
 def cmd_extremal(args, expr) -> dict:
     expanded = expr_expand(expr, args.guard)
-    value, index = rho_extremal_exhaustive(expanded, args.direction, args.tol)
+    value, index = rho_extremal_exhaustive(expanded, args.direction)
     return {
         "direction": args.direction,
         "rho": value,
@@ -222,7 +226,6 @@ def _seed(text: str) -> int:
 
 
 _INPUT = _flag("--input", required=True, help="descriptor file")
-_TOL = _flag("--tol", type=float, default=DEFAULT_TOL)
 _SEED = _flag("--seed", type=_seed, default=0)
 _GUARD = _flag("--guard", type=int, default=DEFAULT_SIZE_GUARD,
                help="materialization / word-count guard")
@@ -233,9 +236,9 @@ _FORMAT = _flag("--format", choices=("json", "text"), default="text")
 # --input and --format is echoed in the report's parameters.
 _COMMANDS = (
     ("radius", (), "spectral radius of each member", cmd_radius,
-     (_INPUT, _TOL, _GUARD, _FORMAT)),
+     (_INPUT, _GUARD, _FORMAT)),
     ("extremal", (), "exhaustive extremal radius", cmd_extremal,
-     (_INPUT, _DIRECTION, _TOL, _GUARD, _FORMAT)),
+     (_INPUT, _DIRECTION, _GUARD, _FORMAT)),
     ("simplex", (), "greedy certified extremal radius", cmd_simplex,
      (_INPUT, _DIRECTION, _FORMAT,
       _flag("--epsilon", type=float, default=None,

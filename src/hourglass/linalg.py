@@ -1,14 +1,13 @@
 """Dense kernels for nonnegative-matrix spectral analysis, on numpy alone.
 
 Matrices are plain 2-D float numpy arrays and vectors are 1-D arrays; there
-is no wrapper type.  The module provides two independent spectral-radius
-algorithms (a power iteration over the irreducible blocks found by a boolean
-reachability closure, and a norm-of-squared-powers scheme) so that each can
-serve as a cross-check for the other, plus Perron eigenvector certificates
-for positive matrices.  One Perron loop, ``_perron_loop``, serves both the
-blockwise radius and ``perron_vector``; ``spectral_radii`` takes positive
-members' radii from batched ``eigvals`` instead.  The Collatz-Wielandt
-comparison over a family lives in ``alternative`` (``_certify_margins``).
+is no wrapper type.  ``spectral_radii`` is the one radius rule: ``eigvals``
+on each irreducible block, the blocks found by a boolean reachability
+closure.  Two independent algorithms cross-check it: a power iteration over
+the same blocks and a norm-of-squared-powers scheme.  One Perron loop,
+``_perron_loop``, serves that power iteration and the Perron eigenvector
+certificates of ``perron_vector``.  The Collatz-Wielandt comparison over a
+family lives in ``alternative`` (``_certify_margins``).
 """
 
 from __future__ import annotations
@@ -144,16 +143,53 @@ def _perron_loop(a: np.ndarray, eps, tol: float, max_iter: int) -> tuple:
     return rho, (0.0 if hi - lo <= tol else hi - lo), x
 
 
-def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> float:
-    """Radius over the irreducible blocks (distinct rows of the mutual reachability
-    closure of ``a > 0``); ConvergenceError names the widest open bracket."""
-    eps = 1e-3 * a.max()
+def _irreducible_blocks(a: np.ndarray) -> list:
+    """Index arrays of the irreducible diagonal blocks of ``a``: the distinct
+    rows of the mutual reachability closure of ``a > 0``."""
     reach = (a > 0) | np.eye(len(a), dtype=bool)
     for _ in range((len(a) - 1).bit_length()):
         reach = reach @ reach
-    best, width = 0.0, 0.0
-    for block in np.unique(reach & reach.T, axis=0):
-        idx = np.flatnonzero(block)
+    return [np.flatnonzero(block) for block in np.unique(reach & reach.T, axis=0)]
+
+
+def _eigvals_radii(stack: np.ndarray) -> np.ndarray:
+    """Largest ``|eigvals|`` of each member of a (k, m, m) stack, m >= 2,
+    from one LAPACK call, once no row sum is beyond the float range."""
+    m = stack.shape[-1]
+    _check_row_sums(stack @ np.full(m, 1.0 / m), m)
+    try:
+        return np.abs(np.linalg.eigvals(stack)).max(-1)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigvals failed: {exc}", math.nan) from exc
+
+
+def _nonnegative_stack(stack) -> np.ndarray:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatchError(f"expected a nonempty (k, n, n) stack, "
+                                     f"got shape {stack.shape}")
+    if not np.all(np.isfinite(stack) & (stack >= 0)):
+        raise DomainError("spectral radii require finite nonnegative entries")
+    return stack
+
+
+def spectral_radius_power(a, tol: float = DEFAULT_TOL,
+                          max_iter: int = DEFAULT_MAX_ITER) -> float:
+    """Spectral radius of a nonnegative square matrix, certified to ``tol``:
+    the power-iteration cross-check on ``spectral_radii``, which no command
+    uses.  Irreducible blocks of one entry are read off; larger ones are
+    shifted by eps*I (eps = 1e-3 * max entry), which adds exactly eps to
+    their radius and makes them primitive, then iterated until the
+    Collatz-Wielandt ratio bracket is narrower than ``tol``.
+
+    Raises DomainError if a row sum exceeds the float range, and
+    ConvergenceError (carrying the best estimate and the widest failing
+    bracket) if some block misses ``tol`` within ``max_iter`` iterations.
+    """
+    a = _nonnegative_stack(as_square(a)[None])[0]
+    _check_tol(tol)
+    eps, best, width = 1e-3 * a.max(), 0.0, 0.0
+    for idx in _irreducible_blocks(a):
         if idx.size == 1:
             best = max(best, float(a[idx[0], idx[0]]))
         else:
@@ -165,62 +201,28 @@ def _blockwise_radius(a: np.ndarray, tol: float, max_iter: int) -> float:
     return best
 
 
-def _nonnegative_stack(stack, tol: float) -> np.ndarray:
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatchError(f"expected a nonempty (k, n, n) stack, "
-                                     f"got shape {stack.shape}")
-    if not np.all(np.isfinite(stack) & (stack >= 0)):
-        raise DomainError("spectral radii require finite nonnegative entries")
-    _check_tol(tol)
-    return stack
-
-
-def spectral_radius_power(a, tol: float = DEFAULT_TOL,
-                          max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Spectral radius of a nonnegative square matrix, certified to ``tol``.
-
-    The matrix is split into its strongly connected (irreducible) diagonal
-    blocks by a reachability closure; the spectrum is the union of the block
-    spectra, so the radius is the maximum block radius.  Blocks of size one
-    are read off; larger ones are shifted by eps*I (eps = 1e-3 * max entry),
-    which adds exactly eps to their radius and makes them primitive, then
-    iterated until the Collatz-Wielandt ratio bracket is narrower than ``tol``.
-
-    Raises DomainError if a row sum exceeds the float range, and
-    ConvergenceError (carrying the best estimate and the widest failing
-    bracket) if some block misses ``tol`` within ``max_iter`` iterations.
-    """
-    a = _nonnegative_stack(as_square(a)[None], tol)[0]
-    return _blockwise_radius(a, tol, max_iter)
-
-
-def spectral_radii(stack, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+def spectral_radii(stack) -> np.ndarray:
     """Spectral radius of every member of a nonnegative (k, n, n) stack.
 
-    Strictly positive members of order 2 and up take their largest
-    ``|eigvals|`` from one batched LAPACK call: their Perron root is simple,
-    found to a few ulp relative at any magnitude, and ``tol`` does not
-    apply.  The others take ``spectral_radius_power``'s kernel, since a
-    reducible member's Perron root can be defective (a Jordan block), where
-    ``eigvals`` loses half the digits.  Raises DomainError if a row sum
-    exceeds the float range, and ConvergenceError for the lowest-index
-    member that fails.
+    A member's spectrum is the union of its irreducible blocks' spectra, and
+    each block's Perron root is simple, so the largest block ``|eigvals|``
+    is the radius to a few ulp relative at any magnitude, a defective
+    (Jordan) reducible root included.  Strictly positive members are one
+    block each and share one batched LAPACK call; the others are split, and
+    their blocks of one entry read off.  Raises DomainError if a block's row
+    sum exceeds the float range, and ConvergenceError if LAPACK fails.
     """
-    stack = _nonnegative_stack(stack, tol)
+    stack = _nonnegative_stack(stack)
     k, n, _ = stack.shape
     radii = np.empty(k)
     pos = (stack > 0).all(axis=(1, 2)) & (n > 1)  # order 1: read off
     if pos.any():
-        members = stack[pos]
-        _check_row_sums(members @ np.full(n, 1.0 / n), n)
-        try:
-            radii[pos] = np.abs(np.linalg.eigvals(members)).max(-1)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigvals failed: {exc}", math.nan) from exc
+        radii[pos] = _eigvals_radii(stack[pos])
     for i in np.flatnonzero(~pos):
-        radii[i] = _blockwise_radius(stack[i], tol, max_iter)
+        a = stack[i]
+        radii[i] = max(a[idx[0], idx[0]] if idx.size == 1
+                       else _eigvals_radii(a[np.ix_(idx, idx)][None])[0]
+                       for idx in _irreducible_blocks(a))
     return radii
 
 

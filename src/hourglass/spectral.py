@@ -21,7 +21,6 @@ import numpy as np
 from .alternative import ExtremalCertificate, _certify_margins, extremal_pick
 from .linalg import (
     ConvergenceError,
-    DEFAULT_TOL,
     DomainError,
     ROW_SUMS_OVERFLOW,
     _perron_tol,
@@ -283,8 +282,7 @@ def _sweep(s, n_max: int, size_guard: int, first: int = 1,
             for n in range(first, n_max + 1)]
 
 
-def rho_extremal_exhaustive(s, direction: str,
-                            tol: float = DEFAULT_TOL) -> tuple[float, int]:
+def rho_extremal_exhaustive(s, direction: str) -> tuple[float, int]:
     """Exact extremal spectral radius over all members of a family.
 
     A family other than an explicit set is expanded under the default
@@ -298,7 +296,7 @@ def rho_extremal_exhaustive(s, direction: str,
     _require_square_set(s)
     if not s.is_nonnegative:
         raise DomainError("exhaustive extremal radius requires nonnegative members")
-    radii = spectral_radii(s.matrices, tol)
+    radii = spectral_radii(s.matrices)
     idx = int(radii.argmin() if direction == "min" else radii.argmax())
     return float(radii[idx]), idx
 

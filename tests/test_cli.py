@@ -29,7 +29,7 @@ from hourglass.descriptors import (
 )
 from hourglass.generate import gen_instance, random_iru
 from hourglass.linalg import DomainError
-from hourglass.sets import OrderedChain, Product, expr_expand
+from hourglass.sets import DEFAULT_SIZE_GUARD, OrderedChain, Product, expr_expand
 from hourglass.alternative import THEOREM_NOTE, hourglass_probe_explicit
 from hourglass.spectral import finiteness_verify, jsr_lsr_bounds
 
@@ -160,7 +160,8 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert data["results"]["rho"] == pytest.approx(2.0, abs=1e-9)
-        assert data["parameters"]["tol"] == 1e-10
+        assert data["parameters"] == {"direction": "min",
+                                      "guard": DEFAULT_SIZE_GUARD}
         assert data["input_digest"]
 
     def test_radius_lists_members(self, capsys, nilp_pair):
@@ -169,6 +170,21 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert data["results"]["radii"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("b, c", [(6322.32432654, 10724.02404232),
+                                      (1e6, 2e6)])
+    def test_anti_diagonal_radius_is_sqrt_bc(self, capsys, tmp_path, b, c):
+        # Zero-entry members at magnitudes where an absolute power-iteration
+        # bracket cannot close: both commands answer sqrt(bc).
+        path = tmp_path / "anti.json"
+        write_descriptor({"type": "matrix", "entries": [[0, b], [c, 0]]}, path)
+        for argv, key in ((["radius"], "rho_max"),
+                          (["extremal", "--direction", "max"], "rho")):
+            code, data = _run_json(
+                capsys, [*argv, "--input", str(path), "--format", "json"])
+            assert code == EXIT_OK
+            assert data["results"][key] == pytest.approx(np.sqrt(b * c),
+                                                         rel=1e-15, abs=0)
 
     def test_radius_keeps_distinct_tiny_members(self, capsys, tmp_path):
         # Deduplication is exact at any magnitude: only the repeat goes.
@@ -391,8 +407,8 @@ class TestCommands:
 # The flags each command reads besides --input and --format, and the argv
 # that satisfies its required ones ({s}: descriptor, {out}: output path).
 DECLARED = {
-    "radius": ({"tol", "guard"}, []),
-    "extremal": ({"direction", "tol", "guard"}, ["--direction", "min"]),
+    "radius": ({"guard"}, []),
+    "extremal": ({"direction", "guard"}, ["--direction", "min"]),
     "simplex": ({"direction", "epsilon"}, ["--direction", "max"]),
     "jsr": ({"n_max", "guard"}, []),
     "lsr": ({"n_max", "guard"}, []),
@@ -413,7 +429,8 @@ UNREAD = [
     ("hset-probe", "--tol", "1e-9"), ("hausdorff", "--tol", "1e-9"),
     ("gen", "--tol", "1"), ("simplex", "--guard", "5"),
     ("gen", "--guard", "5"), ("simplex", "--tol", "1e-9"),
-    ("hausdorff", "--norm", "max"),
+    ("hausdorff", "--norm", "max"), ("radius", "--tol", "1e-9"),
+    ("extremal", "--tol", "1e-9"),
 ]
 
 
@@ -689,17 +706,16 @@ class TestExitCodes:
         (["conv-check", "--n-max", "0"], "n_max must be >= 1, got 0"),
         (["finiteness", "--sandwich-samples", "-1"],
          "sandwich_samples must be >= 0, got -1"),
-        (["radius", "--tol", "nan"], "tol must be positive"),
-        (["extremal", "--direction", "min", "--tol", "nan"],
-         "tol must be positive"),
-        (["radius", "--tol", "inf"], "tol must be finite, got inf"),
-        (["extremal", "--direction", "max", "--tol", "inf"],
-         "tol must be finite, got inf"),
         (["conv-check", "--tol", "nan"], "tol must be finite, got nan"),
         (["finiteness", "--tol", "inf"], "tol must be finite, got inf"),
         # A negative tolerance fails even exact agreement.
         (["finiteness", "--tol", "-1"], "tol must be >= 0, got -1.0"),
         (["conv-check", "--tol=-1e-9"], "tol must be >= 0, got -1e-09"),
+        # The spaced form too: argparse reads "-1e-9" as a value.
+        (["conv-check", "--tol", "-1e-9"], "tol must be >= 0, got -1e-09"),
+        (["finiteness", "--tol", "-1e-9"], "tol must be >= 0, got -1e-09"),
+        (["simplex", "--direction", "max", "--epsilon", "-1e-3"],
+         "eps must be positive, got -0.001"),
         (["finiteness", "--guard", "3"],
          "materialization needs 4 matrices, guard is 3"),
         # Refused before any sample is drawn: the enlarged set's 4 + 10**5
@@ -714,9 +730,10 @@ class TestExitCodes:
         (["gen", "--kind", "expr", "--depth", "300"],
          "expression depth must be < 256, got 300"),
     ], ids=["finiteness-n-max", "conv-check-n-max", "sandwich-samples",
-            "radius-tol-nan", "extremal-tol-nan", "radius-tol-inf",
-            "extremal-tol-inf", "conv-check-tol-nan", "finiteness-tol-inf",
+            "conv-check-tol-nan", "finiteness-tol-inf",
             "finiteness-tol-negative", "conv-check-tol-negative",
+            "conv-check-tol-spaced", "finiteness-tol-spaced",
+            "simplex-epsilon-spaced",
             "finiteness-guard", "finiteness-sandwich-guard", "gen-chain-length", "gen-expr-depth", "gen-expr-too-deep"])
     def test_refuses_values_that_make_a_check_vacuous(self, tmp_path, capsys,
                                                       iru_file, argv, message):

@@ -108,6 +108,38 @@ class TestSpectralRadiusPower:
             want = np.abs(np.linalg.eigvals(a)).max()
             assert spectral_radius_power(a, TOL) == pytest.approx(want, abs=5e-10)
 
+    def test_failing_member_estimate_lies_in_its_bracket(self):
+        # A member with a zero entry that misses tol within max_iter steps
+        # raises with an estimate within the bracket it reports of the
+        # radius spectral_radii answers.
+        sparse = np.array([[0.0, 1.0, 0.3], [0.2, 0.0, 1.0], [1.0, 0.4, 0.0]])
+        for member in (sparse, sparse.T):
+            with pytest.raises(ConvergenceError) as err:
+                spectral_radius_power(member, tol=1e-14, max_iter=5)
+            width = float(re.search(r"still (\S+) wide", str(err.value))[1])
+            rho = spectral_radii(member[None])[0]
+            assert abs(err.value.estimate - rho) <= width / 2
+
+    def test_widest_failing_block_is_reported(self):
+        # Two slow irreducible blocks with one largest entry, so one shift:
+        # in either block order the message names the wider bracket.
+        a = np.array([[1.0, 0.2], [0.7, 0.1]])
+        b = np.array([[0.3, 1.0, 0.1], [0.2, 0.1, 0.9], [0.8, 0.4, 0.2]])
+        kw = {"max_iter": 3}
+        alone = []
+        for block in (a, b):
+            with pytest.raises(ConvergenceError) as err:
+                spectral_radius_power(block, **kw)
+            width = float(re.search(r"still (\S+) wide", str(err.value))[1])
+            alone.append((width, err.value.estimate))
+        assert alone[0][0] != alone[1][0]
+        za, zb = np.zeros((2, 3)), np.zeros((3, 2))
+        for member in (np.block([[a, za], [zb, b]]), np.block([[b, zb], [za, a]])):
+            with pytest.raises(ConvergenceError) as err:
+                spectral_radius_power(member, **kw)
+            assert f"still {max(alone)[0]:.3e} wide" in str(err.value)
+            assert err.value.estimate == max(e for _, e in alone)
+
 
 def _two_by_two_radii(m):
     """Closed-form Perron roots (tr + sqrt(tr^2 - 4 det)) / 2 of nonnegative
@@ -118,20 +150,17 @@ def _two_by_two_radii(m):
 
 
 class TestSpectralRadii:
-    """Positive members take batched ``eigvals``; members with a zero entry
-    take the blockwise power kernel, bit for bit."""
+    """Every member takes ``eigvals`` on its irreducible blocks (positive
+    members in one batched call); the blockwise power kernel cross-checks
+    it."""
 
     @staticmethod
-    def _assert_per_member(stack, **kw):
-        # Members with a zero entry (or of order 1) are the power kernel
-        # bit for bit; positive ones agree with it within its tolerance.
-        want = np.array([spectral_radius_power(a, **kw) for a in stack])
-        got = spectral_radii(stack, **kw)
+    def _assert_per_member(stack, tol=TOL):
+        # Every member agrees with the power kernel within its tolerance.
+        want = np.array([spectral_radius_power(a, tol) for a in stack])
+        got = spectral_radii(stack)
         assert got.shape == want.shape
-        exact = ~(stack > 0).all(axis=(1, 2)) | (stack.shape[1] == 1)
-        np.testing.assert_array_equal(got[exact], want[exact])
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=kw.get("tol", TOL))
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
     @staticmethod
     def _assert_perron_shares(stack, **kw):
@@ -158,14 +187,15 @@ class TestSpectralRadii:
     def test_small_magnitude_converges(self):
         # At 1e-12 the power kernel's absolute bracket is vacuous; the
         # eigvals radii keep their relative precision, and the shifted
-        # loop still contracts as fast as at magnitude 1.
+        # loop behind perron_vector still contracts as fast as at
+        # magnitude 1.
         pair = 1e-12 * np.array([[[0.3, 0.7], [0.2, 0.9]], [[1.0, 2.0], [3.0, 4.0]]])
         np.testing.assert_allclose(spectral_radii(pair), _two_by_two_radii(pair),
                                    rtol=1e-15, atol=0)
         rng = np.random.default_rng(16)
         for d in range(2, 9):
             stack = rng.uniform(0.01, 2.0, size=(10, d, d))
-            small = spectral_radii(1e-6 * stack, max_iter=200)
+            small = spectral_radii(1e-6 * stack)
             np.testing.assert_allclose(small, 1e-6 * spectral_radii(stack),
                                        rtol=1e-14, atol=0)
             self._assert_perron_shares(1e-6 * stack, tol=TOL)
@@ -186,6 +216,19 @@ class TestSpectralRadii:
     def test_fixtures(self):
         self._assert_per_member(np.stack([NILP_A, NILP_B, 0.5 * (NILP_A + NILP_B)]))
         self._assert_per_member(np.stack([DIAG_A, DIAG_B, 0.5 * (DIAG_A + DIAG_B)]))
+        # Closed forms at any magnitude: an anti-diagonal [[0, b], [c, 0]]
+        # has radius sqrt(bc) (to a few ulp; the first two sit where the
+        # power kernel's absolute bracket cannot close), a triangular
+        # [[a, b], [0, d]] exactly max(a, d).
+        a, b, c, d = 10.0 ** np.random.default_rng(17).uniform(-6, 6, (4, 50))
+        b[:2], c[:2] = [6322.32432654, 1e6], [10724.02404232, 2e6]
+        zero = np.zeros_like(a)
+        anti = np.stack([[zero, b], [c, zero]]).transpose(2, 0, 1)
+        np.testing.assert_allclose(spectral_radii(anti), np.sqrt(b * c),
+                                   rtol=1e-15, atol=0)
+        triangular = np.stack([[a, b], [zero, d]]).transpose(2, 0, 1)
+        np.testing.assert_array_equal(spectral_radii(triangular),
+                                      np.maximum(a, d))
 
     def test_mixed_zero_and_positive_stacks(self):
         rng = np.random.default_rng(12)
@@ -210,16 +253,18 @@ class TestSpectralRadii:
 
     def test_defective_reducible_member_takes_the_power_kernel(self):
         # P [[B, C], [0, B]] P^T repeats B's Perron root in one Jordan
-        # block, where eigvals loses half the digits (3.2e-8 relative off
-        # with OpenBLAS's LAPACK).
+        # block, where whole-matrix eigvals loses half the digits (3.2e-8
+        # relative off with OpenBLAS's LAPACK).  Each irreducible block
+        # holds the root once, so the block split is exact; the power
+        # kernel agrees within its bracket.
         b = np.array([[0.2, 0.9], [1.0, 0.2]])
         c = np.array([[0.7, 0.8], [1.0, 0.9]])
         p = np.eye(4)[[2, 0, 3, 1]]
         a = p @ np.block([[b, c], [np.zeros((2, 2)), b]]) @ p.T
         want = _two_by_two_radii(b)
         got = spectral_radii(a[None])[0]
-        assert got == spectral_radius_power(a)
-        assert got == pytest.approx(want, rel=0, abs=TOL)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        assert spectral_radius_power(a) == pytest.approx(want, rel=0, abs=TOL)
 
     def test_nearly_reducible_positive_member_is_answered(self):
         # Eigenvalues 1 +- sqrt(1e-23), 6e-12 apart: the power kernel's
@@ -235,47 +280,11 @@ class TestSpectralRadii:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            spectral_radii(np.ones((2, 2, 2)))
-
-    def test_first_failing_member_raises(self):
-        # Positive members never iterate; among those with a zero entry,
-        # the lowest-index one that misses tol raises.
-        rng = np.random.default_rng(14)
-        positive = rng.uniform(0.1, 1.0, size=(4, 3, 3))
-        sparse = np.array([[0.0, 1.0, 0.3], [0.2, 0.0, 1.0], [1.0, 0.4, 0.0]])
-        kw = {"tol": 1e-14, "max_iter": 5}
-        spectral_radii(positive, **kw)
-        for stack, first in (
-            (np.stack([np.eye(3), sparse, *positive, sparse.T]), 1),
-            (np.stack([*positive, sparse.T, sparse]), 4),
-        ):
-            with pytest.raises(ConvergenceError) as want:
-                spectral_radius_power(stack[first], **kw)
-            with pytest.raises(ConvergenceError) as got:
-                spectral_radii(stack, **kw)
-            assert got.value.estimate == want.value.estimate
-            assert str(got.value) == str(want.value)
-
-    def test_widest_failing_block_is_reported(self):
-        # Two slow irreducible blocks with one largest entry, so one shift:
-        # in either block order the message names the wider bracket.
-        a = np.array([[1.0, 0.2], [0.7, 0.1]])
-        b = np.array([[0.3, 1.0, 0.1], [0.2, 0.1, 0.9], [0.8, 0.4, 0.2]])
-        kw = {"max_iter": 3}
-        alone = []
-        for block in (a, b):
-            with pytest.raises(ConvergenceError) as err:
-                spectral_radius_power(block, **kw)
-            width = float(re.search(r"still (\S+) wide", str(err.value))[1])
-            alone.append((width, err.value.estimate))
-        assert alone[0][0] != alone[1][0]
-        za, zb = np.zeros((2, 3)), np.zeros((3, 2))
-        for member in (np.block([[a, za], [zb, b]]), np.block([[b, zb], [za, a]])):
-            with pytest.raises(ConvergenceError) as err:
-                spectral_radii(member[None], **kw)
-            assert f"still {max(alone)[0]:.3e} wide" in str(err.value)
-            assert err.value.estimate == max(e for _, e in alone)
+        # Positive members in one call, then a block of a zero-entry member.
+        for stack in (np.ones((2, 2, 2)), (NILP_A + NILP_B)[None],
+                      np.eye(3)[None, [1, 0, 2]]):
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                spectral_radii(stack)
 
     @pytest.mark.parametrize("stack, error", [
         (np.zeros((0, 2, 2)), DimensionMismatchError),
@@ -289,17 +298,12 @@ class TestSpectralRadii:
         with pytest.raises(error):
             spectral_radii(stack)
 
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(DomainError):
-            spectral_radii(np.ones((2, 2, 2)), tol=0.0)
-
 
 @pytest.mark.parametrize("kernel", [
-    lambda a, tol: spectral_radii(a[None], tol),
     spectral_radius_power,
     perron_vector,
     spectral_radius_gelfand,
-], ids=["spectral_radii", "power", "perron", "gelfand"])
+], ids=["power", "perron", "gelfand"])
 @pytest.mark.parametrize("tol, message", [
     (np.inf, "^tol must be finite, got inf$"),
     (np.nan, "^tol must be positive$"),
@@ -326,6 +330,9 @@ class TestFloatLimit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert spectral_radii(a[None])[0] == pytest.approx(1.6e308, rel=1e-12)
+            # the same block beside a zero one
+            assert spectral_radii(np.pad(a, (0, 1))[None])[0] == pytest.approx(
+                1.6e308, rel=1e-12)
             assert perron_vector(a).rho == pytest.approx(1.6e308, rel=1e-12)
 
     def test_row_sums_beyond_the_limit_raise(self):
@@ -333,6 +340,8 @@ class TestFloatLimit:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="float range"):
                 spectral_radii(self.OVER)
+            with pytest.raises(DomainError, match="float range"):
+                spectral_radii(np.pad(self.OVER[:1], ((0, 0), (0, 1), (0, 1))))
             with pytest.raises(DomainError, match="float range"):
                 perron_vector(self.OVER[0])
 
@@ -520,20 +529,23 @@ def test_l1_norm_submultiplicative(n, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.integers(min_value=1, max_value=12), seed=st.integers(0, 10_000))
-def test_reducible_members_invariant(d, seed):
+@given(d=st.integers(min_value=1, max_value=12), seed=st.integers(0, 10_000),
+       log_t=st.floats(-12.0, 12.0))
+def test_reducible_members_invariant(d, seed, log_t):
     # A block upper-triangular member with zeros inside and above its
-    # diagonal blocks, conjugated by a random permutation and transposed:
-    # the block split must find the same radius in every form.
+    # diagonal blocks (and on its diagonal), conjugated by a random
+    # permutation, transposed and scaled by t: the block split must find
+    # the same radius, times t, in every form, to rounding.
     rng = np.random.default_rng(seed)
     cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d),
                               replace=False))
     block_of = np.searchsorted(cuts, np.arange(d), side="right")
     a = rng.uniform(0.1, 2.0, size=(d, d))
     a *= (block_of[:, None] <= block_of[None, :]) & (rng.uniform(size=(d, d)) < 0.6)
-    a[np.diag_indices(d)] = rng.uniform(0.1, 2.0, size=d)
-    p = rng.permutation(d)
-    radii = spectral_radii(np.stack([a, a[p][:, p], a.T]), TOL)
-    assert radii.max() - radii.min() <= TOL
+    a[np.diag_indices(d)] = rng.uniform(0.1, 2.0, size=d) * (rng.uniform(size=d) < 0.7)
+    p, t = rng.permutation(d), 10.0 ** log_t
+    forms = np.stack([a, a[p][:, p], a.T])
+    radii = np.concatenate([spectral_radii(forms), spectral_radii(t * forms) / t])
+    np.testing.assert_allclose(radii, radii[0], rtol=1e-14, atol=0)
     want = np.abs(np.linalg.eigvals(a)).max()
     assert radii[0] == pytest.approx(want, abs=5e-10)

@@ -496,8 +496,7 @@ class TestFinitenessVerify:
 
     def test_member_extremes_come_from_the_sweep(self):
         # rho_min/rho_max are the sweep's length-1 extremes, and they agree
-        # with the members' power-iteration radii (bracketed tighter than the
-        # default 1e-10, which alone leaves about 1e-12 relative).
+        # with the members' radii.
         rng = np.random.default_rng(15)
         for family in (_random_iru(rng, 3, (2, 3, 2)),
                        ExplicitSet(rng.uniform(0.0, 2.0, size=(7, 4, 4))),
@@ -508,7 +507,7 @@ class TestFinitenessVerify:
             assert report.rho_max == first.rho_hat_n
             assert report.rho_min == first.rho_check_n
             assert first.dev_min == first.dev_max == 0.0
-            radii = spectral_radii(expr_expand(family).matrices, tol=1e-14)
+            radii = spectral_radii(expr_expand(family).matrices)
             assert report.rho_max == pytest.approx(radii.max(), rel=1e-12)
             assert report.rho_min == pytest.approx(radii.min(), rel=1e-12,
                                                    abs=1e-300)
