@@ -50,11 +50,12 @@ print("Perron certificates: an eigenpair anyone can re-check")
 print("=" * 70)
 
 a = rng.uniform(0.1, 2.0, size=(3, 3))
-cert = perron_vector(a, tol=1e-12)
+cert = perron_vector(a)
 print("\nmatrix:\n", a)
 print("rho:        ", cert.rho)
 print("eigenvector:", cert.eigenvector, "(positive, sums to 1)")
 print("residual:   ", cert.residual)
+print("bracket:    ", cert.bracket)
 print("re-verified: ", np.abs(a @ cert.eigenvector - cert.rho * cert.eigenvector).max())
 
 print()

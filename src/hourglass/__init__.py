@@ -13,7 +13,7 @@ _MODULE_OF = {name: module for module, names in {
     "spectral_radius_gelfand spectral_radii spectral_radius_power "
     "strict_tolerance",
     "sets": "DEFAULT_SIZE_GUARD ExplicitSet GuardExceededError HausdorffReport "
-    "IruSet OrderedChain Product Scale SetExpr Sum convex_sample in_class "
+    "IruSet OrderedChain Product Scale SetExpr Sum in_class "
     "dedup_tolerance epsilon_lift expr_expand hausdorff_distance set_equal "
     "iru_enumerate minkowski_product minkowski_sum scale_set transpose_set",
     "alternative": "CertificationError ExtremalCertificate HourglassOutcome "

@@ -35,7 +35,6 @@ from .linalg import (
     DomainError,
     ROW_SUMS_OVERFLOW,
     PerronCertificate,
-    _perron_tol,
     as_matrix,
     as_vector,
     perron_vector,
@@ -420,7 +419,7 @@ def certify_extremal(s, candidate, direction: str,
                                      "admissible row", violator=min(strays))
     elif contains_matrix(s, candidate) is None:
         raise CertificationError("candidate is not a member of the set")
-    perron = perron_vector(candidate, tol=min(_perron_tol(candidate), cert_tol))
+    perron = perron_vector(candidate)
     return _certify_margins(s, candidate, perron, direction, cert_tol)
 
 

@@ -265,13 +265,14 @@ def serialize_expr(e: SetExpr) -> dict:
 
 def write_descriptor(e, path) -> str:
     """Write an expression (or a raw descriptor dict) to ``path`` as canonical
-    text: sorted keys, fixed layout, one descriptor per file.
+    text: sorted keys on one line (compact, so json's C encoder writes it),
+    one descriptor per file.
 
     The file appears atomically: the text lands in a sibling temp file that
     is renamed over the target.
     """
     obj = e if isinstance(e, dict) else serialize_expr(e)
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True) + "\n"
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_text(text)

@@ -5,9 +5,10 @@ is no wrapper type.  ``spectral_radii`` is the one radius rule: ``eigvals``
 on each irreducible block, the blocks found by a boolean reachability
 closure.  Two independent algorithms cross-check it: a power iteration over
 the same blocks and a norm-of-squared-powers scheme.  One Perron loop,
-``_perron_loop``, serves that power iteration and the Perron eigenvector
-certificates of ``perron_vector``.  The Collatz-Wielandt comparison over a
-family lives in ``alternative`` (``_certify_margins``).
+``_perron_loop``, serves that power iteration and starts ``perron_vector``,
+whose inverse-iteration polish gives the certified pair to a few ulp
+relative at any magnitude.  The Collatz-Wielandt comparison over a family
+lives in ``alternative`` (``_certify_margins``).
 """
 
 from __future__ import annotations
@@ -75,11 +76,8 @@ def as_vector(u) -> np.ndarray:
 
 def strict_tolerance(reference):
     """Margin below which a componentwise comparison counts as a tie, one
-    per vector along the last axis of ``reference`` (a scalar for a vector).
-
-    Scaled to the reference data so that "x differs from y" always means a
-    quantified gap rather than float noise.
-    """
+    per vector along the last axis of ``reference`` (a scalar for a vector),
+    scaled to the data so that a difference is a gap, not float noise."""
     ref = np.abs(np.atleast_1d(np.asarray(reference, dtype=float)))
     return 1e-9 * np.fmax(1.0, ref.max(axis=-1, initial=0.0))
 
@@ -177,10 +175,8 @@ def spectral_radius_power(a, tol: float = DEFAULT_TOL,
                           max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Spectral radius of a nonnegative square matrix, certified to ``tol``:
     the power-iteration cross-check on ``spectral_radii``, which no command
-    uses.  Irreducible blocks of one entry are read off; larger ones are
-    shifted by eps*I (eps = 1e-3 * max entry), which adds exactly eps to
-    their radius and makes them primitive, then iterated until the
-    Collatz-Wielandt ratio bracket is narrower than ``tol``.
+    uses.  Irreducible blocks of one entry are read off; larger ones run
+    ``_perron_loop`` (eps = 1e-3 * max entry) to a bracket within ``tol``.
 
     Raises DomainError if a row sum exceeds the float range, and
     ConvergenceError (carrying the best estimate and the widest failing
@@ -267,28 +263,29 @@ class PerronCertificate:
     """Eigenpair witness for a positive matrix.
 
     ``eigenvector`` is strictly positive and normalized to coordinate sum 1;
-    ``residual`` is the max-norm of A v - rho v, re-checkable by anyone
-    holding the matrix.  ``tol`` records the tolerance the certificate was
-    produced under.
+    ``bracket`` holds its Collatz-Wielandt bounds ``(lo, hi)``, which
+    enclose both the radius and ``rho``.  ``residual`` is the max-norm of
+    A v - rho v, re-checkable by anyone holding the matrix: at most the
+    bracket's width, up to rounding relative to rho.
     """
 
     rho: float
     eigenvector: np.ndarray
     residual: float
-    tol: float
+    bracket: tuple
 
     def __post_init__(self):
         v = np.asarray(self.eigenvector, dtype=float)
-        if self.rho < 0:
-            raise DomainError("certificate rho must be nonnegative")
+        lo, hi = self.bracket
+        if not 0 <= lo <= self.rho <= hi:
+            raise DomainError("certificate rho must be nonnegative and in its bracket")
         if not np.all(v > 0):
             raise DomainError("certificate eigenvector must be strictly positive")
         if abs(v.sum() - 1.0) > 1e-12:
             raise DomainError("certificate eigenvector must sum to 1")
-        if self.residual > self.tol * max(self.rho, 1.0):
+        if self.residual > hi - lo + 1e-12 * self.rho:
             raise DomainError(
-                f"certificate residual {self.residual:.3e} exceeds declared tolerance"
-            )
+                f"certificate residual {self.residual:.3e} exceeds its bracket")
 
     def verify(self, a) -> float:
         """Recompute the residual against ``a`` and return it."""
@@ -296,45 +293,47 @@ class PerronCertificate:
         return float(np.abs(a @ self.eigenvector - self.rho * self.eigenvector).max())
 
 
-def _perron_tol(a: np.ndarray) -> float:
-    """Bracket width for the Perron pair behind an extremal certificate.
-
-    1e-13, relative to the largest row sum (a bound on the radius of a
-    nonnegative matrix) once that exceeds 1: an absolute width falls below
-    float resolution at large magnitudes and never converges.
-    """
-    return 1e-13 * max(1.0, float(a.sum(axis=1).max()))
-
-
-def perron_vector(a, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> PerronCertificate:
+def perron_vector(a) -> PerronCertificate:
     """Perron eigenpair of a strictly positive square matrix.
 
-    The Perron loop behind ``spectral_radius_power``, on the whole matrix:
-    the shifted iteration runs until the Collatz-Wielandt bracket is at most
-    ``tol`` wide (order 1 is read off), so ``rho`` equals
-    ``spectral_radius_power(a, tol)`` bit for bit and the returned iterate's
-    eigen-residual is at most ``tol / 2``.  Positivity makes the dominant
-    eigenvalue simple, so convergence is geometric.
+    ``_perron_loop`` brackets the radius to 1e-4 times the largest row sum;
+    inverse iteration shifted just above the bracket (Golub & Van Loan,
+    "Matrix Computations", 7.6.1) then narrows it quadratically to n ulp
+    relative, two steps as a rule, and ``rho`` is its midpoint.  Every step
+    commutes with scaling by a power of two, so the pair of ``2**j * a`` is
+    that of ``a`` with rho scaled exactly.
 
     Raises DomainError for non-positive input (nonnegative sets must be
     lifted into the interior first) or a row sum beyond the float range, and
-    ConvergenceError with the estimate if the bracket is still wider than
-    ``tol`` after ``max_iter`` steps.
+    ConvergenceError with the estimate if the loop misses its bracket within
+    ``DEFAULT_MAX_ITER`` steps or a shifted solve fails.
     """
     a = as_square(a)
     if not np.all(a > 0):
         raise DomainError(
             "perron_vector requires strictly positive entries; lift the input first"
         )
-    _check_tol(tol)
-    if len(a) == 1:  # as in spectral_radius_power: no shift to add and take off
-        return PerronCertificate(rho=float(a[0, 0]), eigenvector=np.ones(1),
-                                 residual=0.0, tol=tol)
-    rho, width, x = _perron_loop(a, 1e-3 * a.max(), tol, max_iter)
+    n = len(a)
+    if n == 1:  # as in spectral_radius_power: no shift to add and take off
+        x = float(a[0, 0])
+        return PerronCertificate(x, np.ones(1), 0.0, (x, x))
+    # A Python product: row sums beyond the float range give inf with no
+    # warning, and the loop's first step refuses them.
+    coarse = 1e-4 * n * float(np.maximum.reduce(a @ np.full(n, 1.0 / n)))
+    rho, width, x = _perron_loop(a, 1e-3 * a.max(), coarse, DEFAULT_MAX_ITER)
     if width:
         raise ConvergenceError(f"Perron bracket still {width:.3e} wide after "
-                               f"{max_iter} steps", float(rho))
+                               f"{DEFAULT_MAX_ITER} steps", float(rho))
+    for step in range(9):  # at most 8 inverse steps; far from rho they are slow
+        ratios = a @ x / x  # Collatz-Wielandt: min and max enclose rho(a)
+        lo, hi = float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
+        if hi - lo <= 1e-15 * n * hi or step == 8:
+            break
+        try:  # divided by hi, the solve is the same at every magnitude
+            x = np.linalg.solve(a / hi - (1.0 + 1e-12) * np.eye(n), x)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"shifted solve failed: {exc}", hi) from exc
+        x /= np.add.reduce(x)
+    rho = 0.5 * lo + 0.5 * hi  # halved first: lo + hi may overflow
     residual = float(np.abs(a @ x - rho * x).max())
-    return PerronCertificate(rho=float(rho), eigenvector=x, residual=residual,
-                             tol=tol)
+    return PerronCertificate(rho, x, residual, (lo, hi))

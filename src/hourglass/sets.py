@@ -453,11 +453,6 @@ def convex_combination(rng: np.random.Generator, s: ExplicitSet,
     return np.einsum("j,jnm->nm", w, s.matrices[idx])
 
 
-def convex_sample(s: ExplicitSet, k: int, seed: int) -> np.ndarray:
-    """Seeded random convex combination of ``k`` sampled members of ``s``."""
-    return convex_combination(np.random.default_rng(seed), s, k)
-
-
 def transpose_set(s) -> ExplicitSet:
     """Every member of a set or expression transposed, as an explicit set.
 

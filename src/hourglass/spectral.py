@@ -23,7 +23,6 @@ from .linalg import (
     ConvergenceError,
     DomainError,
     ROW_SUMS_OVERFLOW,
-    _perron_tol,
     _reduce,
     l1_operator_norm,
     perron_vector,
@@ -345,9 +344,11 @@ def spectral_simplex(s, direction: str, max_iter: int = 10_000) -> SimplexTrace:
     local optimality condition is global: the terminal member is certified
     extremal over the whole family.
 
-    Boundary (merely nonnegative) families are refused: lift them first.  Row
-    sums beyond the float range raise DomainError before the first step, and
-    a rho not above the certificate tolerance 1e-10 (1 + rho) after the last.
+    The step threshold is 1e-11 rho and the certificate tolerance 1e-10 rho,
+    so on ``scale_set(2.0**j, s)`` every step is the same and rho scales
+    exactly.  Boundary (merely nonnegative) families are refused: lift them
+    first.  Row sums beyond the float range raise DomainError before the
+    first step.
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -376,18 +377,17 @@ def spectral_simplex(s, direction: str, max_iter: int = 10_000) -> SimplexTrace:
                 f"spectral_simplex requires a strictly positive family; the "
                 f"member at selection {list(selection)} has a zero entry: "
                 f"lift the family's leaves first")
-        perron = perron_vector(a, tol=_perron_tol(a))
+        perron = perron_vector(a)
         v = perron.eigenvector
         rho = perron.rho
-        step_tol = 1e-11 * max(1.0, rho)
+        step_tol = 1e-11 * rho
 
         nxt, image, choices, ties = extremal_pick(s, v, sign, iter(selection),
                                                   step_tol)
         gain = float((sign * (image - a @ v)).max()) if choices != selection else 0.0
         steps.append(SimplexStep(selection, rho, gain, any(ties)))
         if choices == selection:
-            cert = _certify_margins(s, a, perron, direction,
-                                    1e-10 * (1.0 + rho))
+            cert = _certify_margins(s, a, perron, direction, 1e-10 * rho)
             return SimplexTrace(direction, tuple(steps), cert)
         if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "

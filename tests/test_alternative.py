@@ -33,7 +33,6 @@ from hourglass.sets import (
     ExplicitSet,
     IruSet,
     convex_combination,
-    convex_sample,
     epsilon_lift,
     expr_expand,
     in_class,
@@ -547,7 +546,7 @@ class TestCertifyExtremal:
         value, idx = rho_extremal_exhaustive(s, "max")
         cert = certify_extremal(s, s.matrices[idx], "max", cert_tol=1e-8)
         for seed in range(30):
-            combo = convex_sample(s, s.size, seed=seed)
+            combo = convex_combination(np.random.default_rng(seed), s, s.size)
             assert spectral_radius_power(combo) <= cert.rho + 1e-8
 
     def test_certificates_bound_products_of_hull_mixtures(self):
@@ -606,7 +605,8 @@ class TestCertifyExtremal:
         value, idx = rho_extremal_exhaustive(s, "min")
         cert = certify_extremal(s, s.matrices[idx], "min", cert_tol=1e-9)
         v = cert.perron.eigenvector
-        extra = np.stack([convex_sample(s, s.size, seed=k) for k in range(5)])
+        extra = np.stack([convex_combination(np.random.default_rng(k), s, s.size)
+                          for k in range(5)])
         sandwich = np.concatenate([s.matrices, extra])
         margins = (sandwich @ v - cert.rho * v[None, :]).min(axis=1)
         assert margins.min() >= -1e-9
@@ -651,16 +651,22 @@ class TestCertifyExtremal:
 
     def test_refuses_a_tolerance_not_below_rho(self):
         # At rho ~ 8e-12 a 1e-10 tolerance passes every margin, so it
-        # certifies nothing; the simplex refuses it with the same message.
-        s = scale_set(1e-12, random_iru(np.random.default_rng(5), 8, 8, 4, 0.1, 2))
+        # certifies nothing (the message's rho is max |eigvals|, 7.8276e-12,
+        # rounded); the simplex's tolerance is relative to rho, so it
+        # certifies the same set with the selection of the unscaled one.
+        base = random_iru(np.random.default_rng(5), 8, 8, 4, 0.1, 2)
+        s = scale_set(1e-12, base)
         candidate = s.assemble([0] * 8)
         for direction in ("min", "max"):
             with pytest.raises(DomainError) as err:
                 certify_extremal(s, candidate, direction, 1e-10)
             assert str(err.value) == ("certificate tolerance 1.0e-10 is not "
-                                      "below rho 7.820e-12; rescale the input")
-            with pytest.raises(DomainError, match="rescale the input$"):
-                spectral_simplex(s, direction)
+                                      "below rho 7.828e-12; rescale the input")
+            want = spectral_simplex(base, direction)
+            trace = spectral_simplex(s, direction)
+            assert trace.selection == want.selection
+            assert trace.certificate.cert_tol == 1e-10 * trace.rho
+            assert trace.rho == pytest.approx(1e-12 * want.rho, rel=1e-14, abs=0)
 
 
 @any_family
@@ -794,7 +800,8 @@ class TestGroupedScansMatchTheRowSetLoop:
         v = rng.uniform(0.1, 1.0, size=n)
         v /= v.sum()
         rho = float(rng.uniform(1.0, 4.0 * n))
-        perron = PerronCertificate(rho=rho, eigenvector=v, residual=0.0, tol=1.0)
+        perron = PerronCertificate(rho=rho, eigenvector=v, residual=0.0,
+                                   bracket=(rho, rho))
         sign = 1.0 if direction == "min" else -1.0
         candidate = s.assemble([0] * n)
         want, violator = _margins_loop(s, rho, v, sign, cert_tol)

@@ -1,8 +1,11 @@
 """Error contracts: best-estimate convergence reports and guard payloads."""
 
+import re
+
 import numpy as np
 import pytest
 
+import hourglass.linalg as linalg
 from hourglass.linalg import (
     ConvergenceError,
     DomainError,
@@ -33,12 +36,28 @@ def test_power_iteration_cap_reports_best_estimate():
     assert err.value.estimate == pytest.approx(1.0, abs=1e-6)
 
 
-def test_perron_cap_raises():
-    # Asymmetric coupling: the uniform start is not the eigenvector and the
-    # near-degenerate spectrum contracts the bracket far too slowly.
-    a = np.array([[1.0, 1e-9], [2e-9, 1.0]])
-    with pytest.raises(ConvergenceError):
-        perron_vector(a, tol=1e-15, max_iter=3)
+def test_perron_cap_raises(monkeypatch):
+    # Unequal row sums and a near-degenerate spectrum (radius 1.001): the
+    # coarse bracket contracts too slowly to meet the loop's cap, which
+    # raises with the unpolished estimate, within its bracket of the radius.
+    a = np.array([[1.0, 1.0], [1e-6, 1.0]])
+    monkeypatch.setattr(linalg, "DEFAULT_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError) as err:
+        perron_vector(a)
+    width = float(re.search(r"still (\S+) wide after 3 steps", str(err.value))[1])
+    assert abs(err.value.estimate - 1.001) <= width / 2
+
+
+def test_failed_shifted_solve_is_a_convergence_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    a = np.array([[1.0, 1.0], [1e-6, 1.0]])
+    with pytest.raises(ConvergenceError, match="shifted solve failed: "
+                       "Singular matrix") as err:
+        perron_vector(a)
+    assert err.value.estimate >= 1.0 + 1e-3  # the bracket's upper end
 
 
 def test_simplex_cap_carries_trace():

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hourglass.linalg import (
-    _perron_tol,
     ConvergenceError,
     DimensionMismatchError,
     DomainError,
@@ -35,6 +35,19 @@ def _random_nonneg(rng, n, density=1.0):
     if density < 1.0:
         a *= rng.uniform(size=(n, n)) < density
     return a
+
+
+def _assert_perron_brackets(stack, tol=TOL):
+    # perron_vector's bracket is d ulp wide and encloses the eigvals radius
+    # to d ulp, and its rho is the power kernel's within tol.
+    d = stack.shape[-1]
+    for a, want in zip(stack, spectral_radii(stack)):
+        cert = perron_vector(a)
+        lo, hi = cert.bracket
+        slack = 4 * d * np.finfo(float).eps * want
+        assert hi - lo <= 1e-15 * d * hi
+        assert lo - slack <= want <= hi + slack
+        assert abs(cert.rho - spectral_radius_power(a, tol)) <= tol
 
 
 class TestMatMul:
@@ -162,13 +175,6 @@ class TestSpectralRadii:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
-    @staticmethod
-    def _assert_perron_shares(stack, **kw):
-        # perron_vector runs the power kernel's loop on the whole matrix
-        got = [perron_vector(a, **kw).rho for a in stack]
-        np.testing.assert_array_equal(
-            got, [spectral_radius_power(a, **kw) for a in stack])
-
     def test_random_positive_stacks(self):
         rng = np.random.default_rng(11)
         for d in range(1, 9):
@@ -177,8 +183,8 @@ class TestSpectralRadii:
                 stack = rng.uniform(0.01, 2.0, size=(k, d, d)) * scale
                 self._assert_per_member(stack)
                 self._assert_per_member(stack, tol=1e-8)
-                self._assert_perron_shares(stack, tol=TOL)
-                self._assert_perron_shares(stack, tol=1e-8)
+                _assert_perron_brackets(stack)
+                _assert_perron_brackets(stack, tol=1e-8)
                 if d == 2:
                     np.testing.assert_allclose(spectral_radii(stack),
                                                _two_by_two_radii(stack),
@@ -186,9 +192,9 @@ class TestSpectralRadii:
 
     def test_small_magnitude_converges(self):
         # At 1e-12 the power kernel's absolute bracket is vacuous; the
-        # eigvals radii keep their relative precision, and the shifted
-        # loop behind perron_vector still contracts as fast as at
-        # magnitude 1.
+        # eigvals radii and perron_vector's bracket keep their relative
+        # precision, and the power kernel meets a tolerance scaled with
+        # the input.
         pair = 1e-12 * np.array([[[0.3, 0.7], [0.2, 0.9]], [[1.0, 2.0], [3.0, 4.0]]])
         np.testing.assert_allclose(spectral_radii(pair), _two_by_two_radii(pair),
                                    rtol=1e-15, atol=0)
@@ -198,7 +204,7 @@ class TestSpectralRadii:
             small = spectral_radii(1e-6 * stack)
             np.testing.assert_allclose(small, 1e-6 * spectral_radii(stack),
                                        rtol=1e-14, atol=0)
-            self._assert_perron_shares(1e-6 * stack, tol=TOL)
+            _assert_perron_brackets(1e-6 * stack, tol=1e-6 * TOL)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
@@ -301,9 +307,8 @@ class TestSpectralRadii:
 
 @pytest.mark.parametrize("kernel", [
     spectral_radius_power,
-    perron_vector,
     spectral_radius_gelfand,
-], ids=["power", "perron", "gelfand"])
+], ids=["power", "gelfand"])
 @pytest.mark.parametrize("tol, message", [
     (np.inf, "^tol must be finite, got inf$"),
     (np.nan, "^tol must be positive$"),
@@ -311,7 +316,7 @@ class TestSpectralRadii:
 def test_kernels_refuse_a_tolerance_that_certifies_nothing(kernel, tol,
                                                           message):
     # At tol inf every bracket counts as converged: the power kernels
-    # would return a value 9 % low here and perron_vector a residual 0.14.
+    # would return a value 9 % low here.
     a = np.random.default_rng(0).uniform(0.1, 1, (3, 3))
     with pytest.raises(DomainError, match=message):
         kernel(a, tol)
@@ -368,12 +373,12 @@ class TestSpectralRadiusGelfand:
 
 class TestPerronVector:
     def test_all_ones(self):
-        cert = perron_vector(np.ones((2, 2)), TOL)
+        cert = perron_vector(np.ones((2, 2)))
         assert cert.rho == pytest.approx(2.0, abs=1e-10)
         np.testing.assert_allclose(cert.eigenvector, [0.5, 0.5], atol=1e-10)
 
     def test_symmetric_equal_row_sums(self):
-        cert = perron_vector([[2.0, 1.0], [1.0, 2.0]], TOL)
+        cert = perron_vector([[2.0, 1.0], [1.0, 2.0]])
         assert cert.rho == pytest.approx(3.0, abs=1e-10)
         np.testing.assert_allclose(cert.eigenvector, [0.5, 0.5], atol=1e-10)
 
@@ -381,37 +386,43 @@ class TestPerronVector:
         rng = np.random.default_rng(4)
         for _ in range(10):
             a = rng.uniform(0.1, 2.0, size=(3, 3))
-            cert = perron_vector(a, TOL)
-            assert cert.residual <= TOL * max(cert.rho, 1.0)
+            cert = perron_vector(a)
+            lo, hi = cert.bracket
+            assert cert.residual <= 1e-14 * cert.rho
+            assert lo <= cert.rho <= hi
             assert cert.verify(a) == cert.residual
             assert np.all(cert.eigenvector > 0)
             assert abs(cert.eigenvector.sum() - 1.0) <= 1e-12
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            perron_vector(DIAG_A, TOL)
+            perron_vector(DIAG_A)
 
     def test_one_loop_for_perron_vector_and_the_power_kernel(self):
-        # perron_vector runs the power kernel's Perron loop on the whole
-        # matrix: the same rho bit for bit, or the same failing bracket.
+        # perron_vector polishes the power kernel's Perron loop: at every
+        # magnitude its bracket is d ulp wide around the eigvals radius,
+        # and the kernel, at a tolerance relative to the row sums, agrees
+        # within that tolerance.
         rng = np.random.default_rng(31)
         for _ in range(500):
             n = int(rng.integers(2, 33))
             a = rng.uniform(0.1, 2.0, size=(n, n)) * 10.0 ** rng.uniform(-6, 6)
-            tol = _perron_tol(a)
-            for max_iter in (100_000, 0, 1, 2, 5):
-                try:
-                    rho = spectral_radius_power(a, tol, max_iter=max_iter)
-                except ConvergenceError as err:
-                    assert max_iter < 100_000
-                    width = re.search(r"still (\S+ wide after \d+ steps)",
-                                      str(err))[1]
-                    with pytest.raises(ConvergenceError) as got:
-                        perron_vector(a, tol, max_iter=max_iter)
-                    assert got.value.estimate == err.estimate
-                    assert f"still {width}" in str(got.value)
-                else:
-                    assert perron_vector(a, tol, max_iter=max_iter).rho == rho
+            _assert_perron_brackets(a[None], tol=1e-12 * a.sum(axis=1).max())
+
+    def test_power_of_two_scaling_is_exact(self):
+        # Every step commutes with scaling by 2**j: the same eigenvector,
+        # and rho, bracket and residual scaled exactly.
+        rng = np.random.default_rng(32)
+        for n in (2, 3, 8, 32):
+            a = rng.uniform(0.1, 2.0, size=(n, n))
+            cert = perron_vector(a)
+            for j in range(-60, 61, 3):
+                got = perron_vector(np.ldexp(a, j))
+                assert got.eigenvector.tobytes() == cert.eigenvector.tobytes()
+                assert (got.rho, got.residual) == (
+                    math.ldexp(cert.rho, j), math.ldexp(cert.residual, j))
+                assert got.bracket == tuple(math.ldexp(b, j)
+                                            for b in cert.bracket)
 
     @pytest.mark.parametrize("x", [2.0, 3.0, 0.1, 1e-300, 1.7e308])
     def test_order_one_is_read_off(self, x):

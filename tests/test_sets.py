@@ -17,7 +17,7 @@ from hourglass.sets import (
     SetExpr,
     Sum,
     contains_matrix,
-    convex_sample,
+    convex_combination,
     epsilon_lift,
     expr_expand,
     hausdorff_distance,
@@ -625,14 +625,15 @@ class TestConvexSample:
     def test_single_element_is_member(self):
         rng = np.random.default_rng(23)
         s = _random_explicit(rng, 2, 4)
-        m = convex_sample(s, 1, seed=5)
+        m = convex_combination(np.random.default_rng(5), s, 1)
         assert np.abs(s.matrices - m).max(axis=(1, 2)).min() <= 1e-14
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(24)
         s = _random_explicit(rng, 2, 4)
         np.testing.assert_array_equal(
-            convex_sample(s, 3, seed=7), convex_sample(s, 3, seed=7)
+            convex_combination(np.random.default_rng(7), s, 3),
+            convex_combination(np.random.default_rng(7), s, 3),
         )
 
     def test_stays_in_entrywise_envelope(self):
@@ -641,7 +642,7 @@ class TestConvexSample:
         lo = s.matrices.min(axis=0)
         hi = s.matrices.max(axis=0)
         for seed in range(10):
-            m = convex_sample(s, 4, seed=seed)
+            m = convex_combination(np.random.default_rng(seed), s, 4)
             assert np.all(m >= lo - 1e-12) and np.all(m <= hi + 1e-12)
 
     def test_midpoint_fixture(self):

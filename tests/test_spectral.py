@@ -1,4 +1,5 @@
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hourglass import spectral
 from hourglass.alternative import certify_extremal
 from hourglass.descriptors import parse_descriptor
-from hourglass.generate import random_expr
+from hourglass.generate import random_expr, random_iru
 from hourglass.linalg import (DomainError, perron_vector, spectral_radii,
                               spectral_radius_power)
 from hourglass.sets import (
@@ -134,27 +135,34 @@ class TestSpectralSimplex:
             np.testing.assert_array_equal(trace.certificate.extremal_matrix,
                                           s.assemble(trace.selection))
 
-    @pytest.mark.parametrize("t", [1e-12, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e2, 1e4, 1e6])
     def test_certifies_at_large_magnitude(self, t):
         rng = np.random.default_rng(6)
         s = _random_iru(rng, 8, (3,) * 8)
         scaled = scale_set(t, s)
-        if t < 1e-6:  # rho ~ 1e-11 lies below the certificate tolerance
-            for direction in ("min", "max"):
-                with pytest.raises(DomainError, match="rescale the input$"):
-                    spectral_simplex(scaled, direction)
-            return
         for direction in ("min", "max"):
             base = spectral_simplex(s, direction)
             trace = spectral_simplex(scaled, direction)
             cert = trace.certificate
             assert cert.worst_margin >= -cert.cert_tol
             assert trace.selection == base.selection
-            assert trace.rho == pytest.approx(t * base.rho, rel=1e-10)
+            assert trace.rho == pytest.approx(t * base.rho, rel=1e-14, abs=0)
             again = certify_extremal(scaled, cert.extremal_matrix, direction,
                                      cert.cert_tol)
             assert again.worst_margin >= -again.cert_tol
-            assert again.rho == pytest.approx(t * base.rho, rel=1e-10)
+            assert again.rho == trace.rho
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_power_of_two_scaling_is_exact(self, direction):
+        # Every threshold is relative to rho, so 2**j S takes the steps of
+        # S and its rho is S's scaled exactly, from 2**-60 to 2**60.
+        s = random_iru(np.random.default_rng(5), 8, 8, 4, 0.1, 2)
+        base = spectral_simplex(s, direction)
+        for j in range(-60, 61, 3):
+            trace = spectral_simplex(scale_set(2.0 ** j, s), direction)
+            assert trace.rho == math.ldexp(base.rho, j)
+            assert [st.selection for st in trace.iterations] == [
+                st.selection for st in base.iterations]
 
     def test_lifted_boundary_selection_stabilizes(self):
         # Lift sizes an order of magnitude apart leave the selected rows
