@@ -63,8 +63,7 @@ print("=" * 70)
 value, best = rho_extremal_exhaustive(members, "min")
 for k in (best, (best + 1) % members.size):
     try:
-        cert = certify_extremal(family, members.matrices[k], "min",
-                                cert_tol=1e-9)
+        cert = certify_extremal(family, members.matrices[k], "min")
         print(f"\nmember {k}: certified, rho = {cert.rho:.9f}")
     except CertificationError as err:
         print(f"\nmember {k}: rejected ({err})")

@@ -262,8 +262,7 @@ def _probe_draws(seed: int, k: int, n: int, trials: int):
             np.exp(logs[:, fresh:].reshape(-1, n)[:trials]))
 
 
-def hourglass_probe_explicit(s, trials: int, seed: int,
-                             strict_tol: float | None = None) -> ProbeReport:
+def hourglass_probe_explicit(s, trials: int, seed: int) -> ProbeReport:
     """Sampled H1/H2 refutation probe over a positive family.
 
     A family other than an explicit set is expanded under the default guard
@@ -273,9 +272,9 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
     on the required side, or some member weakly beyond ``v`` with a strict
     gap.  A trial violates a statement when neither branch holds.  Both are
     decided from each member's largest and smallest row gap ``v - A u``: H1
-    fails when some member's largest gap exceeds the strict tolerance and
-    no such member keeps its smallest gap within it; H2 mirrors this.  The
-    per-trial draws of ``_draws_per_trial`` are the contract.
+    fails when some member's largest gap exceeds the strict tolerance of
+    ``v`` and no such member keeps its smallest gap within it; H2 mirrors
+    this.  The per-trial draws of ``_draws_per_trial`` are the contract.
     """
     s = as_explicit(s)
     if not s.is_positive:
@@ -296,8 +295,7 @@ def hourglass_probe_explicit(s, trials: int, seed: int,
     v = cols[0][:, centers] * us[:, 0]
     for j in range(1, n):
         v += cols[j][:, centers] * us[:, j]
-    stol = (strict_tolerance(v.T)[:, None] if strict_tol is None
-            else np.full((trials, 1), strict_tol))
+    stol = strict_tolerance(v.T)[:, None]
     step = max(1, BATCH_ENTRIES // mats[..., 0].size)  # trials per batch
     flags = np.empty((trials, 2), dtype=bool)  # H1, H2 violated
     for start in range(0, trials, step):
@@ -363,9 +361,10 @@ class ExtremalCertificate:
     (explicit input) or component of the extremal image (chains and
     expression trees), the worst-case slack in the defining inequality
     A v >= rho v (direction "min") or A v <= rho v ("max") evaluated at the
-    candidate's Perron vector v.  All margins >= -cert_tol
-    certifies that every length-n product over the family's convex hull has
-    spectral radius >= rho**n (min) or <= rho**n (max).
+    candidate's Perron vector v.  All margins >= -cert_tol, with
+    ``cert_tol = 1e-10 rho``, certifies that every length-n product over the
+    family's convex hull has spectral radius >= rho**n (min) or <= rho**n
+    (max), up to that relative tolerance.
     """
 
     direction: str
@@ -380,8 +379,7 @@ class ExtremalCertificate:
         return self.perron.rho
 
 
-def certify_extremal(s, candidate, direction: str,
-                     cert_tol: float) -> ExtremalCertificate:
+def certify_extremal(s, candidate, direction: str) -> ExtremalCertificate:
     """Certify that ``candidate`` attains the extremal spectral radius of ``s``.
 
     Any family is taken.  The candidate must be a strictly positive member
@@ -394,12 +392,12 @@ def certify_extremal(s, candidate, direction: str,
     row-set sizes instead of their product); for explicit input every
     member A, and for chains and trees the extremal image, must satisfy
     ``A v >= rho v - cert_tol`` componentwise.  Direction "max" mirrors
-    the inequalities.
+    the inequalities.  ``cert_tol`` is 1e-10 rho, so scaling the family
+    scales every margin and its tolerance alike.
 
     Raises CertificationError naming the violating row or matrix if the
     margins fail, or if the candidate is not a member of the family, and
-    DomainError if the family has a negative entry or if ``cert_tol`` is
-    not below the candidate's rho (every margin would pass).
+    DomainError if the family has a negative entry.
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -420,21 +418,19 @@ def certify_extremal(s, candidate, direction: str,
     elif contains_matrix(s, candidate) is None:
         raise CertificationError("candidate is not a member of the set")
     perron = perron_vector(candidate)
-    return _certify_margins(s, candidate, perron, direction, cert_tol)
+    return _certify_margins(s, candidate, perron, direction)
 
 
 def _certify_margins(s, candidate: np.ndarray, perron: PerronCertificate,
-                     direction: str, cert_tol: float) -> ExtremalCertificate:
-    """Scan ``s`` against a member's Perron pair (see ``certify_extremal``);
-    chains and trees get one margin per component of their extremal image."""
+                     direction: str) -> ExtremalCertificate:
+    """Scan ``s`` against a member's Perron pair at ``cert_tol = 1e-10 rho``
+    (see ``certify_extremal``); chains and trees get one margin per
+    component of their extremal image."""
     sign = 1.0 if direction == "min" else -1.0
-    v = perron.eigenvector
+    v, cert_tol = perron.eigenvector, 1e-10 * perron.rho
     if isinstance(s, LEAVES) and not s.is_nonnegative:
         # A v <= rho v bounds the radius of no member with a negative entry.
         raise DomainError("certificates require a nonnegative family")
-    if not cert_tol < perron.rho:  # every margin would pass: nothing certified
-        raise DomainError(f"certificate tolerance {cert_tol:.1e} is not "
-                          f"below rho {perron.rho:.3e}; rescale the input")
     if isinstance(s, IruSet):
         margins = (sign * (s.row_images(v) - perron.rho * v[:, None]))[s.slots]
     elif isinstance(s, ExplicitSet):

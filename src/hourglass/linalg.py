@@ -76,10 +76,10 @@ def as_vector(u) -> np.ndarray:
 
 def strict_tolerance(reference):
     """Margin below which a componentwise comparison counts as a tie, one
-    per vector along the last axis of ``reference`` (a scalar for a vector),
-    scaled to the data so that a difference is a gap, not float noise."""
+    per vector along the last axis of ``reference`` (a scalar for a vector):
+    1e-9 times its largest magnitude, so that it scales with the data."""
     ref = np.abs(np.atleast_1d(np.asarray(reference, dtype=float)))
-    return 1e-9 * np.fmax(1.0, ref.max(axis=-1, initial=0.0))
+    return 1e-9 * ref.max(axis=-1, initial=0.0)
 
 
 def _check_tol(tol: float) -> None:

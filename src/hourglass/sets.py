@@ -56,9 +56,9 @@ def _magnitude(arr: np.ndarray, axis=None):
 
 def dedup_tolerance(data, axis=None):
     """Membership tolerance of ``contains_matrix``, ``set_equal`` and the IRU
-    row check of ``certify_extremal``, scaled to the largest entry magnitude
-    (per member: reduced over ``axis``).  Deduplication itself is exact."""
-    return 1e-12 * (1.0 + _magnitude(np.asarray(data, dtype=float), axis))
+    row check of ``certify_extremal``: 1e-12 times the largest entry
+    magnitude (per member: reduced over ``axis``).  Dedup itself is exact."""
+    return 1e-12 * _magnitude(np.asarray(data, dtype=float), axis)
 
 
 def _dedup_stack(stack: np.ndarray) -> list:
@@ -281,15 +281,14 @@ def as_explicit(s) -> ExplicitSet:
     return s if isinstance(s, ExplicitSet) else expr_expand(s)
 
 
-def set_equal(a, b, tol: float | None = None) -> bool:
-    """Set equality up to ``tol`` under the entrywise max metric; any family
-    is taken, through ``as_explicit``."""
+def set_equal(a, b) -> bool:
+    """Set equality within the larger ``dedup_tolerance`` of the two under
+    the entrywise max metric; any family is taken, through ``as_explicit``."""
     if a.shape != b.shape:
         return False
     a, b = as_explicit(a), as_explicit(b)
-    if tol is None:
-        tol = max(dedup_tolerance(a.matrices), dedup_tolerance(b.matrices))
-    return hausdorff_distance(a, b).distance <= tol
+    return hausdorff_distance(a, b).distance <= max(
+        dedup_tolerance(a.matrices), dedup_tolerance(b.matrices))
 
 
 def contains_matrix(s, m) -> int | None:

@@ -39,6 +39,7 @@ from .sets import (
 )
 
 _CHUNK = 1 << 16
+SIMPLEX_MAX_ITER = 10_000  # steps before spectral_simplex gives up
 
 
 def necklace_count(m: int, n: int) -> int:
@@ -333,7 +334,7 @@ class SimplexTrace:
         return self.iterations[-1].selection
 
 
-def spectral_simplex(s, direction: str, max_iter: int = 10_000) -> SimplexTrace:
+def spectral_simplex(s, direction: str) -> SimplexTrace:
     """Greedy extremal-radius search on a positive set or expression tree.
 
     From the member of first choices, each step moves to the member with
@@ -371,7 +372,7 @@ def spectral_simplex(s, direction: str, max_iter: int = 10_000) -> SimplexTrace:
         raise DomainError(ROW_SUMS_OVERFLOW)
     seen = {selection}
     steps: list[SimplexStep] = []
-    for _ in range(max_iter):
+    for _ in range(SIMPLEX_MAX_ITER):
         if not (a > 0).all():  # a tree of boundary leaves can reach one
             raise DomainError(
                 f"spectral_simplex requires a strictly positive family; the "
@@ -387,7 +388,7 @@ def spectral_simplex(s, direction: str, max_iter: int = 10_000) -> SimplexTrace:
         gain = float((sign * (image - a @ v)).max()) if choices != selection else 0.0
         steps.append(SimplexStep(selection, rho, gain, any(ties)))
         if choices == selection:
-            cert = _certify_margins(s, a, perron, direction, 1e-10 * rho)
+            cert = _certify_margins(s, a, perron, direction)
             return SimplexTrace(direction, tuple(steps), cert)
         if choices in seen:
             raise ConvergenceError("row-exchange iteration revisited a "
@@ -395,7 +396,7 @@ def spectral_simplex(s, direction: str, max_iter: int = 10_000) -> SimplexTrace:
         seen.add(choices)
         a, selection = nxt, choices
     raise ConvergenceError(
-        f"row-exchange iteration did not settle in {max_iter} steps",
+        f"row-exchange iteration did not settle in {SIMPLEX_MAX_ITER} steps",
         steps[-1].rho if steps else float("nan"), trace=tuple(steps))
 
 

@@ -257,7 +257,11 @@ class TestProbe:
     @staticmethod
     def _assert_matches_oracle(s, trials, seed, strict_tol=None,
                                image=np.matmul):
-        report = hourglass_probe_explicit(s, trials, seed, strict_tol)
+        with pytest.MonkeyPatch.context() as mp:
+            if strict_tol is not None:  # one band for every trial
+                mp.setattr(alternative, "strict_tolerance",
+                           lambda v: np.full(np.shape(v)[:-1], strict_tol))
+            report = hourglass_probe_explicit(s, trials, seed)
         want = _probe_per_trial(s, trials, seed, strict_tol, image)
         got = [(v.trial, v.direction, v.center_index, v.u)
                for v in report.violations]
@@ -270,8 +274,6 @@ class TestProbe:
 
     @staticmethod
     def _partial_last_batch(s, trials):
-        import hourglass.alternative as alternative
-
         step = alternative.BATCH_ENTRIES // (s.size * s.shape[0])
         return 1 < step < trials and trials % step
 
@@ -310,8 +312,6 @@ class TestProbe:
             assert found > 0  # the set does violate
 
     def test_matches_per_trial_oracle(self, monkeypatch):
-        import hourglass.alternative as alternative
-
         rng = np.random.default_rng(31)
         found = 0
         for i in range(30):
@@ -514,7 +514,7 @@ class TestCertifyExtremal:
         rng = np.random.default_rng(9)
         m = rng.uniform(0.1, 2.0, size=(3, 3))
         s = ExplicitSet(m[None])
-        cert = certify_extremal(s, m, "min", cert_tol=1e-9)
+        cert = certify_extremal(s, m, "min")
         assert cert.rho == pytest.approx(
             spectral_radius_power(m), abs=1e-9
         )
@@ -528,23 +528,23 @@ class TestCertifyExtremal:
         best = int(np.argmin(radii))
         for k, m in enumerate(mats):
             if k == best:
-                cert = certify_extremal(s, m, "min", cert_tol=1e-8)
+                cert = certify_extremal(s, m, "min")
                 assert cert.rho == pytest.approx(radii[best], abs=1e-8)
             elif radii[k] > radii[best] + 1e-6:
                 with pytest.raises(CertificationError):
-                    certify_extremal(s, m, "min", cert_tol=1e-8)
+                    certify_extremal(s, m, "min")
 
     def test_rejects_non_member(self):
         rng = np.random.default_rng(11)
         s = _random_iru(rng, 2, (2, 2))
         with pytest.raises(CertificationError):
-            certify_extremal(s, np.full((2, 2), 7.0), "max", cert_tol=1e-8)
+            certify_extremal(s, np.full((2, 2), 7.0), "max")
 
     def test_max_certificate_bounds_convex_hull(self):
         rng = np.random.default_rng(12)
         s = iru_enumerate(_random_iru(rng, 3, (2, 2, 2)))
         value, idx = rho_extremal_exhaustive(s, "max")
-        cert = certify_extremal(s, s.matrices[idx], "max", cert_tol=1e-8)
+        cert = certify_extremal(s, s.matrices[idx], "max")
         for seed in range(30):
             combo = convex_combination(np.random.default_rng(seed), s, s.size)
             assert spectral_radius_power(combo) <= cert.rho + 1e-8
@@ -555,13 +555,9 @@ class TestCertifyExtremal:
         rng = np.random.default_rng(16)
         s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
         lo = certify_extremal(
-            s, s.matrices[rho_extremal_exhaustive(s, "min")[1]], "min",
-            cert_tol=1e-9,
-        )
+            s, s.matrices[rho_extremal_exhaustive(s, "min")[1]], "min")
         hi = certify_extremal(
-            s, s.matrices[rho_extremal_exhaustive(s, "max")[1]], "max",
-            cert_tol=1e-9,
-        )
+            s, s.matrices[rho_extremal_exhaustive(s, "max")[1]], "max")
         for n in (1, 2, 3):
             for seed in range(20):
                 local = np.random.default_rng(seed)
@@ -579,19 +575,15 @@ class TestCertifyExtremal:
         rng = np.random.default_rng(13)
         s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
         lo = certify_extremal(
-            s, s.matrices[rho_extremal_exhaustive(s, "min")[1]], "min",
-            cert_tol=1e-9,
-        )
+            s, s.matrices[rho_extremal_exhaustive(s, "min")[1]], "min")
         hi = certify_extremal(
-            s, s.matrices[rho_extremal_exhaustive(s, "max")[1]], "max",
-            cert_tol=1e-9,
-        )
+            s, s.matrices[rho_extremal_exhaustive(s, "max")[1]], "max")
         mats = list(s.matrices)
         products = mats
         for n in range(2, 5):
             products = [p @ m for p in products for m in mats]
-            floor = lo.rho ** n - n * 1e-9 * lo.rho ** (n - 1)
-            ceiling = hi.rho ** n + n * 1e-9 * hi.rho ** (n - 1)
+            floor = lo.rho ** n - n * lo.cert_tol * lo.rho ** (n - 1)
+            ceiling = hi.rho ** n + n * hi.cert_tol * hi.rho ** (n - 1)
             for p in products:
                 rho_p = spectral_radius_power(p)
                 assert rho_p >= floor - 1e-9
@@ -603,7 +595,7 @@ class TestCertifyExtremal:
         rng = np.random.default_rng(14)
         s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
         value, idx = rho_extremal_exhaustive(s, "min")
-        cert = certify_extremal(s, s.matrices[idx], "min", cert_tol=1e-9)
+        cert = certify_extremal(s, s.matrices[idx], "min")
         v = cert.perron.eigenvector
         extra = np.stack([convex_combination(np.random.default_rng(k), s, s.size)
                           for k in range(5)])
@@ -619,8 +611,7 @@ class TestCertifyExtremal:
         for s in (signed, signed_iru):
             for direction in ("min", "max"):
                 with pytest.raises(DomainError):
-                    certify_extremal(s, [[2.0, 1.0], [1.0, 2.0]], direction,
-                                     cert_tol=1e-9)
+                    certify_extremal(s, [[2.0, 1.0], [1.0, 2.0]], direction)
 
     def test_explicit_set_route(self):
         # An enumerated row-independent family certifies through the
@@ -628,7 +619,7 @@ class TestCertifyExtremal:
         rng = np.random.default_rng(15)
         s = iru_enumerate(_random_iru(rng, 2, (2, 2)))
         value, idx = rho_extremal_exhaustive(s, "max")
-        cert = certify_extremal(s, s.matrices[idx], "max", cert_tol=1e-8)
+        cert = certify_extremal(s, s.matrices[idx], "max")
         assert cert.direction == "max"
         assert cert.margins.shape == (s.size,)
         assert cert.rho == pytest.approx(value, abs=1e-8)
@@ -645,28 +636,29 @@ class TestCertifyExtremal:
     ], ids=["explicit-max", "explicit-min", "sum-max"])
     def test_names_the_violator(self, s, c, direction, message, violator):
         with pytest.raises(CertificationError) as err:
-            certify_extremal(s, c * J2, direction, cert_tol=1e-9)
+            certify_extremal(s, c * J2, direction)
         assert str(err.value) == message
         assert err.value.violator == violator
 
-    def test_refuses_a_tolerance_not_below_rho(self):
-        # At rho ~ 8e-12 a 1e-10 tolerance passes every margin, so it
-        # certifies nothing (the message's rho is max |eigvals|, 7.8276e-12,
-        # rounded); the simplex's tolerance is relative to rho, so it
-        # certifies the same set with the selection of the unscaled one.
+    def test_certifies_far_below_magnitude_one(self):
+        # At rho ~ 1e-11 the tolerance, 1e-10 rho, is as tight as at rho ~ 1:
+        # the simplex's member certifies, with the selection of the unscaled
+        # family, and the member of first choices does not.
         base = random_iru(np.random.default_rng(5), 8, 8, 4, 0.1, 2)
         s = scale_set(1e-12, base)
-        candidate = s.assemble([0] * 8)
+        first = s.assemble([0] * 8)
         for direction in ("min", "max"):
-            with pytest.raises(DomainError) as err:
-                certify_extremal(s, candidate, direction, 1e-10)
-            assert str(err.value) == ("certificate tolerance 1.0e-10 is not "
-                                      "below rho 7.828e-12; rescale the input")
             want = spectral_simplex(base, direction)
             trace = spectral_simplex(s, direction)
             assert trace.selection == want.selection
-            assert trace.certificate.cert_tol == 1e-10 * trace.rho
             assert trace.rho == pytest.approx(1e-12 * want.rho, rel=1e-14, abs=0)
+            cert = certify_extremal(s, trace.certificate.extremal_matrix,
+                                    direction)
+            assert cert.rho == trace.rho
+            assert cert.cert_tol == 1e-10 * cert.rho
+            assert cert.worst_margin >= -cert.cert_tol
+            with pytest.raises(CertificationError, match="violates the"):
+                certify_extremal(s, first, direction)
 
 
 @any_family
@@ -676,12 +668,12 @@ def test_certify_takes_any_family(make, direction):
     # the oracle's image, as the simplex's own terminal certificate does.
     s = make(np.random.default_rng(17))
     trace = spectral_simplex(s, direction)
-    tol = trace.certificate.cert_tol
-    cert = certify_extremal(s, trace.certificate.extremal_matrix, direction, tol)
+    cert = certify_extremal(s, trace.certificate.extremal_matrix, direction)
     assert cert.rho == pytest.approx(trace.rho, rel=1e-12, abs=0)
-    assert cert.worst_margin >= -tol
+    assert cert.cert_tol == trace.certificate.cert_tol
+    assert cert.worst_margin >= -cert.cert_tol
     with pytest.raises(CertificationError):
-        certify_extremal(s, np.full(s.shape, 7.0), direction, tol)
+        certify_extremal(s, np.full(s.shape, 7.0), direction)
 
 
 def _choose_loop(images, incumbent, tol):
@@ -793,8 +785,8 @@ class TestGroupedScansMatchTheRowSetLoop:
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
-           cert_tol=_TOLS, direction=st.sampled_from(["min", "max"]))
-    def test_certify_margins(self, seed, n, cert_tol, direction):
+           direction=st.sampled_from(["min", "max"]))
+    def test_certify_margins(self, seed, n, direction):
         rng = np.random.default_rng(seed)
         s = _ragged_iru(rng, n, n, overflow=False)
         v = rng.uniform(0.1, 1.0, size=n)
@@ -804,15 +796,12 @@ class TestGroupedScansMatchTheRowSetLoop:
                                    bracket=(rho, rho))
         sign = 1.0 if direction == "min" else -1.0
         candidate = s.assemble([0] * n)
-        want, violator = _margins_loop(s, rho, v, sign, cert_tol)
-        got = _outcome(lambda: _certify_margins(s, candidate, perron, direction,
-                                                cert_tol))
-        if cert_tol >= rho:  # every margin would pass: refused
-            assert got == (DomainError, f"certificate tolerance {cert_tol:.1e} "
-                           f"is not below rho {rho:.3e}; rescale the input", None)
-        elif violator is None:
+        want, violator = _margins_loop(s, rho, v, sign, 1e-10 * rho)
+        got = _outcome(lambda: _certify_margins(s, candidate, perron, direction))
+        if violator is None:
             assert got.margins.tobytes() == want.tobytes()
             assert got.worst_margin == float(want.min())
+            assert got.cert_tol == 1e-10 * rho
         else:
             k = int(want.argmin())
             where = f"row {violator[1]} of row set {violator[0]}"
@@ -830,7 +819,7 @@ class TestGroupedScansMatchTheRowSetLoop:
         want = next((i for i, rs in enumerate(s.row_sets)
                      if np.abs(rs - candidate[i]).max(axis=1).min()
                      > dedup_tolerance(rs)), None)
-        got = _outcome(lambda: certify_extremal(s, candidate, "max", 1e-9))
+        got = _outcome(lambda: certify_extremal(s, candidate, "max"))
         if want is None:
             assert not isinstance(got, tuple) or "admissible" not in got[1]
         else:

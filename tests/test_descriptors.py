@@ -158,7 +158,7 @@ def test_parsed_sets_feed_the_set_api(tmp_path):
                      explicit_path)
     iru, explicit = parse_descriptor(iru_path), parse_descriptor(explicit_path)
     trace = spectral_simplex(iru, "max")
-    cert = certify_extremal(iru, trace.certificate.extremal_matrix, "max", 1e-9)
+    cert = certify_extremal(iru, trace.certificate.extremal_matrix, "max")
     assert cert.perron.rho == pytest.approx(trace.rho, rel=1e-12)
     assert isinstance(scale_set(2.0, explicit), ExplicitSet)
     assert isinstance(epsilon_lift(iru, 1e-3), IruSet)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hourglass.linalg as linalg
+import hourglass.spectral as spectral
 from hourglass.linalg import (
     ConvergenceError,
     DomainError,
@@ -60,11 +61,12 @@ def test_failed_shifted_solve_is_a_convergence_error(monkeypatch):
     assert err.value.estimate >= 1.0 + 1e-3  # the bracket's upper end
 
 
-def test_simplex_cap_carries_trace():
+def test_simplex_cap_carries_trace(monkeypatch):
     rng = np.random.default_rng(0)
     s = IruSet([rng.uniform(0.1, 2.0, size=(3, 3)) for _ in range(3)])
-    with pytest.raises(ConvergenceError) as err:
-        spectral_simplex(s, "max", max_iter=1)
+    monkeypatch.setattr(spectral, "SIMPLEX_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="did not settle in 1 steps") as err:
+        spectral_simplex(s, "max")
     assert hasattr(err.value, "trace")
     assert len(err.value.trace) == 1
 

@@ -346,7 +346,7 @@ class TestMinkowskiProduct:
         c = _random_explicit(rng, 2, 2)
         left = minkowski_product(minkowski_product(a, b), c)
         right = minkowski_product(a, minkowski_product(b, c))
-        assert set_equal(left, right, tol=1e-10)
+        assert set_equal(left, right)
 
 
 class TestSemiringLaws:
@@ -444,7 +444,7 @@ class TestExprExpand:
             for a1 in s.matrices for a2 in s.matrices for a3 in s.matrices
         ]
         assert out.size <= 8
-        assert set_equal(out, ExplicitSet(np.array(want)), tol=1e-10)
+        assert set_equal(out, ExplicitSet(np.array(want)))
 
     def test_bare_sets_are_one_leaf_expressions(self):
         rng = np.random.default_rng(17)

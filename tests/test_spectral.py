@@ -147,8 +147,8 @@ class TestSpectralSimplex:
             assert cert.worst_margin >= -cert.cert_tol
             assert trace.selection == base.selection
             assert trace.rho == pytest.approx(t * base.rho, rel=1e-14, abs=0)
-            again = certify_extremal(scaled, cert.extremal_matrix, direction,
-                                     cert.cert_tol)
+            again = certify_extremal(scaled, cert.extremal_matrix, direction)
+            assert again.cert_tol == cert.cert_tol
             assert again.worst_margin >= -again.cert_tol
             assert again.rho == trace.rho
 
